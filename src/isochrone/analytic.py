@@ -145,8 +145,13 @@ def _harmonic_coeffs(p: ParabolaParams) -> tuple[float, float, float]:
     return (-p.a**2 / d, -p.c / d, -p.e / d)
 
 
+def _s_squared(p: ParabolaParams, lam: float) -> float:
+    """S(Lambda)^2 = b^2 L^4 - d L^2 + e."""
+    return p.b**2 * lam**4 - p.d * lam**2 + p.e
+
+
 def _s_value(p: ParabolaParams, lam: float) -> float:
-    s2 = p.b**2 * lam**4 - p.d * lam**2 + p.e
+    s2 = _s_squared(p, lam)
     if s2 <= 0.0:
         raise InvalidParams(
             f"b^2 L^4 - d L^2 + e = {s2:g} must be positive (Lambda = {lam:g})"
@@ -182,12 +187,18 @@ def _require_bound_slope(p: ParabolaParams, xi: float) -> float:
     return bh
 
 
-def _ecc_squared(p: ParabolaParams, xi: float, lam: float) -> float:
-    """Isochrone eccentricity squared for b != 0 (may fall outside [0,1))."""
-    bh = _beta_hat(p, xi)
+def _ecc_coeffs(p: ParabolaParams, lam: float) -> tuple[float, float]:
+    """(P, Q) with eccentricity^2 = 1 + 2 P (a + b xi) + Q (a + b xi)^2."""
     dl = p.delta
     pcoef = (2.0 * p.b**2 * lam**2 - p.d) / dl
     qcoef = (p.d**2 - 4.0 * p.b**2 * p.e) / dl**2
+    return (pcoef, qcoef)
+
+
+def _ecc_squared(p: ParabolaParams, xi: float, lam: float) -> float:
+    """Isochrone eccentricity squared for b != 0 (may fall outside [0,1))."""
+    bh = _beta_hat(p, xi)
+    pcoef, qcoef = _ecc_coeffs(p, lam)
     return 1.0 + 2.0 * pcoef * bh + qcoef * bh * bh
 
 
@@ -535,69 +546,54 @@ def trajectory(params: ParabolaParams, oc: OrbitConstants,
 def circular_abscissa(params: ParabolaParams, lam: float) -> float:
     """Abscissa x_c of the circular orbit: x Y'(x) - Y(x) = Lambda^2.
 
-    The map x -> x Y' - Y is monotone increasing (its derivative is x Y''),
-    so a bracketed Newton iteration is safe.  Raises NoCircularOrbit when
-    Lambda^2 lies outside the attainable range.
+    In s = sqrt(b delta (x - x_v)) the condition is the quadratic
+    s^2 - 2 p s + q = 0 with p = b^2 Lambda^2 - d/2 and q = -b delta x_v,
+    whose roots are p +- |b| S(Lambda).  The circular orbit is the root
+    s_c = p + b S = R(Lambda)^2 / 2, taken from the product q of the roots
+    when the sum cancels, and then x_c = 2 S s_c / delta without cancellation.
+    Raises NoCircularOrbit when s_c is not positive (Lambda^2 outside the
+    range of x Y' - Y on the domain).
     """
+    return _circular_orbit(params, lam)[0]
+
+
+def circular_energy(params: ParabolaParams, lam: float) -> float:
+    """Energy xi_c(Lambda) of the circular orbit (slope of the tangent line).
+
+    For b != 0 it is Y'(x_c) = -a/b - delta / (2 b s_c), taken from s_c
+    because Y' at the rounded x_c loses digits next to the vertical tangent.
+    """
+    return _circular_orbit(params, lam)[1]
+
+
+def _circular_orbit(params: ParabolaParams, lam: float) -> tuple[float, float]:
+    """(x_c, xi_c) of the circular orbit; see circular_abscissa."""
     if lam <= 0.0:
         raise InvalidParams("circular orbit requires Lambda > 0")
     lam2 = lam * lam
     if params.b == 0.0:
-        a2c, _, a0c = _harmonic_coeffs(params)
+        a2c, a1c, a0c = _harmonic_coeffs(params)
         arg = (lam2 + a0c) / a2c
         if arg <= 0.0:
             raise NoCircularOrbit("Lambda^2 below the harmonic minimum")
-        return math.sqrt(arg)
-
-    def g(x: float) -> float:
-        y = pot.y_value(params, x)
-        yp = pot.y_derivatives(params, x, 1)[0]
-        return x * yp - y - lam2
-
-    xlo, xhi = pot.domain(params)
-    # Probe points strictly inside the domain, geometrically spaced.
-    span = (xhi - xlo) if math.isfinite(xhi) else max(1.0, xlo)
-    lo = xlo + 1e-12 * span
-    if math.isfinite(xhi):
-        hi = xhi - 1e-12 * span
+        x_c = math.sqrt(arg)
+        return (x_c, a1c + 2.0 * a2c * x_c)
+    b, d = params.b, params.d
+    s2 = _s_squared(params, lam)
+    if s2 <= 0.0:
+        raise NoCircularOrbit(f"no circular orbit at Lambda = {lam:g}: S^2 = {s2:g}")
+    s_big = math.sqrt(s2)
+    p = b * b * lam2 - 0.5 * d
+    if b * p > 0.0:
+        s_c = p + b * s_big
     else:
-        hi = max(8.0 * span, 8.0)
-        for _ in range(400):
-            if g(hi) > 0.0:
-                break
-            hi *= 4.0
-        else:  # pragma: no cover - g grows without bound on parabolae
-            raise NoCircularOrbit("failed to bracket the circular abscissa")
-    glo, ghi = g(lo), g(hi)
-    if glo > 0.0 or ghi < 0.0:
+        s_c = (0.25 * d * d - b * b * params.e) / (p - b * s_big)
+    x_c = 2.0 * s_big * s_c / params.delta
+    xlo, xhi = pot.domain(params)
+    if not (s_c > 0.0 and xlo < x_c < xhi):
         raise NoCircularOrbit(
             f"Lambda^2 = {lam2:g} outside the range of x Y' - Y on the domain")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 4e-16 * max(abs(hi), 1e-300):
-            break
-    # Newton polish drives the residual to the evaluation noise floor.
-    x_c = 0.5 * (lo + hi)
-    for _ in range(3):
-        y2 = pot.y_derivatives(params, x_c, 2)[1]
-        slope = x_c * y2
-        if slope <= 0.0:
-            break
-        cand = x_c - g(x_c) / slope
-        if not xlo < cand < xhi:
-            break
-        x_c = cand
-    return x_c
-
-
-def circular_energy(params: ParabolaParams, lam: float) -> float:
-    """Energy xi_c(Lambda) of the circular orbit (slope of the tangent line)."""
-    x_c = circular_abscissa(params, lam)
-    return pot.y_derivatives(params, x_c, 1)[0]
+    return (x_c, -params.a / b - params.delta / (2.0 * b * s_c))
 
 
 def feasible_energy(params: ParabolaParams, lam: float, frac: float = 0.5) -> float:
@@ -615,9 +611,7 @@ def feasible_energy(params: ParabolaParams, lam: float, frac: float = 0.5) -> fl
     if params.b > 0.0:
         xi_hi = -params.a / params.b
     else:
-        dl = params.delta
-        pcoef = 2.0 * (2.0 * params.b**2 * lam**2 - params.d) / dl
-        qcoef = (params.d**2 - 4.0 * params.b**2 * params.e) / dl**2
-        bh_wall = -pcoef / qcoef
+        pcoef, qcoef = _ecc_coeffs(params, lam)
+        bh_wall = -2.0 * pcoef / qcoef
         xi_hi = (bh_wall - params.a) / params.b
     return xi_c + frac * (xi_hi - xi_c)

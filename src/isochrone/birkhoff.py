@@ -268,52 +268,35 @@ def bertrand_check(obj: PotentialLike,
 def third_law(params: ParabolaParams, xi: float) -> float:
     """Radial period from the circular orbit of equal energy.
 
-    Solves Y'(x_c) = xi (Y' is monotone since Y'' > 0) and evaluates
-    T = pi / sqrt(2 Y''(x_c)); agrees with the direct closed form.
+    Y'(x_c) = xi has the closed-form root s = sqrt(b delta (x_c - x_v))
+    = -delta / (2 (a + b xi)), positive exactly when a + b xi < 0; then
+    T = pi / sqrt(2 Y''(x_c)) is evaluated from the potential's derivatives
+    and agrees with the direct closed form.  Raises NoCircularOrbit when x_c
+    falls outside the domain or too close to a wall for Y''(x_c) to hold
+    10 digits.
     """
     if params.b == 0.0:
-        a2c, a1c, _ = _harmonic_coeffs(params)
+        a2c, a1c, _ = analytic._harmonic_coeffs(params)
         if xi <= a1c:
             raise NoCircularOrbit("energy below the harmonic potential floor")
         return math.pi / math.sqrt(4.0 * a2c)
-
-    def yprime(x: float) -> float:
-        return potmod.y_derivatives(params, x, 1)[0]
-
-    if params.b > 0.0 and xi >= -params.a / params.b:
-        # Y' increases towards its supremum -a/b; beyond it nothing circular.
-        raise NoCircularOrbit("energy at or above the escape value")
+    a, b, d, dl = params.a, params.b, params.d, params.delta
+    bh = a + b * xi
+    if bh >= 0.0:
+        raise NoCircularOrbit(
+            f"no circular orbit at energy xi = {xi:g}: a + b xi = {bh:g} >= 0")
+    s = -dl / (2.0 * bh)
+    x_c = ((s - 0.5 * d) * (s + 0.5 * d) + b * b * params.e) / (b * dl)
     xlo, xhi = potmod.domain(params)
-    span = 1.0 if math.isinf(xhi) else (xhi - xlo)
-    lo = xlo + 1e-13 * max(span, 1.0)
-    if math.isfinite(xhi):
-        hi = xhi - 1e-13 * span
-    else:
-        hi = max(2.0 * lo, 1.0)
-        for _ in range(60):
-            if yprime(hi) > xi:
-                break
-            hi *= 4.0
-        else:  # pragma: no cover - unreachable after the supremum guard
-            raise NoCircularOrbit("failed to bracket the circular abscissa")
-    if yprime(lo) > xi or yprime(hi) < xi:
+    if not xlo < x_c < xhi:
         raise NoCircularOrbit(f"no circular orbit at energy xi = {xi:g}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if yprime(mid) > xi:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * max(abs(hi), 1.0):
-            break
-    x_c = 0.5 * (lo + hi)
+    # Y'' magnifies the rounding of x_c by x_c / |x_c - x_v|, without bound
+    # at a finite wall; past 1e6 the period would keep fewer than 10 digits.
+    if abs(x_c) > 1e6 * abs(x_c - params.x_v):
+        raise NoCircularOrbit(
+            f"circular orbit at xi = {xi:g} within rounding of the vertical tangent")
     y2 = potmod.y_derivatives(params, x_c, 2)[1]
     return math.pi / math.sqrt(2.0 * y2)
-
-
-def _harmonic_coeffs(params: ParabolaParams) -> tuple[float, float, float]:
-    d = params.d
-    return (-params.a**2 / d, -params.c / d, -params.e / d)
 
 
 def frequency_invariants(params: ParabolaParams, J: float,

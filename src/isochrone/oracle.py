@@ -268,8 +268,12 @@ def _substituted(pot: PotentialLike, oc: OrbitConstants):
 
 
 def _run_quad(f: Callable[[float], float], epsrel: float) -> QuadratureResult:
-    val, abserr, info = quad(f, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=epsrel,
-                             limit=200, full_output=1)
+    # QUADPACK appends a warning message to the result when it gives up.
+    val, abserr, info, *warning = quad(f, 0.0, 0.5 * math.pi, epsabs=0.0,
+                                       epsrel=epsrel, limit=200, full_output=1)
+    if warning:
+        raise ToleranceNotMet(
+            "quadrature did not converge: " + " ".join(warning[0].split()))
     result = QuadratureResult(value=float(val), error_estimate=float(abserr),
                               evaluations=int(info["neval"]))
     if abserr > 100.0 * epsrel * max(abs(val), 1e-30):

@@ -12,6 +12,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 from isochrone.potential import (
+    GaugeTerm,
+    apply_gauge,
     from_bounded,
     from_harmonic,
     from_henon,
@@ -66,3 +68,24 @@ def grid_orbits(params, lams, fracs=(0.35, 0.7)):
             oc = OrbitConstants(xi, lam)
             out.append((oc, analytic.orbit_elements(params, oc)))
     return out
+
+
+BASE_POTENTIALS = {
+    "kepler": from_kepler(1.0),
+    "harmonic": from_harmonic(2.0),
+    "henon": from_henon(1.0, 1.0),
+    "henon(2,0.25)": from_henon(2.0, 0.25),
+    "bounded": from_bounded(1.0, 1.0),
+    "bounded(0.5,3)": from_bounded(0.5, 3.0),
+    "hollowed": from_hollowed(1.0, 1.0),
+}
+
+
+def gauged_potentials():
+    """(label, params): every base potential under a grid of gauge terms."""
+    return [
+        (f"{name} eps={eps} lam={lam}", apply_gauge(base, GaugeTerm(eps, lam)))
+        for name, base in BASE_POTENTIALS.items()
+        for eps in (-0.3, 0.0, 0.1)
+        for lam in (-0.5, -0.1, 0.0, 0.2)
+    ]

@@ -6,14 +6,17 @@ wall-clock time and include it in the assertion.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES, grid_orbits
+import isochrone
 from isochrone import analytic, birkhoff, oracle
 from isochrone.analytic import OrbitConstants, orbit_elements
 from isochrone.cli import main as cli_main
@@ -258,10 +261,13 @@ def test_criterion_11_cli_determinism(tmp_path):
 
 
 def test_criterion_11_cli_entry_point_runs():
-    # The installed console script must agree with the library path.
+    # The installed console script must agree with the library path.  The
+    # child imports the same package as this suite, installed or not.
+    src = str(Path(isochrone.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "isochrone.cli", "classify",
          "--latin", "0,1,-2,0,0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.startswith("Henon (Kepler degenerate)")

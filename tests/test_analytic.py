@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,10 +24,15 @@ from isochrone.analytic import (
     trajectory,
     turning_points,
 )
-from isochrone.errors import InvalidParams, NoBoundOrbit, UnboundOrbit
+from isochrone.errors import (
+    InvalidParams,
+    NoBoundOrbit,
+    NoCircularOrbit,
+    UnboundOrbit,
+)
 from isochrone.potential import ParabolaParams, y_value
 
-from conftest import grid_orbits
+from conftest import gauged_potentials, grid_orbits
 
 GOLDEN = OrbitConstants(-0.5, 0.8)
 LAM_GRID = [0.5, 0.8, 1.0, 1.3, 1.7]
@@ -351,6 +357,54 @@ def test_circular_abscissa_examples(kepler, harmonic, henon):
     # x_c ~ sqrt(2 Lambda^2 / Y''(0)) (here Y''(0) = 1/8).
     assert circular_abscissa(henon, 1e-3) == pytest.approx(4e-3, rel=2e-3)
     assert circular_abscissa(henon, 1e-5) < 1e-3
+
+
+def mp_circular_orbit(params, lam):
+    """(x_c, xi_c) from x Y' - Y = Lambda^2 at 60 digits, or None without one.
+
+    For b != 0 the circular root of s^2 - (2 b^2 L^2 - d) s - b delta x_v = 0
+    in s = sqrt(b delta (x - x_v)) is s_c = b^2 L^2 - d/2 + b S; a root that
+    is round-off of those terms sits on the vertical tangent and counts as
+    none.  xi_c = Y'(x_c).
+    """
+    with mpmath.workdps(60):
+        a, b, c, d, e = (mpmath.mpf(v) for v in params.as_tuple())
+        lam2 = mpmath.mpf(lam) ** 2
+        if b == 0:
+            arg = (lam2 - e / d) / (-a * a / d)
+            if arg <= 0:
+                return None
+            x_c = mpmath.sqrt(arg)
+            return (x_c, -c / d - 2 * a * a / d * x_c)
+        s2 = b * b * lam2 * lam2 - d * lam2 + e
+        if s2 <= 0:
+            return None
+        terms = (b * b * lam2, d / 2, b * mpmath.sqrt(s2))
+        s_c = terms[0] - terms[1] + terms[2]
+        if s_c <= 1e-14 * max(abs(t) for t in terms):
+            return None
+        dl = a * d - b * c
+        x_v = (4 * b * b * e - d * d) / (4 * b * dl)
+        x_c = x_v + s_c * s_c / (b * dl)
+        lo, hi = (max(0, x_v), mpmath.inf) if b > 0 else (0, x_v)
+        if not lo < x_c < hi:
+            return None
+        return (x_c, -a / b - dl / (2 * b * mpmath.sqrt(b * dl * (x_c - x_v))))
+
+
+def test_circular_orbit_matches_mpmath_over_gauges():
+    for label, params in gauged_potentials():
+        for lam in (1e-3, 1e-2, 0.05, 0.1, 0.3, 1.0, 3.0, 20.0, 1e3):
+            ref = mp_circular_orbit(params, lam)
+            if ref is None:
+                with pytest.raises(NoCircularOrbit):
+                    circular_abscissa(params, lam)
+                with pytest.raises(NoCircularOrbit):
+                    circular_energy(params, lam)
+                continue
+            x_c, xi_c = circular_abscissa(params, lam), circular_energy(params, lam)
+            assert abs(x_c - ref[0]) <= 1e-13 * ref[0], (label, lam)
+            assert abs(xi_c - ref[1]) <= 1e-13 * abs(ref[1]), (label, lam)
 
 
 def test_feasible_energy_gives_bound_orbits(all_classes):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from isochrone import analytic
@@ -17,6 +18,8 @@ from isochrone.birkhoff import (
 )
 from isochrone.errors import NoCircularOrbit
 from isochrone.potential import y_derivatives, y_value
+
+from conftest import gauged_potentials
 
 LAM_GRID = [0.5, 0.8, 1.0, 1.3, 1.7]
 
@@ -135,9 +138,37 @@ def test_third_law_matches_period(all_classes):
                 direct, rel=1e-10), name
 
 
-def test_third_law_out_of_range(kepler):
+def test_third_law_matches_mpmath_over_gauges():
+    for label, params in gauged_potentials():
+        for lam in (1e-3, 1e-2, 0.05, 1.0, 20.0):
+            try:
+                xi = analytic.circular_energy(params, lam)
+            except NoCircularOrbit:
+                continue
+            with mpmath.workdps(60):
+                a, b, c, d, _ = (mpmath.mpf(v) for v in params.as_tuple())
+                if b == 0:
+                    ref = mpmath.pi * mpmath.sqrt(-d) / (2 * abs(a))
+                else:
+                    bh = a + b * mpmath.mpf(xi)
+                    ref = mpmath.pi / 2 * mpmath.sqrt((a * d - b * c) / abs(bh) ** 3)
+            # Y'' at a rounded x_c next to the vertical tangent magnifies the
+            # rounding of x_c by x_c / |x_c - x_v| (the bounded family's wall).
+            cond = 1.0
+            if params.b != 0.0:
+                x_c = analytic.circular_abscissa(params, lam)
+                cond = max(1.0, x_c / abs(x_c - params.x_v))
+            T = third_law(params, xi)
+            assert abs(T - ref) <= 1e-13 * cond * ref, (label, lam)
+
+
+def test_third_law_out_of_range(kepler, bounded):
     with pytest.raises(NoCircularOrbit):
         third_law(kepler, 0.5)
+    # x_c = 2 - 2e-8 sits too close to the wall x_v = 2 for Y''(x_c) to
+    # give the period to 10 digits.
+    with pytest.raises(NoCircularOrbit):
+        third_law(bounded, 5e3)
 
 
 def test_frequency_invariants_isochrony(all_classes):

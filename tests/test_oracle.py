@@ -5,7 +5,7 @@ import pytest
 
 from isochrone import analytic
 from isochrone.analytic import OrbitConstants, orbit_elements
-from isochrone.errors import NoBoundOrbit
+from isochrone.errors import NoBoundOrbit, ToleranceNotMet
 from isochrone.oracle import (
     as_potential,
     integrate_orbit,
@@ -55,6 +55,15 @@ def test_quad_radial_action_values(kepler, henon):
 def test_quad_rejects_unbound(henon):
     with pytest.raises(NoBoundOrbit):
         quad_radial_period(henon, OrbitConstants(-0.25, 1.0))
+
+
+def test_quad_near_circular_raises_tolerance_not_met(kepler):
+    # QUADPACK gives up on this near-circular integrand and reports it with
+    # an extra warning message in its return value.
+    oc = OrbitConstants(analytic.feasible_energy(kepler, 1.0, 1e-9), 1.0)
+    for quad_fn in (quad_radial_period, quad_apsidal_angle, quad_radial_action):
+        with pytest.raises(ToleranceNotMet):
+            quad_fn(kepler, oc)
 
 
 def test_quad_convergence_with_tolerance(kepler, bounded):
