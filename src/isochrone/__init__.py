@@ -13,6 +13,7 @@ from . import analytic, birkhoff, oracle, potential
 from .analytic import (
     OrbitConstants,
     OrbitElements,
+    Trajectory,
     TrajectorySample,
     orbit_elements,
     solve_kepler,
@@ -47,7 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "analytic", "birkhoff", "oracle", "potential",
-    "OrbitConstants", "OrbitElements", "TrajectorySample",
+    "OrbitConstants", "OrbitElements", "Trajectory", "TrajectorySample",
     "orbit_elements", "solve_kepler", "trajectory",
     "GaugeTerm", "ParabolaParams", "PotentialClass", "PotentialFamily",
     "classify", "from_bounded", "from_harmonic", "from_henon",

@@ -18,10 +18,13 @@ Conventions used throughout (all validated against the ODE oracle):
   folded into a signed eccentricity ``eps_eff = sign(b) * eps`` so a single
   Kepler equation serves every class.  Public ``solve_kepler`` keeps the
   nonnegative-eccentricity contract.
-* ``zeta**2 = -x_v / (2 alpha2)``; the angle formula is evaluated in complex
-  arithmetic (principal branches) and returned as the real part, which covers
-  the hollowed family where zeta is imaginary and the two partial-fraction
-  terms are complex conjugates.
+* ``zeta**2 = -x_v / (2 alpha2)``; the angle formula is evaluated in real
+  arithmetic where zeta is real, and in complex arithmetic (principal
+  branches, real part returned) for the hollowed family, where zeta is
+  imaginary and the two partial-fraction terms are complex conjugates.
+* The Kepler inversion and the closed forms x(E), r(E), theta(E) act on
+  each element of a float64 array independently: ``trajectory`` runs them
+  once over all its times, and the scalar functions wrap the same code.
 
 The harmonic class (b = 0) keeps its own elementary solution with E := Omega t
 and ``x(E) = x_a + (x_p - x_a) cos(E/2)**2``.
@@ -31,8 +34,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import abc
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import potential as pot
 from .errors import (
@@ -47,6 +53,7 @@ __all__ = [
     "OrbitConstants",
     "OrbitElements",
     "TrajectorySample",
+    "Trajectory",
     "turning_points",
     "radial_period",
     "apsidal_angle",
@@ -384,159 +391,225 @@ def orbit_elements(params: ParabolaParams, oc: OrbitConstants) -> OrbitElements:
 
 
 # ---------------------------------------------------------------------------
-# generalized Kepler equation
+# generalized Kepler equation and the parametric solution
+#
+# _kepler, _radius and _angle are the one implementation; trajectory composes
+# them, and the public functions below them are thin wrappers that take a
+# float or an array.
 
 
-def _kepler_core(ecc: float, M: float, tol: float) -> float:
-    """Solve E - ecc sin E = M for |ecc| < 1 (sign-agnostic in ecc).
+def _kepler(ecc: float, M: np.ndarray, tol: float) -> np.ndarray:
+    """Solve E - ecc sin E = M elementwise for |ecc| < 1 (sign-agnostic in ecc).
 
     Newton from E0 = M + ecc sin M, falling back to bisection whenever a step
     leaves the bracket [M - |ecc|, M + |ecc|]; unconditionally convergent.
+    Each pass updates only the elements that have not yet converged, so every
+    element takes the same steps as it would alone.
     """
-    cycles = math.floor(M / TWO_PI)
+    cycles = np.floor(M / TWO_PI)
     m = M - cycles * TWO_PI
     ae = abs(ecc)
     lo, hi = m - ae, m + ae
-    e_cur = min(max(m + ecc * math.sin(m), lo), hi)
+    e_anom = np.minimum(np.maximum(m + ecc * np.sin(m), lo), hi)
+    live = np.arange(m.size)
     for _ in range(200):
-        f = e_cur - ecc * math.sin(e_cur) - m
-        if abs(f) <= tol:
+        e_cur = e_anom[live]
+        f = e_cur - ecc * np.sin(e_cur) - m[live]
+        keep = np.abs(f) > tol
+        live, e_cur, f = live[keep], e_cur[keep], f[keep]
+        if live.size == 0:
             break
-        if f > 0.0:
-            hi = e_cur
-        else:
-            lo = e_cur
-        step = f / (1.0 - ecc * math.cos(e_cur))
-        cand = e_cur - step
-        if not lo < cand < hi:
-            cand = 0.5 * (lo + hi)
-        if cand == e_cur:
-            break
-        e_cur = cand
-    return e_cur + cycles * TWO_PI
+        above = f > 0.0
+        hi[live[above]] = e_cur[above]
+        lo[live[~above]] = e_cur[~above]
+        cand = e_cur - f / (1.0 - ecc * np.cos(e_cur))
+        lo_c, hi_c = lo[live], hi[live]
+        out = ~((lo_c < cand) & (cand < hi_c))
+        cand[out] = 0.5 * (lo_c[out] + hi_c[out])
+        moved = cand != e_cur
+        live = live[moved]
+        e_anom[live] = cand[moved]
+    return e_anom + cycles * TWO_PI
 
 
-def solve_kepler(ecc: float, M: float, tol: float = 1e-13) -> float:
-    """Invert the generalized Kepler equation Omega t = E - ecc sin E.
-
-    Parameters
-    ----------
-    ecc : eccentricity in [0, 1).
-    M : mean anomaly Omega t, any real value (cycles are preserved).
-    tol : absolute residual target, default 1e-13.
-    """
-    if not 0.0 <= ecc < 1.0:
-        raise InvalidParams(f"eccentricity must lie in [0, 1), got {ecc!r}")
-    return _kepler_core(ecc, M, tol)
-
-
-# ---------------------------------------------------------------------------
-# parametric solution
-
-
-def radius_of_E(params: ParabolaParams, elements: OrbitElements,
-                E: float) -> tuple[float, float]:
-    """Henon abscissa and radius (x, r) at eccentric anomaly E.
-
-    E = 0 is periastron and E = pi apoastron for every class; the harmonic
-    class uses x(E) = x_a + (x_p - x_a) cos(E/2)^2 with E = Omega t.
-    """
-    if elements.harmonic:
-        x = elements.x_a + (elements.x_p - elements.x_a) * math.cos(0.5 * E) ** 2
+def _radius(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, r) at eccentric anomalies E, clipped to [x_p, x_a]; see radius_of_E."""
+    if el.harmonic:
+        x = el.x_a + (el.x_p - el.x_a) * np.cos(0.5 * E) ** 2
     else:
-        h = 1.0 - elements.eps_eff * math.cos(E)
-        x = elements.x_v + 2.0 * elements.alpha2 * h * h
-    x = min(max(x, elements.x_p), elements.x_a)
-    return (x, math.sqrt(x / 2.0))
+        h = 1.0 - el.eps_eff * np.cos(E)
+        x = el.x_v + 2.0 * el.alpha2 * h * h
+    x = np.minimum(np.maximum(x, el.x_p), el.x_a)
+    return (x, np.sqrt(x / 2.0))
 
 
-def _theta_base_nonharmonic(lam: float, el: OrbitElements,
-                            E: float) -> tuple[float, float]:
-    """theta(E) on E in [0, pi] for b != 0, plus the imaginary residual.
-
-    Partial fractions split 1/x(E) into two terms with shifted eccentricities
-    eps_pm = eps_eff / (1 +- zeta); both are evaluated with principal-branch
-    complex square roots and arctangents and summed.  The sum is real: for
-    the hollowed family the terms are complex conjugates, elsewhere each term
-    is already real.
-    """
-    zeta = cmath.sqrt(complex(el.zeta2, 0.0))
-    half_tan = math.tan(0.5 * E) if E < math.pi else math.inf
-    total = complex(0.0, 0.0)
-    for sgn in (1.0, -1.0):
-        w = 1.0 + sgn * zeta
-        k = el.eps_eff / w
-        inv_norm = 1.0 / (w * cmath.sqrt(1.0 - k * k))
-        if math.isinf(half_tan):
-            at = complex(0.5 * math.pi, 0.0)
-        else:
-            at = cmath.atan(cmath.sqrt((1.0 + k) / (1.0 - k)) * half_tan)
-        total += inv_norm * at
-    total *= lam / (el.omega_r * el.alpha2)
-    return (total.real, abs(total.imag))
-
-
-def _theta_base_harmonic(lam: float, el: OrbitElements, E: float) -> float:
-    """theta(E) on E in [0, 2 pi) for the harmonic class."""
-    ecc = el.ecc
-    quarter_tan = math.tan(0.25 * E)
-    g = math.sqrt((1.0 + ecc) / (1.0 - ecc))
-    pair = math.atan(g * quarter_tan) + math.atan(quarter_tan / g)
-    return 4.0 * lam * pair / (el.omega_r * math.sqrt(el.x_p * el.x_a))
-
-
-def angle_of_E_with_residual(params: ParabolaParams, oc: OrbitConstants,
-                             elements: OrbitElements,
-                             E: float) -> tuple[float, float]:
-    """Polar angle theta(E) with cycle unwrapping, plus imaginary residual.
+def _angle(lam: float, el: OrbitElements,
+           E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, imaginary residual) at eccentric anomalies E >= 0.
 
     The closed form is derived on the half period E in [0, pi]; beyond it the
     reflection theta(2 pi - E) = Theta - theta(E) and the periodicity
     theta(E + 2 pi k) = k Theta + theta(E) extend it to all E >= 0.
     """
-    el = elements
     if el.ecc <= CIRCULAR_ECC:
-        return (el.Theta * E / TWO_PI, 0.0)
-    cycles = math.floor(E / TWO_PI)
+        return (el.Theta * E / TWO_PI, np.zeros_like(E))
+    cycles = np.floor(E / TWO_PI)
     e_frac = E - cycles * TWO_PI
     base = cycles * el.Theta
     if el.harmonic:
-        return (base + _theta_base_harmonic(oc.lam, el, e_frac), 0.0)
-    if e_frac <= math.pi:
-        th, resid = _theta_base_nonharmonic(oc.lam, el, e_frac)
-        return (base + th, resid)
-    th, resid = _theta_base_nonharmonic(oc.lam, el, TWO_PI - e_frac)
-    return (base + el.Theta - th, resid)
+        return (base + _theta_harmonic(lam, el, e_frac), np.zeros_like(E))
+    upper = e_frac > math.pi
+    th, resid = _theta_half(lam, el, np.where(upper, TWO_PI - e_frac, e_frac))
+    return (np.where(upper, base + el.Theta - th, base + th), resid)
+
+
+def _theta_half(lam: float, el: OrbitElements,
+                E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta(E) on E in [0, pi] for b != 0, plus the imaginary residual.
+
+    Partial fractions split 1/x(E) into two terms with shifted eccentricities
+    k = eps_eff / (1 +- zeta), each term (1/(w sqrt(1 - k^2)))
+    arctan(sqrt((1 + k)/(1 - k)) tan(E/2)) with w = 1 +- zeta.  Where zeta is
+    real and |k| < 1 both terms are real and evaluated in real arithmetic.
+    For the hollowed family zeta is imaginary; the terms are then complex
+    conjugates, evaluated on principal branches, and their sum is real up to
+    the residual returned.
+    """
+    zeta = cmath.sqrt(el.zeta2)
+    terms = []
+    for sgn in (1.0, -1.0):
+        w = 1.0 + sgn * zeta
+        k = el.eps_eff / w
+        terms.append((1.0 / (w * cmath.sqrt(1.0 - k * k)),
+                      cmath.sqrt((1.0 + k) / (1.0 - k))))
+    if all(c.imag == 0.0 for term in terms for c in term):
+        terms = [(norm.real, slope.real) for norm, slope in terms]
+    # tan(E/2) has its pole at E = pi, where each arctangent is pi/2.
+    pole = E >= math.pi
+    half_tan = np.tan(0.5 * np.where(pole, 0.0, E))
+    total = 0.0
+    for norm, slope in terms:
+        total = total + norm * np.where(pole, 0.5 * math.pi,
+                                        np.arctan(slope * half_tan))
+    total = total * (lam / (el.omega_r * el.alpha2))
+    return (np.real(total), np.abs(np.imag(total)))
+
+
+def _theta_harmonic(lam: float, el: OrbitElements, E: np.ndarray) -> np.ndarray:
+    """theta(E) on E in [0, 2 pi) for the harmonic class."""
+    quarter_tan = np.tan(0.25 * E)
+    g = math.sqrt((1.0 + el.ecc) / (1.0 - el.ecc))
+    pair = np.arctan(g * quarter_tan) + np.arctan(quarter_tan / g)
+    return 4.0 * lam * pair / (el.omega_r * math.sqrt(el.x_p * el.x_a))
+
+
+def _as_array(values, what: str) -> np.ndarray:
+    """``values`` as a new flat float64 array; InvalidParams unless all finite."""
+    arr = np.array(values, dtype=float).ravel()
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise InvalidParams(f"non-finite {what} {float(arr[bad][0])!r}")
+    return arr
+
+
+def _shaped(result: np.ndarray, like):
+    """``result`` in the shape of the argument ``like``: a float for a scalar."""
+    if np.ndim(like) == 0:
+        return float(result[0])
+    return result.reshape(np.shape(like))
+
+
+def solve_kepler(ecc: float, M, tol: float = 1e-13):
+    """Invert the generalized Kepler equation Omega t = E - ecc sin E.
+
+    Parameters
+    ----------
+    ecc : eccentricity in [0, 1).
+    M : mean anomaly Omega t, a float or array (cycles are preserved).
+    tol : absolute residual target, default 1e-13.
+    """
+    if not 0.0 <= ecc < 1.0:
+        raise InvalidParams(f"eccentricity must lie in [0, 1), got {ecc!r}")
+    return _shaped(_kepler(ecc, _as_array(M, "mean anomaly"), tol), M)
+
+
+def radius_of_E(params: ParabolaParams, elements: OrbitElements, E):
+    """Henon abscissa and radius (x, r) at eccentric anomaly E (float or array).
+
+    E = 0 is periastron and E = pi apoastron for every class; the harmonic
+    class uses x(E) = x_a + (x_p - x_a) cos(E/2)^2 with E = Omega t.
+    """
+    x, r = _radius(elements, _as_array(E, "eccentric anomaly"))
+    return (_shaped(x, E), _shaped(r, E))
+
+
+def angle_of_E_with_residual(params: ParabolaParams, oc: OrbitConstants,
+                             elements: OrbitElements, E):
+    """Polar angle theta(E) with cycle unwrapping, plus imaginary residual.
+
+    E is a float or an array of values >= 0; see ``_angle`` and
+    ``_theta_half`` for the closed form.
+    """
+    theta, resid = _angle(oc.lam, elements, _as_array(E, "eccentric anomaly"))
+    return (_shaped(theta, E), _shaped(resid, E))
 
 
 def angle_of_E(params: ParabolaParams, oc: OrbitConstants,
-               elements: OrbitElements, E: float) -> float:
+               elements: OrbitElements, E):
     return angle_of_E_with_residual(params, oc, elements, E)[0]
 
 
+@dataclass(frozen=True, eq=False)
+class Trajectory(abc.Sequence):
+    """A sampled orbit: one float64 array per field of TrajectorySample.
+
+    It is also a sequence of TrajectorySample (``len``, iteration and
+    integer indexing give Python floats).
+    """
+
+    t: np.ndarray
+    E: np.ndarray
+    x: np.ndarray
+    r: np.ndarray
+    theta: np.ndarray
+    z_j: np.ndarray
+    z_lam: np.ndarray
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The seven arrays in the field order of TrajectorySample."""
+        return (self.t, self.E, self.x, self.r, self.theta, self.z_j, self.z_lam)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i: int) -> TrajectorySample:
+        return TrajectorySample(*(float(c[i]) for c in self.columns()))
+
+    def __iter__(self) -> abc.Iterator[TrajectorySample]:
+        for row in zip(*(c.tolist() for c in self.columns())):
+            yield TrajectorySample(*row)
+
+
 def trajectory(params: ParabolaParams, oc: OrbitConstants,
-               times: Sequence[float]) -> list[TrajectorySample]:
-    """Sample the analytic orbit at the given times.
+               times: Sequence[float] | np.ndarray) -> Trajectory:
+    """Sample the analytic orbit at the given times (a 1-D sequence or array).
 
     Periastron with theta = 0 at t = 0.  Also reports the angle variables
     z_J = Omega t and z_Lambda = (Theta / 2 pi) Omega t.
     """
     el = orbit_elements(params, oc)
-    ratio = el.Theta / TWO_PI
-    out = []
-    for t in times:
-        if not math.isfinite(t):
-            raise InvalidParams(f"non-finite sample time {t!r}")
-        m = el.omega_r * t
-        if el.harmonic or el.ecc <= CIRCULAR_ECC:
-            e_anom = m
-        else:
-            e_anom = _kepler_core(el.eps_eff, m, 1e-13)
-        x, r = radius_of_E(params, el, e_anom)
-        theta = angle_of_E(params, oc, el, e_anom)
-        out.append(TrajectorySample(t=t, E=e_anom, x=x, r=r, theta=theta,
-                                    z_j=m, z_lam=ratio * m))
-    return out
+    if np.ndim(times) != 1:
+        raise InvalidParams("sample times must be a 1-D sequence")
+    t = _as_array(times, "sample time")
+    m = el.omega_r * t
+    if el.harmonic or el.ecc <= CIRCULAR_ECC:
+        e_anom = m
+    else:
+        e_anom = _kepler(el.eps_eff, m, 1e-13)
+    x, r = _radius(el, e_anom)
+    theta, _ = _angle(oc.lam, el, e_anom)
+    return Trajectory(t=t, E=e_anom, x=x, r=r, theta=theta, z_j=m,
+                      z_lam=(el.Theta / TWO_PI) * m)
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,22 @@ def circular_abscissa(obj: PotentialLike, lam: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _near_vertical_tangent(params: ParabolaParams, x_c: float) -> bool:
+    """Whether Y'' and higher at x_c would keep fewer than 10 digits.
+
+    They magnify the rounding of x_c by x_c / |x_c - x_v|, without bound at
+    a finite wall (the vertical tangent x_v, b != 0); past 1e6 too few
+    digits are left.
+    """
+    return params.b != 0.0 and abs(x_c) > 1e6 * abs(x_c - params.x_v)
+
+
 def invariants_from_potential(obj: PotentialLike, lam: float) -> BirkhoffInvariants:
     """Normal-form coefficients from derivatives of Y at x_c; any potential."""
     x_c = circular_abscissa(obj, lam)
+    if isinstance(obj, ParabolaParams) and _near_vertical_tangent(obj, x_c):
+        raise NoCircularOrbit(f"circular orbit at Lambda = {lam:g} within "
+                              "rounding of the vertical tangent")
     y1, y2, y3, y4 = _derivs_at(obj, x_c, 4)
     if y2 <= 0.0:
         raise SingularPoint(f"Y''(x_c) = {y2:g} must be positive")
@@ -290,9 +303,7 @@ def third_law(params: ParabolaParams, xi: float) -> float:
     xlo, xhi = potmod.domain(params)
     if not xlo < x_c < xhi:
         raise NoCircularOrbit(f"no circular orbit at energy xi = {xi:g}")
-    # Y'' magnifies the rounding of x_c by x_c / |x_c - x_v|, without bound
-    # at a finite wall; past 1e6 the period would keep fewer than 10 digits.
-    if abs(x_c) > 1e6 * abs(x_c - params.x_v):
+    if _near_vertical_tangent(params, x_c):
         raise NoCircularOrbit(
             f"circular orbit at xi = {xi:g} within rounding of the vertical tangent")
     y2 = potmod.y_derivatives(params, x_c, 2)[1]

@@ -325,6 +325,13 @@ def _rows_to_csv(rows: list[dict], cols: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _columns_to_csv(cols: Sequence[str], columns: Sequence[np.ndarray]) -> str:
+    """CSV of float columns: the bytes of _rows_to_csv with fmt cells."""
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
+    cells = tuple(np.column_stack(columns).ravel().tolist())
+    return (",".join(cols) + "\n" + line * len(columns[0])) % cells
+
+
 def _rows_to_table(rows: list[dict], cols: Sequence[str]) -> str:
     def cell(v) -> str:
         if v is None:
@@ -365,20 +372,20 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         raise InvalidParams("orbit needs a single --xi and --lambda")
     oc = OrbitConstants(args.xi, args.lam)
     el = analytic.orbit_elements(params, oc)
-    n = args.samples or 100
+    n = args.samples if args.samples is not None else 100
     periods = args.periods if args.periods is not None else 1.0
     if n < 1 or periods <= 0.0:
         raise InvalidParams("--samples must be >= 1 and --periods > 0")
-    times = [periods * el.T * i / (n - 1) for i in range(n)] if n > 1 else [0.0]
-    samples = analytic.trajectory(params, oc, times)
-    rows = [{"t": s.t, "E": s.E, "x": s.x, "r": s.r, "theta": s.theta,
-             "zJ": s.z_j, "zLambda": s.z_lam} for s in samples]
+    times = periods * el.T * np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
+    traj = analytic.trajectory(params, oc, times)
     if (args.format or "csv") == "json":
+        rows = [{"t": s.t, "E": s.E, "x": s.x, "r": s.r, "theta": s.theta,
+                 "zJ": s.z_j, "zLambda": s.z_lam} for s in traj]
         _emit(_json_text({"potential": desc,
                           "constants": {"xi": oc.xi, "lambda": oc.lam},
                           "samples": rows}), args.output)
     else:
-        _emit(_rows_to_csv(rows, _ORBIT_COLS), args.output)
+        _emit(_columns_to_csv(_ORBIT_COLS, traj.columns()), args.output)
     return 0
 
 
@@ -507,10 +514,9 @@ def _verify_parabola(params: ParabolaParams, lams: Sequence[float],
     checks.append(_check("trajectory_vs_ode_radius", dr, 1e-6))
     checks.append(_check("trajectory_vs_ode_angle", dth, 1e-6))
     if b != 0.0 and params.x_v > 0.0:
-        imres = 0.0
-        for e_val in np.linspace(0.0, math.pi, 41):
-            th, im = analytic.angle_of_E_with_residual(params, oc, el, float(e_val))
-            imres = max(imres, im / max(abs(th), 1e-30))
+        th, im = analytic.angle_of_E_with_residual(params, oc, el,
+                                                   np.linspace(0.0, math.pi, 41))
+        imres = float(np.max(im / np.maximum(np.abs(th), 1e-30)))
         checks.append(_check("complex_branch_imaginary_residual", imres, 1e-12))
 
     if with_bertrand:

@@ -276,9 +276,12 @@ def _run_quad(f: Callable[[float], float], epsrel: float) -> QuadratureResult:
             "quadrature did not converge: " + " ".join(warning[0].split()))
     result = QuadratureResult(value=float(val), error_estimate=float(abserr),
                               evaluations=int(info["neval"]))
-    if abserr > 100.0 * epsrel * max(abs(val), 1e-30):
+    # A non-finite or negative estimate bounds nothing.
+    bound = 100.0 * epsrel * max(abs(val), 1e-30)
+    if not (math.isfinite(val) and 0.0 <= abserr <= bound):
         raise ToleranceNotMet(
-            f"quadrature error estimate {abserr:g} too large for value {val:g}")
+            f"quadrature error estimate {abserr:g} not a bound within tolerance "
+            f"for value {val:g}")
     return result
 
 

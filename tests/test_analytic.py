@@ -1,13 +1,16 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isochrone import analytic, oracle
 from isochrone.analytic import (
+    CIRCULAR_ECC,
     OrbitConstants,
+    TrajectorySample,
     angle_of_E,
     angle_of_E_with_residual,
     apsidal_angle,
@@ -30,7 +33,7 @@ from isochrone.errors import (
     NoCircularOrbit,
     UnboundOrbit,
 )
-from isochrone.potential import ParabolaParams, y_value
+from isochrone.potential import GaugeTerm, ParabolaParams, apply_gauge, y_value
 
 from conftest import gauged_potentials, grid_orbits
 
@@ -303,6 +306,9 @@ def test_angle_reflection_and_periodicity(henon):
         el.Theta - th1, rel=1e-12)
     assert angle_of_E(henon, oc, el, 1.0 + 4 * math.pi) == pytest.approx(
         2 * el.Theta + th1, rel=1e-12)
+    e_vals = np.array([[0.0, 1.0], [math.pi, 7.5]])
+    assert angle_of_E(henon, oc, el, e_vals).tolist() == [
+        [angle_of_E(henon, oc, el, e) for e in row] for row in e_vals.tolist()]
 
 
 def test_complex_branch_imaginary_residual(bounded, hollowed):
@@ -344,6 +350,92 @@ def test_circular_trajectory(kepler):
         assert s.r == pytest.approx(1.0, rel=1e-12)
     (s,) = trajectory(kepler, oc, [el.T / 4.0])
     assert s.theta == pytest.approx(el.Theta / 4.0, rel=1e-12)
+
+
+def mp_sample(el, lam, e_anom, m):
+    """(Kepler residual, clipped x, theta) of the closed form at E, 50 digits.
+
+    The same formulas as the package, with the float elements taken as
+    exact: x(E) clipped to [x_p, x_a], and theta(E) from the partial-fraction
+    arctangents on [0, pi] in complex arithmetic, reflected and unwrapped.
+    """
+    with mpmath.workdps(50):
+        E, two_pi, Theta = mpmath.mpf(e_anom), 2 * mpmath.pi, mpmath.mpf(el.Theta)
+        resid = abs(E - el.eps_eff * mpmath.sin(E) - m)
+        if el.harmonic:
+            x = el.x_a + (mpmath.mpf(el.x_p) - el.x_a) * mpmath.cos(E / 2) ** 2
+        else:
+            h = 1 - el.eps_eff * mpmath.cos(E)
+            x = el.x_v + 2 * mpmath.mpf(el.alpha2) * h * h
+        x = min(max(x, el.x_p), el.x_a)
+        if el.ecc <= CIRCULAR_ECC:
+            return (resid, x, Theta * E / two_pi)
+        cycles = mpmath.floor(E / two_pi)
+        e_frac = E - cycles * two_pi
+        if el.harmonic:
+            quarter_tan = mpmath.tan(e_frac / 4)
+            ecc = mpmath.mpf(el.ecc)
+            g = mpmath.sqrt((1 + ecc) / (1 - ecc))
+            pair = mpmath.atan(g * quarter_tan) + mpmath.atan(quarter_tan / g)
+            norm = el.omega_r * mpmath.sqrt(mpmath.mpf(el.x_p) * el.x_a)
+            th = 4 * lam * pair / norm
+            return (resid, x, cycles * Theta + th)
+        upper = e_frac > mpmath.pi
+        half_tan = mpmath.tan((two_pi - e_frac if upper else e_frac) / 2)
+        zeta = mpmath.sqrt(mpmath.mpc(el.zeta2))
+        total = 0
+        for w in (1 + zeta, 1 - zeta):
+            k = el.eps_eff / w
+            total += mpmath.atan(mpmath.sqrt((1 + k) / (1 - k)) * half_tan) / (
+                w * mpmath.sqrt(1 - k * k))
+        th = mpmath.re(total) * lam / (mpmath.mpf(el.omega_r) * el.alpha2)
+        return (resid, x, cycles * Theta + (Theta - th if upper else th))
+
+
+def test_trajectory_matches_mpmath_closed_form(all_classes, henon):
+    kinds = [(name, params) for name, params, _ in all_classes]
+    kinds.append(("henon eps=0.1 lam=0.2", apply_gauge(henon, GaugeTerm(0.1, 0.2))))
+    for name, params in kinds:
+        for lam in (0.05, 1.0, 5.0):
+            for frac in (1e-6, 0.5, 0.999):
+                oc = OrbitConstants(feasible_energy(params, lam, frac), lam)
+                el = orbit_elements(params, oc)
+                # Near ecc = 1 the arctangents are ill-conditioned.
+                th_tol = (1e-14 if el.ecc <= 0.99 else 5e-12) * el.Theta
+                for s in trajectory(params, oc, np.linspace(0.0, 2.5 * el.T, 41)):
+                    resid, x, theta = mp_sample(el, lam, s.E, s.z_j)
+                    case = (name, lam, frac, s.t)
+                    assert resid <= 1e-13, case
+                    assert abs(s.x - x) <= 1e-14 * el.x_a, case
+                    assert abs(s.theta - theta) <= th_tol, case
+
+
+def test_trajectory_sequence_agrees_with_columns(henon):
+    oc = OrbitConstants(-0.12, 1.0)
+    el = orbit_elements(henon, oc)
+    traj = trajectory(henon, oc, np.linspace(0.0, 1.5 * el.T, 7))
+    samples = list(traj)
+    assert len(traj) == len(samples) == 7
+    assert traj[-1] == samples[-1]
+    for i, s in enumerate(samples):
+        assert s == traj[i] == TrajectorySample(*(c[i] for c in traj.columns()))
+        assert all(type(v) is float for v in vars(s).values())
+
+
+def test_empty_trajectory_and_non_finite_inputs(kepler):
+    traj = trajectory(kepler, GOLDEN, [])
+    assert len(traj) == 0 and list(traj) == []
+    assert all(c.shape == (0,) for c in traj.columns())
+    with pytest.raises(InvalidParams):
+        trajectory(kepler, GOLDEN, [0.0, math.nan])
+    el = orbit_elements(kepler, GOLDEN)
+    for bad in (math.nan, [1.0, math.inf]):
+        with pytest.raises(InvalidParams):
+            solve_kepler(0.5, bad)
+        with pytest.raises(InvalidParams):
+            radius_of_E(kepler, el, bad)
+        with pytest.raises(InvalidParams):
+            angle_of_E(kepler, GOLDEN, el, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,16 @@ def test_third_law_out_of_range(kepler, bounded):
         third_law(bounded, 5e3)
 
 
+def test_invariants_from_potential_refuses_at_the_wall(bounded):
+    # At Lambda = 1e3, x_c / |x_c - x_v| = 1e12: Y' at the rounded x_c gave
+    # l = 499977.78 against the exact 500001.
+    with pytest.raises(NoCircularOrbit):
+        invariants_from_potential(bounded, 1e3)
+    # At Lambda = 20 the conditioning is 1.6e5 and the routes still agree.
+    near = invariants_from_potential(bounded, 20.0)
+    assert near.l == pytest.approx(invariants_from_period(bounded, 20.0).l, rel=1e-10)
+
+
 def test_frequency_invariants_isochrony(all_classes):
     for name, params, _ in all_classes:
         fi = frequency_invariants(params, 0.1, 1.0)

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from isochrone.cli import main
+from isochrone.cli import _columns_to_csv, _rows_to_csv, main
 
 
 def run_cli(args, capsys):
@@ -97,6 +98,25 @@ def test_orbit_json_mirrors_fields(capsys):
     assert set(doc["samples"][0]) == {"t", "E", "x", "r", "theta",
                                       "zJ", "zLambda"}
     assert doc["constants"]["xi"] == -0.5
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_orbit_samples_below_one_exit_2(samples, capsys):
+    code, out, err = run_cli(
+        ["orbit", "--kepler", "mu=1", "--xi", "-0.5", "--lambda", "0.8",
+         f"--samples={samples}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvalidParams")
+
+
+def test_column_writer_matches_row_writer():
+    cols = ("a", "b", "c")
+    columns = (np.array([0.0, -0.0, 1e-300, -1e-300]),
+               np.array([1e300, -1e300, math.inf, -math.inf]),
+               np.array([-2.5, 1.0 / 3.0, 5e-324, -123456789.125]))
+    rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in columns))]
+    assert _columns_to_csv(cols, columns) == _rows_to_csv(rows, cols)
 
 
 def test_orbit_byte_determinism(tmp_path):

@@ -66,6 +66,14 @@ def test_quad_near_circular_raises_tolerance_not_met(kepler):
             quad_fn(kepler, oc)
 
 
+def test_quad_negative_error_estimate_raises_tolerance_not_met(kepler):
+    # At eccentricity 1e-3 QUADPACK returned T off by 5e-6 relative, with no
+    # warning and an error estimate of about -1.8e129 T.
+    oc = OrbitConstants(analytic.feasible_energy(kepler, 1.0, 1e-6), 1.0)
+    with pytest.raises(ToleranceNotMet):
+        quad_radial_period(kepler, oc)
+
+
 def test_quad_convergence_with_tolerance(kepler, bounded):
     truth = 2 * math.pi
     loose = quad_radial_period(kepler, GOLDEN, epsrel=1e-5)
