@@ -265,7 +265,7 @@ def bertrand_check(obj: PotentialLike,
     Lambda and a residual orders of magnitude above the fit noise.
     """
     if len(lam_grid) == 0:
-        raise ValueError("lam_grid must be non-empty")
+        raise InvalidParams("lam_grid must be non-empty")
     lps, bs = [], []
     for lam in lam_grid:
         lps.append(_lam_derivative(

@@ -32,6 +32,7 @@ from . import potential as potmod
 from .analytic import OrbitConstants
 from .errors import (
     DomainExit,
+    InvalidParams,
     NoBoundOrbit,
     StepSizeUnderflow,
     ToleranceNotMet,
@@ -89,7 +90,9 @@ class RadialPotential:
 
     ``dpsi`` may be omitted, in which case a central finite difference is
     used (adequate for negative controls, not for tight-tolerance work).
-    ``r_bounds`` is the open interval on which psi is defined.
+    ``r_bounds`` is the open interval on which psi is defined.  A ``psi``
+    that also takes a float64 array lets the turning-point scan evaluate its
+    grid in one call; a float-only ``psi`` is evaluated point by point.
     """
 
     psi: Callable[[float], float]
@@ -106,8 +109,9 @@ class RadialPotential:
 
 def plummer_potential(mu: float = 1.0, b: float = 1.0) -> RadialPotential:
     """Plummer sphere psi = -mu / sqrt(r^2 + b^2); not isochrone."""
-    def psi(r: float) -> float:
-        return -mu / math.sqrt(r * r + b * b)
+    def psi(r: float | np.ndarray) -> float | np.ndarray:
+        sqrt = np.sqrt if isinstance(r, np.ndarray) else math.sqrt
+        return -mu / sqrt(r * r + b * b)
 
     def dpsi(r: float) -> float:
         return mu * r / (r * r + b * b) ** 1.5
@@ -179,7 +183,11 @@ def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]
     kin = _radial_kinetic(p, oc)
     lo, hi = _search_window(p)
     grid = np.geomspace(lo, hi, 600)
-    vals = np.array([kin(r) for r in grid])
+    try:
+        vals = kin(grid)
+    except (TypeError, ValueError):
+        # A psi written for floats only (math.sqrt, float(), an if on r).
+        vals = np.array([kin(r) for r in grid])
     imax = int(np.argmax(vals))
     bl = grid[max(imax - 1, 0)]
     bh = grid[min(imax + 1, len(grid) - 1)]
@@ -394,7 +402,7 @@ def isochrony_spread(pot: PotentialLike, xi: float,
     order-of-percent values flag generic potentials such as Plummer.
     """
     if len(lam_grid) == 0:
-        raise ValueError("lam_grid must be non-empty")
+        raise InvalidParams("lam_grid must be non-empty")
     periods = [quad_radial_period(pot, OrbitConstants(xi, lam), epsrel).value
                for lam in lam_grid]
     mean = sum(periods) / len(periods)

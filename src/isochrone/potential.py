@@ -18,6 +18,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParams, OutOfDomain, SingularPoint
 
 __all__ = [
@@ -53,7 +55,9 @@ class ParabolaParams:
     The discriminant delta = a*d - b*c must be strictly positive.  For b = 0
     the arc is an upright parabola (harmonic class) and convexity requires
     d < 0 and a != 0.  All quantities are dimensionless; units are the
-    caller's contract.
+    caller's contract.  ``delta`` and ``x_v`` are computed once, on
+    construction; they are not fields, so equality, hashing, ``repr`` and
+    ``dataclasses.replace`` see only the five coefficients.
     """
 
     a: float
@@ -67,31 +71,35 @@ class ParabolaParams:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise InvalidParams(f"coefficient {name} is not finite: {v!r}")
-        if self.delta <= 0.0:
+        a, b, c, d, e = self.as_tuple()
+        # Stored with object.__setattr__, not cached_property: writing to
+        # __dict__ would slow every later attribute read on the instance.
+        delta = a * d - b * c
+        object.__setattr__(self, "delta", delta)
+        if delta <= 0.0:
             raise InvalidParams(
-                f"discriminant delta = a*d - b*c = {self.delta:g} must be > 0"
+                f"discriminant delta = a*d - b*c = {delta:g} must be > 0"
             )
-        if self.b == 0.0:
-            if self.d >= 0.0:
+        if b == 0.0:
+            if d >= 0.0:
                 raise InvalidParams("harmonic class (b = 0) requires d < 0")
-            if self.a == 0.0:
+            if a == 0.0:
                 raise InvalidParams("harmonic class requires a != 0 (degenerate line)")
-        elif self.b < 0.0 and self.x_v <= 0.0:
+            return
+        x_v = (4.0 * b**2 * e - d**2) / (4.0 * b * delta)
+        object.__setattr__(self, "_x_v", x_v)
+        if b < 0.0 and x_v <= 0.0:
             # Left-opening parabola whose real branch never reaches x > 0.
             raise InvalidParams(
                 "bounded-type parabola (b < 0) needs x_v > 0 to intersect x > 0"
             )
 
     @property
-    def delta(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    @property
     def x_v(self) -> float:
         """Abscissa of the vertical tangent, (4 b^2 e - d^2) / (4 b delta)."""
         if self.b == 0.0:
             raise InvalidParams("x_v is undefined for the harmonic class (b = 0)")
-        return (4.0 * self.b**2 * self.e - self.d**2) / (4.0 * self.b * self.delta)
+        return self._x_v
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.a, self.b, self.c, self.d, self.e)
@@ -150,7 +158,7 @@ def domain(params: ParabolaParams) -> tuple[float, float]:
     """Physical x-interval of the convex branch (closed at finite ends)."""
     if params.b == 0.0:
         return (0.0, math.inf)
-    x_v = params.x_v
+    x_v = params._x_v
     if params.b > 0.0:
         return (max(0.0, x_v), math.inf)
     return (0.0, x_v)
@@ -166,20 +174,41 @@ def radial_domain(params: ParabolaParams) -> tuple[float, float]:
 
 def _sqrt_arg(params: ParabolaParams, x: float) -> float:
     """Argument W = b * delta * (x - x_v) of the branch square root."""
-    return params.b * params.delta * (x - params.x_v)
+    return params.b * params.delta * (x - params._x_v)
 
 
-def y_value(params: ParabolaParams, x: float) -> float:
-    """Convex branch Y(x); satisfies Y(2 r^2) = 2 r^2 psi(r)."""
+def _check_domain(params: ParabolaParams, x: float | np.ndarray):
+    """Raise OutOfDomain unless x is in the domain; return sqrt and max for x's type.
+
+    x is a float or a float64 array.  An array is rejected exactly when the
+    float call on one of its elements would be, and the error names the
+    first such element.
+    """
+    xlo, xhi = domain(params)
+    if isinstance(x, np.ndarray):
+        outside = (x < xlo) | (x > xhi)
+        if outside.any():
+            x = x[outside][0]
+        else:
+            return np.sqrt, np.maximum
+    elif not (x < xlo or x > xhi):
+        return math.sqrt, max
+    raise OutOfDomain(f"x = {x:g} outside domain [{xlo:g}, {xhi:g}]")
+
+
+def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray:
+    """Convex branch Y(x); satisfies Y(2 r^2) = 2 r^2 psi(r).
+
+    ``x`` may be a float or a float64 array; the array result equals the
+    float call element for element (same operations in the same order).
+    """
     if params.b == 0.0:
         d = params.d
         return -(params.c / d) * x - params.e / d - (params.a**2 / d) * x * x
-    xlo, xhi = domain(params)
-    if x < xlo or x > xhi:
-        raise OutOfDomain(f"x = {x:g} outside domain [{xlo:g}, {xhi:g}]")
-    w = max(_sqrt_arg(params, x), 0.0)
+    sqrt, clip = _check_domain(params, x)
+    w = clip(_sqrt_arg(params, x), 0.0)
     b = params.b
-    return -(params.a / b) * x - params.d / (2.0 * b * b) - math.sqrt(w) / (b * b)
+    return -(params.a / b) * x - params.d / (2.0 * b * b) - sqrt(w) / (b * b)
 
 
 def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[float]:
@@ -189,15 +218,13 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
     that point is rejected.  Y'' is positive everywhere on the interior.
     """
     if not 1 <= order <= 4:
-        raise ValueError("order must be between 1 and 4")
+        raise InvalidParams(f"order must be between 1 and 4, got {order!r}")
     if params.b == 0.0:
         d = params.d
         out = [-(params.c / d) - 2.0 * (params.a**2 / d) * x,
                -2.0 * params.a**2 / d, 0.0, 0.0]
         return out[:order]
-    xlo, xhi = domain(params)
-    if x < xlo or x > xhi:
-        raise OutOfDomain(f"x = {x:g} outside domain [{xlo:g}, {xhi:g}]")
+    _check_domain(params, x)
     w = _sqrt_arg(params, x)
     if w <= 0.0:
         raise SingularPoint("derivatives diverge at the vertical tangent x = x_v")
@@ -212,10 +239,19 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
     return out[:order]
 
 
-def psi_value(params: ParabolaParams, r: float) -> float:
-    """Potential in r-space, psi(r) = Y(2 r^2) / (2 r^2)."""
-    if r <= 0.0:
-        raise OutOfDomain("psi_value requires r > 0")
+def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarray:
+    """Potential in r-space, psi(r) = Y(2 r^2) / (2 r^2).
+
+    ``r`` may be a float or a float64 array, as for :func:`y_value`.
+    """
+    # The plain test adds nothing to QUADPACK's scalar calls; an array's
+    # truth value is ambiguous (ValueError), so an array takes np.any.
+    try:
+        if r <= 0.0:
+            raise OutOfDomain("psi_value requires r > 0")
+    except ValueError:
+        if np.any(r <= 0.0):
+            raise OutOfDomain("psi_value requires r > 0") from None
     x = 2.0 * r * r
     return y_value(params, x) / x
 

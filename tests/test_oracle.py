@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from isochrone import analytic
+from isochrone import analytic, potential
 from isochrone.analytic import OrbitConstants, orbit_elements
-from isochrone.errors import NoBoundOrbit, ToleranceNotMet
+from isochrone.birkhoff import bertrand_check
+from isochrone.errors import InvalidParams, NoBoundOrbit, ToleranceNotMet
 from isochrone.oracle import (
+    RadialPotential,
     as_potential,
     integrate_orbit,
     isochrony_spread,
@@ -16,6 +18,8 @@ from isochrone.oracle import (
     quad_radial_period,
     turning_radii,
 )
+
+from conftest import BASE_POTENTIALS
 
 GOLDEN = OrbitConstants(-0.5, 0.8)
 
@@ -99,6 +103,61 @@ def test_turning_radii_match_analytic(all_classes):
         assert r_a == pytest.approx(el.r_a, rel=1e-10), name
 
 
+def test_turning_radii_scan_is_one_array_call(henon, monkeypatch):
+    calls = {"array": 0, "float": 0}
+    psi_value = potential.psi_value
+
+    def counted(params, r):
+        calls["array" if isinstance(r, np.ndarray) else "float"] += 1
+        return psi_value(params, r)
+
+    monkeypatch.setattr(potential, "psi_value", counted)
+    turning_radii(henon, OrbitConstants(-0.12, 1.0))
+    # Scanned point by point, the 600-point grid alone took 600 float calls.
+    assert calls["array"] == 1
+    assert 0 < calls["float"] < 100
+
+
+def _turning_radii_or_error(pot, oc):
+    try:
+        return turning_radii(pot, oc)
+    except Exception as exc:  # compared by class below
+        return type(exc)
+
+
+def test_turning_radii_float_only_psi_agrees_with_array_psi():
+    """The elementwise fallback and the one-call scan give the same radii."""
+    bases = [BASE_POTENTIALS[k] for k in
+             ("kepler", "henon", "bounded", "hollowed", "harmonic")]
+    gauged = [potential.apply_gauge(b, potential.GaugeTerm(0.1, 0.2))
+              for b in bases]
+    compared = 0
+    for params in bases + gauged:
+        float_only = RadialPotential(
+            psi=lambda r, p=params: potential.psi_value(p, float(r)),
+            dpsi=lambda r, p=params: potential.psi_derivative(p, r),
+            r_bounds=potential.radial_domain(params))
+        for lam in (0.05, 1.0, 5.0):
+            for frac in (1e-9, 1e-3, 0.5, 1.0 - 1e-6):
+                oc = OrbitConstants(analytic.feasible_energy(params, lam, frac), lam)
+                got = _turning_radii_or_error(as_potential(params), oc)
+                assert got == _turning_radii_or_error(float_only, oc), (params, oc)
+                compared += not isinstance(got, type)
+    assert compared >= 100
+
+
+@pytest.mark.parametrize("call", [
+    lambda: isochrony_spread(potential.from_kepler(1.0), -0.5, []),
+    lambda: bertrand_check(potential.from_kepler(1.0), []),
+    lambda: potential.y_derivatives(potential.from_kepler(1.0), 2.0, 0),
+    lambda: potential.y_derivatives(potential.from_kepler(1.0), 2.0, 5),
+], ids=["isochrony_spread-empty", "bertrand_check-empty",
+        "y_derivatives-order0", "y_derivatives-order5"])
+def test_bad_arguments_raise_invalid_params(call):
+    with pytest.raises(InvalidParams):
+        call()
+
+
 def test_integrate_orbit_circular(kepler):
     oc = OrbitConstants(-0.5, 1.0)
     states = integrate_orbit(kepler, oc, 2 * math.pi, reltol=1e-11)
@@ -165,11 +224,13 @@ def test_generic_potential_handle():
 def test_generic_handle_without_derivative():
     # A bare psi callable falls back to finite-difference forces; the
     # quadratures never need psi', so they keep full accuracy.
-    from isochrone.oracle import RadialPotential
-
     bare = RadialPotential(psi=lambda r: -1.0 / math.sqrt(r * r + 1.0))
     oc = OrbitConstants(-0.4, 0.5)
     ref = quad_radial_period(plummer_potential(1.0, 1.0), oc).value
     assert quad_radial_period(bare, oc).value == pytest.approx(ref, rel=1e-10)
+    # A psi that branches on r also takes floats only.
+    branchy = RadialPotential(
+        psi=lambda r: -1.0 / math.sqrt(r * r + 1.0) if r > 0.0 else -1.0)
+    assert turning_radii(branchy, oc) == turning_radii(plummer_potential(), oc)
     states = integrate_orbit(bare, oc, 5.0, reltol=1e-8)
     assert states[-1].r > 0.0

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from isochrone.potential import (
     parabola_ode_residual,
     psi_derivative,
     psi_value,
+    radial_domain,
     y_derivatives,
     y_value,
 )
@@ -124,6 +127,58 @@ def test_psi_matches_closed_forms():
         rh = beta * (1.0 + t)
         assert psi_value(ho, rh) == pytest.approx(
             -(mu / rh**2) * math.sqrt(rh**2 - beta**2), rel=1e-12)
+
+
+ARRAY_POTENTIALS = {
+    "kepler": from_kepler(1.0),
+    "henon": from_henon(1.0, 1.0),
+    "bounded": from_bounded(1.0, 1.0),
+    "hollowed": from_hollowed(1.0, 1.0),
+    "harmonic": from_harmonic(2.0),
+    "henon gauged": apply_gauge(from_henon(1.0, 1.0), GaugeTerm(0.1, 0.2)),
+}
+
+
+def _edge_points(lo, hi):
+    """Interior points of [lo, hi], its finite ends, and their outer neighbours."""
+    top = hi if math.isfinite(hi) else 50.0
+    inner = list(np.geomspace(max(lo, 1e-3), top, 17)[1:-1])
+    ends = [lo] + ([hi] if math.isfinite(hi) else [])
+    outer = [np.nextafter(lo, -math.inf), -1.0]
+    if math.isfinite(hi):
+        outer.append(np.nextafter(hi, math.inf))
+    return inner + ends, outer
+
+
+def _float_call(fn, params, v):
+    try:
+        return fn(params, float(v))
+    except OutOfDomain:
+        return None
+
+
+@pytest.mark.parametrize("name", ARRAY_POTENTIALS)
+@pytest.mark.parametrize("fn, bounds", [(y_value, domain), (psi_value, radial_domain)])
+def test_array_call_equals_float_calls(name, fn, bounds):
+    """An array argument is the float call element for element, errors included."""
+    params = ARRAY_POTENTIALS[name]
+    inside, outer = _edge_points(*bounds(params))
+    points = inside + outer + [0.0]
+    floats = [_float_call(fn, params, v) for v in points]
+    ok = [v for v, f in zip(points, floats) if f is not None]
+    # The wall and the floor themselves are inside for Y; for psi the
+    # rounding of 2 r^2 decides, and both paths must agree either way.
+    assert len(ok) >= len(inside) - 2
+    got = fn(params, np.array(ok))
+    assert isinstance(got, np.ndarray)
+    assert np.array_equal(got, [f for f in floats if f is not None])
+    for v, f in zip(points, floats):
+        arr = np.array(ok + [v])
+        if f is None:
+            with pytest.raises(OutOfDomain):
+                fn(params, arr)
+        else:
+            fn(params, arr)
 
 
 def test_domain_examples(kepler, bounded, harmonic):
@@ -256,6 +311,24 @@ def test_gauge_preserves_branch_geometry(henon):
     assert gauged.b * gauged.delta == pytest.approx(henon.b * henon.delta,
                                                     rel=1e-14)
     assert gauged.x_v == pytest.approx(henon.x_v, rel=1e-13)
+
+
+def test_stored_constants_are_not_fields(henon, harmonic):
+    # delta and x_v are stored on construction: equality, hashing, repr and
+    # replace see only the five coefficients.
+    twin = ParabolaParams(*henon.as_tuple())
+    assert henon.x_v == (4.0 * 1.0 * 0.0 - 16.0) / (4.0 * 1.0 * 2.0)
+    assert twin == henon and hash(twin) == hash(henon)
+    assert repr(twin) == "ParabolaParams(a=0.0, b=1.0, c=-2.0, d=-4.0, e=0.0)"
+    assert [f.name for f in dataclasses.fields(twin)] == list("abcde")
+    moved = dataclasses.replace(henon, d=-2.0)
+    fresh = ParabolaParams(0.0, 1.0, -2.0, -2.0, 0.0)
+    assert (moved.delta, moved.x_v) == (fresh.delta, fresh.x_v) == (2.0, -0.5)
+    assert moved != henon
+    for _ in range(2):
+        with pytest.raises(InvalidParams):
+            harmonic.x_v
+    assert harmonic.delta == 4.0
 
 
 # ---------------------------------------------------------------------------
