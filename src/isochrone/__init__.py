@@ -4,8 +4,10 @@ Subpackages
 -----------
 potential : parabola parameters, classification, Y(x)/psi(r) evaluation
 analytic  : closed-form orbits, generalized Kepler equation, action-angle theory
-oracle    : quadrature and ODE ground truth, generic radial potentials
-birkhoff  : normal-form invariants, isochrone/Bertrand/third-law checks
+oracle    : quadrature and ODE ground truth; RadialPotential, the one
+            generic-potential type, serving psi(r) and Y(x) = x psi(sqrt(x/2))
+birkhoff  : normal-form invariants, isochrone/Bertrand/third-law checks, for
+            a parabola or any RadialPotential
 cli       : command-line front end (``isochrone`` entry point)
 """
 

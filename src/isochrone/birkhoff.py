@@ -7,6 +7,8 @@ independent.  Two independent routes compute them:
 * ``FromPotential`` - from derivatives of Y at the circular abscissa x_c,
   valid for any radial potential:
       l = Y'(x_c),  b = sqrt(8 Y''),  B = 4 Y3/Y2 + x_c (3 Y2 Y4 - 5 Y3^2)/(3 Y2^2)
+  with closed-form derivatives for a parabola, and finite differences of
+  Y(x) = x psi(sqrt(x/2)) for the generic type ``oracle.RadialPotential``.
 * ``FromPeriod`` - from the closed-form radial period of an isochrone
   parabola: l = xi_c, b = 2 pi / T(xi_c), B = -4 pi^2 T'(xi_c) / T^3.
 
@@ -22,10 +24,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence
 
 from . import analytic, potential as potmod
 from .errors import InvalidParams, NoCircularOrbit, SingularPoint
+from .oracle import PotentialLike
 from .potential import ParabolaParams
 
 __all__ = [
@@ -33,7 +36,6 @@ __all__ = [
     "BirkhoffInvariants",
     "FrequencyInvariants",
     "TheoremCheck",
-    "YFunction",
     "circular_abscissa",
     "invariants_from_potential",
     "invariants_from_period",
@@ -82,94 +84,18 @@ class TheoremCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class YFunction:
-    """A generic radial potential in Henon form for the FromPotential route.
-
-    ``derivatives(x, order)`` may supply closed forms; otherwise central
-    finite differences with per-order steps are used (adequate for the
-    qualitative non-isochrone checks these handles exist for).
-    """
-
-    y: Callable[[float], float]
-    derivatives: Optional[Callable[[float, int], list[float]]] = None
-    x_domain: tuple[float, float] = (0.0, math.inf)
-
-    def derivs(self, x: float, order: int = 4) -> list[float]:
-        if self.derivatives is not None:
-            return list(self.derivatives(x, order))[:order]
-        return _fd_derivatives(self.y, x, order)
-
-
-_FD_STEPS = (1e-4, 1e-4, 2e-3, 1e-2)
-
-
-def _fd_derivatives(f: Callable[[float], float], x: float, order: int) -> list[float]:
-    out = []
-    for n in range(1, order + 1):
-        h = _FD_STEPS[n - 1] * max(abs(x), 1.0)
-        fm2, fm1 = f(x - 2 * h), f(x - h)
-        fp1, fp2 = f(x + h), f(x + 2 * h)
-        if n == 1:
-            v = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
-        elif n == 2:
-            v = (-fm2 + 16 * fm1 - 30 * f(x) + 16 * fp1 - fp2) / (12 * h * h)
-        elif n == 3:
-            v = (-fm2 + 2 * fm1 - 2 * fp1 + fp2) / (-2 * h**3)
-        else:
-            v = (fm2 - 4 * fm1 + 6 * f(x) - 4 * fp1 + fp2) / h**4
-        out.append(v)
-    return out
-
-
-PotentialLike = Union[ParabolaParams, YFunction]
-
-
 def _derivs_at(obj: PotentialLike, x: float, order: int = 4) -> list[float]:
     if isinstance(obj, ParabolaParams):
         return potmod.y_derivatives(obj, x, order)
-    return obj.derivs(x, order)
+    return obj.y_derivatives(x, order)
 
 
 def circular_abscissa(obj: PotentialLike, lam: float) -> float:
-    """Solve x Y'(x) - Y(x) = Lambda^2 for the circular abscissa x_c."""
+    """Solve x Y'(x) - Y(x) = Lambda^2 for the circular abscissa x_c = 2 r_c^2."""
     if isinstance(obj, ParabolaParams):
         return analytic.circular_abscissa(obj, lam)
-    if lam <= 0.0:
-        raise InvalidParams("circular orbit requires Lambda > 0")
-    lam2 = lam * lam
-
-    def g(x: float) -> float:
-        return x * obj.derivs(x, 1)[0] - obj.y(x) - lam2
-
-    xlo, xhi = obj.x_domain
-    # Keep the widest finite-difference stencil inside the domain: the probe
-    # floor must clear x - 2h with h = max-step * max(|x|, 1).
-    margin = 2.5 * max(_FD_STEPS)
-    lo = max(xlo * (1.0 + 1e-9), xlo + margin * max(1.0, xlo), 1e-9)
-    hi = max(2.0 * lo, 1.0)
-    for _ in range(200):
-        if g(hi) > 0.0:
-            break
-        hi *= 2.0
-        if math.isfinite(xhi) and hi >= xhi:
-            hi = xhi * (1.0 - 1e-12)
-            if g(hi) <= 0.0:
-                raise NoCircularOrbit("Lambda^2 beyond the range of x Y' - Y")
-            break
-    else:
-        raise NoCircularOrbit("failed to bracket the circular abscissa")
-    if g(lo) > 0.0:
-        raise NoCircularOrbit("Lambda^2 below the range of x Y' - Y")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * max(abs(hi), 1.0):
-            break
-    return 0.5 * (lo + hi)
+    r_c = obj.circular_radius(lam)
+    return 2.0 * r_c * r_c
 
 
 def _near_vertical_tangent(params: ParabolaParams, x_c: float) -> bool:
@@ -262,10 +188,11 @@ def bertrand_check(obj: PotentialLike,
     A constant Q (tiny residual) holds exactly for Bertrand potentials:
     Q = 1 for the inverse-distance class and Q = 1/2 for the harmonic class.
     Non-Bertrand isochrones such as the Henon family show Q drifting with
-    Lambda and a residual orders of magnitude above the fit noise.
+    Lambda and a residual orders of magnitude above the fit noise.  One
+    Lambda would fit any Q exactly, so the grid needs two or more.
     """
-    if len(lam_grid) == 0:
-        raise InvalidParams("lam_grid must be non-empty")
+    if len(lam_grid) < 2:
+        raise InvalidParams("lam_grid needs at least two Lambda values")
     lps, bs = [], []
     for lam in lam_grid:
         lps.append(_lam_derivative(

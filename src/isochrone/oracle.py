@@ -9,8 +9,9 @@ equations of motion
 
 The only information shared with the analytic side is the potential itself
 (psi and its first derivative).  Works for any radial potential through
-:class:`RadialPotential`, which also enables negative controls such as the
-Plummer sphere.
+:class:`RadialPotential`, the one generic-potential type: its Henon view
+Y(x) = x psi(sqrt(x/2)) also serves the Birkhoff checks, for negative
+controls such as the Plummer sphere.
 
 The defining integrals have inverse-square-root singularities at the turning
 points; the substitution r = r_p + (r_a - r_p) sin(u)^2 removes them, after
@@ -34,6 +35,8 @@ from .errors import (
     DomainExit,
     InvalidParams,
     NoBoundOrbit,
+    NoCircularOrbit,
+    OutOfDomain,
     StepSizeUnderflow,
     ToleranceNotMet,
 )
@@ -58,6 +61,9 @@ _SQRT2 = math.sqrt(2.0)
 # Orbits whose radial span is below this fraction of r_a are handled by the
 # epicyclic (small-oscillation) limit instead of the singular quadrature.
 _CIRCULAR_SPAN = 1e-9
+
+# Finite-difference steps of Y', .., Y'''' per order, relative to max(|x|, 1).
+_FD_STEPS = (1e-4, 1e-4, 2e-3, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,7 @@ class OdeState:
 
 @dataclass(frozen=True)
 class RadialPotential:
-    """A generic radial potential handle for the oracle.
+    """A generic radial potential: psi(r), or Y(x) = x psi(sqrt(x/2)).
 
     ``dpsi`` may be omitted, in which case a central finite difference is
     used (adequate for negative controls, not for tight-tolerance work).
@@ -105,6 +111,47 @@ class RadialPotential:
             return self.dpsi(r)
         h = 1e-6 * max(abs(r), 1.0)
         return (self.psi(r + h) - self.psi(r - h)) / (2.0 * h)
+
+    def y_value(self, x: float) -> float:
+        """Y(x) = x psi(sqrt(x/2)) on the open interval (2 r_lo^2, 2 r_hi^2)."""
+        rlo, rhi = self.r_bounds
+        if not 2.0 * rlo * rlo < x < 2.0 * rhi * rhi:
+            raise OutOfDomain(f"x = {x:g} outside the domain of {self.name}")
+        return x * self.psi(math.sqrt(0.5 * x))
+
+    def y_derivatives(self, x: float, order: int = 4) -> list[float]:
+        """[Y', .., Y^(order)] by 5-point central differences; OutOfDomain
+        when a stencil [x - 2h, x + 2h] leaves the domain."""
+        if not 1 <= order <= 4:
+            raise InvalidParams(f"order must be between 1 and 4, got {order!r}")
+        scale = max(abs(x), 1.0)
+        f = self.y_value
+        out = []
+        for n in range(1, order + 1):
+            h = _FD_STEPS[n - 1] * scale
+            fm2, fm1 = f(x - 2 * h), f(x - h)
+            fp1, fp2 = f(x + h), f(x + 2 * h)
+            if n == 1:
+                v = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+            elif n == 2:
+                v = (-fm2 + 16 * fm1 - 30 * f(x) + 16 * fp1 - fp2) / (12 * h * h)
+            elif n == 3:
+                v = (-fm2 + 2 * fm1 - 2 * fp1 + fp2) / (-2 * h**3)
+            else:
+                v = (fm2 - 4 * fm1 + 6 * f(x) - 4 * fp1 + fp2) / h**4
+            out.append(v)
+        return out
+
+    def circular_radius(self, lam: float) -> float:
+        """Circular radius: Lambda^2 / r^3 = psi'(r), i.e. x Y' - Y = Lambda^2
+        at x = 2 r^2, since x Y' - Y = r^3 psi'."""
+        if lam <= 0.0:
+            raise InvalidParams("circular orbit requires Lambda > 0")
+        r_c = _force_balance_radius(self, lam, *_search_window(self))
+        if r_c is None:
+            raise NoCircularOrbit(
+                f"no circular orbit of {self.name} at Lambda = {lam:g}")
+        return r_c
 
 
 def plummer_potential(mu: float = 1.0, b: float = 1.0) -> RadialPotential:
@@ -400,9 +447,10 @@ def isochrony_spread(pot: PotentialLike, xi: float,
 
     Zero (to quadrature noise) exactly when the potential is isochrone;
     order-of-percent values flag generic potentials such as Plummer.
+    Over fewer than two Lambda values it would be 0 whatever the potential.
     """
-    if len(lam_grid) == 0:
-        raise InvalidParams("lam_grid must be non-empty")
+    if len(lam_grid) < 2:
+        raise InvalidParams("lam_grid needs at least two Lambda values")
     periods = [quad_radial_period(pot, OrbitConstants(xi, lam), epsrel).value
                for lam in lam_grid]
     mean = sum(periods) / len(periods)

@@ -215,7 +215,8 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
     """Closed-form derivatives [Y', .., Y^(order)] of the convex branch.
 
     Derivatives of every order diverge at the vertical tangent x = x_v, so
-    that point is rejected.  Y'' is positive everywhere on the interior.
+    that point is rejected, as is one where a power of (x - x_v) underflows.
+    Y'' is positive everywhere on the interior.
     """
     if not 1 <= order <= 4:
         raise InvalidParams(f"order must be between 1 and 4, got {order!r}")
@@ -230,12 +231,17 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
         raise SingularPoint("derivatives diverge at the vertical tangent x = x_v")
     b, dl = params.b, params.delta
     sw = math.sqrt(w)
-    out = [
-        -(params.a / b) - dl / (2.0 * b * sw),
-        dl**2 / (4.0 * w * sw),
-        -3.0 * b * dl**3 / (8.0 * w**2 * sw),
-        15.0 * b**2 * dl**4 / (16.0 * w**3 * sw),
-    ]
+    out = [-(params.a / b) - dl / (2.0 * b * sw)]
+    if order == 1:
+        return out
+    try:
+        out += [
+            dl**2 / (4.0 * w * sw),
+            -3.0 * b * dl**3 / (8.0 * w**2 * sw),
+            15.0 * b**2 * dl**4 / (16.0 * w**3 * sw),
+        ]
+    except ZeroDivisionError:
+        raise SingularPoint("derivatives overflow at the vertical tangent") from None
     return out[:order]
 
 
@@ -246,14 +252,18 @@ def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarr
     """
     # The plain test adds nothing to QUADPACK's scalar calls; an array's
     # truth value is ambiguous (ValueError), so an array takes np.any.
+    # Below r ~ 1e-162, x underflows to 0.
+    x = 2.0 * r * r
     try:
         if r <= 0.0:
             raise OutOfDomain("psi_value requires r > 0")
     except ValueError:
-        if np.any(r <= 0.0):
-            raise OutOfDomain("psi_value requires r > 0") from None
-    x = 2.0 * r * r
-    return y_value(params, x) / x
+        if np.any(r <= 0.0) or not x.all():
+            raise OutOfDomain("psi_value requires r > 0 and 2 r^2 > 0") from None
+    try:
+        return y_value(params, x) / x
+    except ZeroDivisionError:
+        raise OutOfDomain("psi_value requires 2 r^2 > 0") from None
 
 
 def psi_derivative(params: ParabolaParams, r: float) -> float:
@@ -263,7 +273,10 @@ def psi_derivative(params: ParabolaParams, r: float) -> float:
     x = 2.0 * r * r
     y = y_value(params, x)
     yp = y_derivatives(params, x, 1)[0]
-    return 4.0 * r * (yp * x - y) / (x * x)
+    try:
+        return 4.0 * r * (yp * x - y) / (x * x)
+    except ZeroDivisionError:  # x^2 underflows to 0 below r ~ 1e-81
+        raise OutOfDomain("psi_derivative requires (2 r^2)^2 > 0") from None
 
 
 def apply_gauge(params: ParabolaParams, g: GaugeTerm) -> ParabolaParams:

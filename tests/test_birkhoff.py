@@ -7,7 +7,6 @@ from isochrone import analytic
 from isochrone.analytic import OrbitConstants
 from isochrone.birkhoff import (
     Route,
-    YFunction,
     bertrand_check,
     circular_abscissa,
     frequency_invariants,
@@ -16,7 +15,8 @@ from isochrone.birkhoff import (
     isochrone_theorem_check,
     third_law,
 )
-from isochrone.errors import NoCircularOrbit
+from isochrone.errors import IsochroneError, NoCircularOrbit
+from isochrone.oracle import RadialPotential, plummer_potential
 from isochrone.potential import y_derivatives, y_value
 
 from conftest import gauged_potentials
@@ -99,12 +99,37 @@ def test_theorem_check_harmonic_exact(harmonic):
 
 
 def test_theorem_check_generic_power_law_fails():
-    power = YFunction(y=lambda x: x**2.5)
+    # psi = (2 r^2)^1.5, i.e. Y(x) = x^2.5.
+    power = RadialPotential(psi=lambda r: (2 * r * r)**1.5)
     checks = isochrone_theorem_check(power, [0.5, 1.0, 2.0])
     for chk in checks:
         assert not chk.passed
         # Symbolically the relative defect is 1800/1125 = 1.6.
         assert chk.potential_ode_residual == pytest.approx(1.6, rel=1e-2)
+
+
+def test_birkhoff_checks_reject_plummer():
+    plummer = plummer_potential(1.0, 1.0)
+    for chk in isochrone_theorem_check(plummer, [0.5, 1.0, 2.0]):
+        assert not chk.passed, chk
+    _, res = bertrand_check(plummer, LAM_GRID)
+    assert res > 1e-3
+
+
+def test_plummer_invariant_l_is_the_circular_energy():
+    # Y'(x_c) = psi(r_c) + Lambda^2 / (2 r_c^2), with r_c the root of the
+    # force balance Lambda^2 / r^3 = r / (r^2 + 1)^1.5 at Lambda = 1.
+    plummer = plummer_potential(1.0, 1.0)
+    with mpmath.workdps(40):
+        r_c = mpmath.findroot(lambda r: (r * r + 1) ** 1.5 - r**4, 1.6)
+        energy = float(-1 / mpmath.sqrt(r_c * r_c + 1) + 1 / (2 * r_c * r_c))
+    assert abs(invariants_from_potential(plummer, 1.0).l - energy) <= 1e-8
+
+
+def test_plummer_stencil_below_the_floor_is_a_typed_error():
+    # At Lambda = 1e-3, x_c = 2e-3 and the 4th-order stencil reaches x < 0.
+    with pytest.raises(IsochroneError):
+        invariants_from_potential(plummer_potential(1.0, 1.0), 1e-3)
 
 
 def test_bertrand_kepler_and_harmonic(kepler, harmonic):

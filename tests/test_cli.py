@@ -45,6 +45,15 @@ def test_classify_requires_one_potential(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "elements", "orbit", "table"])
+def test_generic_potential_refused_where_a_parabola_is_needed(command, capsys):
+    code, out, err = run_cli(
+        [command, "--plummer", "b=1", "--xi", "-0.4", "--lambda", "0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"the {command} command needs a parabola potential" in err
+
+
 # ---------------------------------------------------------------------------
 # orbit
 
@@ -185,6 +194,18 @@ def test_verify_plummer_fails_exit_1(tmp_path):
     spread = next(c for c in rep["checks"] if c["name"] == "isochrony_spread")
     assert spread["pass"] is False
     assert spread["residual"] > 1e-2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--plummer", "b=1", "--lambda-grid", "0.5"],
+    ["--henon", "mu=1,beta=1", "--lambda-grid", "1.0", "--bertrand"],
+], ids=["plummer", "henon-bertrand"])
+def test_verify_one_lambda_grid_exit_2(argv, capsys):
+    # Over one Lambda a spread is 0 and a Q fit exact: no verdict either way.
+    code, out, err = run_cli(["verify", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert "at least two Lambda values" in err
 
 
 def test_verify_kepler_bertrand_q(tmp_path):

@@ -151,8 +151,12 @@ def test_turning_radii_float_only_psi_agrees_with_array_psi():
     lambda: bertrand_check(potential.from_kepler(1.0), []),
     lambda: potential.y_derivatives(potential.from_kepler(1.0), 2.0, 0),
     lambda: potential.y_derivatives(potential.from_kepler(1.0), 2.0, 5),
+    # Over one Lambda a spread is 0 and a Q fit exact, whatever the potential.
+    lambda: isochrony_spread(plummer_potential(1.0, 1.0), -0.4, [0.5]),
+    lambda: bertrand_check(potential.from_henon(1.0, 1.0), [1.0]),
 ], ids=["isochrony_spread-empty", "bertrand_check-empty",
-        "y_derivatives-order0", "y_derivatives-order5"])
+        "y_derivatives-order0", "y_derivatives-order5",
+        "isochrony_spread-one", "bertrand_check-one"])
 def test_bad_arguments_raise_invalid_params(call):
     with pytest.raises(InvalidParams):
         call()

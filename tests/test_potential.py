@@ -163,7 +163,8 @@ def test_array_call_equals_float_calls(name, fn, bounds):
     """An array argument is the float call element for element, errors included."""
     params = ARRAY_POTENTIALS[name]
     inside, outer = _edge_points(*bounds(params))
-    points = inside + outer + [0.0]
+    # 1e-170: psi's x = 2 r^2 underflows to 0.
+    points = inside + outer + [0.0, 1e-170]
     floats = [_float_call(fn, params, v) for v in points]
     ok = [v for v, f in zip(points, floats) if f is not None]
     # The wall and the floor themselves are inside for Y; for psi the
@@ -248,6 +249,24 @@ def test_psi_derivative_matches_fd(henon):
         for r in (0.3, 1.0, 2.7):
             ref = float(mpmath.diff(mp_psi, mpmath.mpf(r)))
             assert psi_derivative(henon, r) == pytest.approx(ref, rel=1e-12)
+
+
+def test_underflowing_radius_is_out_of_domain(kepler, henon):
+    # x = 2 r^2 underflows to 0 below r ~ 1e-162, x^2 below r ~ 1e-81.
+    for params in (kepler, henon):
+        with pytest.raises(OutOfDomain):
+            psi_value(params, 1e-170)
+        with pytest.raises(OutOfDomain):
+            psi_derivative(params, 1e-100)
+    with pytest.raises(OutOfDomain):
+        psi_derivative(henon, 1e-170)
+    # Kepler's x = 0 is its vertical tangent, where every derivative diverges.
+    with pytest.raises(SingularPoint):
+        psi_derivative(kepler, 1e-170)
+    # A power of W = 2 x underflows next to Kepler's tangent; Y' alone does not.
+    with pytest.raises(SingularPoint):
+        y_derivatives(kepler, 2e-200, 4)
+    assert psi_derivative(kepler, 1e-60) == pytest.approx(1e120, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
