@@ -156,13 +156,14 @@ def _rel_residual(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / denom
 
 
-def isochrone_theorem_check(obj: PotentialLike, lam_grid: Sequence[float],
-                            tol: float = 1e-6) -> list[TheoremCheck]:
+def isochrone_theorem_check(obj: PotentialLike,
+                            lam_grid: Sequence[float]) -> list[TheoremCheck]:
     """Residuals of the two equivalent isochrony identities on a Lambda grid.
 
     (i) B dl/dLambda = b db/dLambda between the Lambda-dependent invariants,
     with central differences of step 1e-4 Lambda; (ii) the universal parabola
-    ODE 3 Y2 Y4 = 5 Y3^2 at x_c(Lambda).  Both vanish iff Y is isochrone.
+    ODE 3 Y2 Y4 = 5 Y3^2 at x_c(Lambda).  Both vanish iff Y is isochrone; a
+    Lambda passes when both are at most 1e-6.
     """
     out = []
     for lam in lam_grid:
@@ -177,7 +178,7 @@ def isochrone_theorem_check(obj: PotentialLike, lam_grid: Sequence[float],
         res_ii = _rel_residual(3.0 * y2 * y4, 5.0 * y3 * y3)
         out.append(TheoremCheck(lam=lam, invariant_ode_residual=res_i,
                                 potential_ode_residual=res_ii,
-                                passed=(res_i <= tol and res_ii <= tol)))
+                                passed=(res_i <= 1e-6 and res_ii <= 1e-6)))
     return out
 
 

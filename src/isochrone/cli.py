@@ -42,7 +42,7 @@ from .potential import GaugeTerm, ParabolaParams, PotentialFamily
 
 log = logging.getLogger("isochrone")
 
-_INPUT_ERRORS = (InvalidParams, OutOfDomain, SingularPoint, ValueError)
+_INPUT_ERRORS = (InvalidParams, OutOfDomain, SingularPoint)
 _ORBIT_ERRORS = (NoBoundOrbit, UnboundOrbit, NoCircularOrbit)
 
 
@@ -91,12 +91,21 @@ def _emit(text: str, output: Optional[str]) -> None:
 # argument handling
 
 
+def _number(token: str, what: str, kind: type = float) -> float:
+    """kind(token), or InvalidParams naming the token."""
+    try:
+        return kind(token)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise InvalidParams(f"{what}: {token!r} is not {noun}") from None
+
+
 def _parse_kv(spec: str, fields: Sequence[str], what: str) -> dict[str, float]:
     """Parse 'mu=1,beta=2' (a bare number is allowed for single-field specs)."""
     out: dict[str, float] = {}
     spec = spec.strip()
     if "=" not in spec and len(fields) == 1:
-        return {fields[0]: float(spec)}
+        return {fields[0]: _number(spec, what)}
     for token in spec.split(","):
         if not token:
             continue
@@ -105,7 +114,7 @@ def _parse_kv(spec: str, fields: Sequence[str], what: str) -> dict[str, float]:
         if key not in fields:
             raise InvalidParams(f"unknown {what} parameter {key!r} "
                                 f"(expected {', '.join(fields)})")
-        out[key] = float(val)
+        out[key] = _number(val, f"{what} parameter {key}")
     missing = [f for f in fields if f not in out and f != "mu"]
     if missing and what != "plummer" and what != "gauge":
         raise InvalidParams(f"{what} spec missing {', '.join(missing)}")
@@ -116,10 +125,11 @@ def _parse_grid(spec: str) -> list[float]:
     """'lo:hi:n' -> n inclusive linearly spaced values; a bare float is a 1-grid."""
     parts = spec.split(":")
     if len(parts) == 1:
-        return [float(parts[0])]
+        return [_number(parts[0], "grid spec")]
     if len(parts) != 3:
         raise InvalidParams(f"grid spec must be lo:hi:n, got {spec!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = (_number(v, f"grid spec {spec!r}") for v in parts[:2])
+    n = _number(parts[2], f"grid spec {spec!r}", int)
     if n < 1:
         raise InvalidParams("grid count must be >= 1")
     if n == 1:
@@ -178,8 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(args: argparse.Namespace) -> None:
     if not args.config:
         return
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise InvalidParams(f"cannot read config file {args.config!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise InvalidParams("config file must contain a JSON object")
     for key, val in cfg.items():
@@ -205,7 +218,7 @@ def _resolve_potential(args: argparse.Namespace, allow_generic: bool = False):
     params = None
     generic = None
     if form == "latin":
-        vals = [float(v) for v in str(raw).split(",")]
+        vals = [_number(v, "--latin") for v in str(raw).split(",")]
         if len(vals) != 5:
             raise InvalidParams("--latin needs exactly five coefficients")
         params = ParabolaParams(*vals)

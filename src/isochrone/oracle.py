@@ -13,10 +13,10 @@ The only information shared with the analytic side is the potential itself
 Y(x) = x psi(sqrt(x/2)) also serves the Birkhoff checks, for negative
 controls such as the Plummer sphere.
 
-The defining integrals have inverse-square-root singularities at the turning
-points; the substitution r = r_p + (r_a - r_p) sin(u)^2 removes them, after
-which the integrands are smooth and an adaptive Gauss-Kronrod rule
-(scipy.integrate.quad, QUADPACK) converges rapidly.
+The three defining integrals share their turning points and the
+inverse-square-root singularities there.  One substitution,
+r = r_p + (r_a - r_p) sin(u)^2, removes them, and one core integrates each
+quantity's smooth integrand in u by QUADPACK's adaptive Gauss-Kronrod rule.
 """
 
 from __future__ import annotations
@@ -62,8 +62,14 @@ _SQRT2 = math.sqrt(2.0)
 # epicyclic (small-oscillation) limit instead of the singular quadrature.
 _CIRCULAR_SPAN = 1e-9
 
-# Finite-difference steps of Y', .., Y'''' per order, relative to max(|x|, 1).
-_FD_STEPS = (1e-4, 1e-4, 2e-3, 1e-2)
+# 5-point central differences: Y^(n)(x) = sum_k w_k Y(x + k h) / (c h^n),
+# k = -2..2, one row (w, c, h relative to max(|x|, 1)) per order n = 1..4.
+_STENCILS = (
+    ((1, -8, 0, 8, -1), 12, 1e-4),
+    ((-1, 16, -30, 16, -1), 12, 1e-4),
+    ((-1, 2, 0, -2, 1), 2, 2e-3),
+    ((1, -4, 6, -4, 1), 1, 1e-2),
+)
 
 
 @dataclass(frozen=True)
@@ -96,9 +102,9 @@ class RadialPotential:
 
     ``dpsi`` may be omitted, in which case a central finite difference is
     used (adequate for negative controls, not for tight-tolerance work).
-    ``r_bounds`` is the open interval on which psi is defined.  A ``psi``
-    that also takes a float64 array lets the turning-point scan evaluate its
-    grid in one call; a float-only ``psi`` is evaluated point by point.
+    ``r_bounds`` is the open interval on which psi is defined.  The
+    turning-point scan and the ODE energy drift call ``psi`` once on a
+    float64 array, or point by point where ``psi`` takes floats only.
     """
 
     psi: Callable[[float], float]
@@ -125,21 +131,12 @@ class RadialPotential:
         if not 1 <= order <= 4:
             raise InvalidParams(f"order must be between 1 and 4, got {order!r}")
         scale = max(abs(x), 1.0)
-        f = self.y_value
         out = []
-        for n in range(1, order + 1):
-            h = _FD_STEPS[n - 1] * scale
-            fm2, fm1 = f(x - 2 * h), f(x - h)
-            fp1, fp2 = f(x + h), f(x + 2 * h)
-            if n == 1:
-                v = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
-            elif n == 2:
-                v = (-fm2 + 16 * fm1 - 30 * f(x) + 16 * fp1 - fp2) / (12 * h * h)
-            elif n == 3:
-                v = (-fm2 + 2 * fm1 - 2 * fp1 + fp2) / (-2 * h**3)
-            else:
-                v = (fm2 - 4 * fm1 + 6 * f(x) - 4 * fp1 + fp2) / h**4
-            out.append(v)
+        for n, (weights, c, step) in enumerate(_STENCILS[:order], start=1):
+            h = step * scale
+            total = sum(w * self.y_value(x + k * h)
+                        for k, w in zip(range(-2, 3), weights) if w)
+            out.append(total / (c * h**n))
         return out
 
     def circular_radius(self, lam: float) -> float:
@@ -187,6 +184,15 @@ def as_potential(obj: PotentialLike) -> RadialPotential:
 # turning points by root bracketing
 
 
+def _psi_array(p: RadialPotential, r: np.ndarray) -> np.ndarray:
+    """psi on a float64 array: one call, or point by point for a psi written
+    for floats only (math.sqrt, float(), an if on r)."""
+    try:
+        return p.psi(r)
+    except (TypeError, ValueError):
+        return np.array([p.psi(x) for x in r])
+
+
 def _radial_kinetic(p: RadialPotential, oc: OrbitConstants) -> Callable[[float], float]:
     lam2 = oc.lam**2
 
@@ -230,11 +236,7 @@ def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]
     kin = _radial_kinetic(p, oc)
     lo, hi = _search_window(p)
     grid = np.geomspace(lo, hi, 600)
-    try:
-        vals = kin(grid)
-    except (TypeError, ValueError):
-        # A psi written for floats only (math.sqrt, float(), an if on r).
-        vals = np.array([kin(r) for r in grid])
+    vals = oc.xi - 0.5 * oc.lam**2 / (grid * grid) - _psi_array(p, grid)
     imax = int(np.argmax(vals))
     bl = grid[max(imax - 1, 0)]
     bh = grid[min(imax + 1, len(grid) - 1)]
@@ -251,34 +253,21 @@ def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]
         raise NoBoundOrbit("radial kinetic term never positive: no bound orbit")
     r_star = r_ref if k_ref > vals[imax] else float(grid[imax])
 
-    def bracket_root(inner: float, outer: float) -> float:
+    def root(inner: float, outer: float) -> float:
         return float(brentq(kin, inner, outer, xtol=1e-300, rtol=8.9e-16,
                             maxiter=300))
 
-    # Inward: the centrifugal barrier guarantees kin < 0 near the centre.
-    left = None
-    for i in range(imax, -1, -1):
-        if grid[i] < r_star and vals[i] < 0.0:
-            left = grid[i]
-            break
-    if left is None:
-        if kin(lo) < 0.0:
-            left = lo
-        else:
-            raise NoBoundOrbit("no inner turning point above the domain floor")
-    r_p = bracket_root(left, r_star)
-
-    right = None
-    for i in range(imax, len(grid)):
-        if grid[i] > r_star and vals[i] < 0.0:
-            right = grid[i]
-            break
-    if right is None:
-        if kin(hi) < 0.0:
-            right = hi
-        else:
-            raise NoBoundOrbit("no outer turning point: orbit unbound or exits domain")
-    r_a = bracket_root(r_star, right)
+    # The grid points next to r_star where kin < 0 bracket the turning points;
+    # the grid ends at the window's ends, so a side without one has none inside.
+    neg = vals < 0.0
+    below = np.flatnonzero(neg[:imax + 1] & (grid[:imax + 1] < r_star))
+    above = imax + np.flatnonzero(neg[imax:] & (grid[imax:] > r_star))
+    if not below.size:
+        raise NoBoundOrbit("no inner turning point above the domain floor")
+    r_p = root(grid[below[-1]], r_star)
+    if not above.size:
+        raise NoBoundOrbit("no outer turning point: orbit unbound or exits domain")
+    r_a = root(r_star, grid[above[0]])
     return (r_p, r_a)
 
 
@@ -287,7 +276,7 @@ def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]
 
 
 def _epicyclic(p: RadialPotential, oc: OrbitConstants,
-               r_c: float) -> tuple[float, float]:
+               r_c: float) -> tuple[QuadratureResult, QuadratureResult]:
     """(T, Theta) of a near-circular orbit from the effective-potential curvature."""
     lam2 = oc.lam**2
     h = 1e-5 * r_c
@@ -299,30 +288,34 @@ def _epicyclic(p: RadialPotential, oc: OrbitConstants,
     if curv <= 0.0:
         raise NoBoundOrbit("effective potential not convex at the circular radius")
     T = 2.0 * math.pi / math.sqrt(curv)
-    return T, T * oc.lam / r_c**2
+    return tuple(QuadratureResult(value=v, error_estimate=1e-10 * v, evaluations=5)
+                 for v in (T, T * oc.lam / r_c**2))
 
 
-def _substituted(pot: PotentialLike, oc: OrbitConstants):
-    """Common setup: turning radii plus the smooth factor h(u) of the integrand."""
+def _orbit_integral(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
+                    weight: Callable[..., float],
+                    circular: Callable[..., QuadratureResult]) -> QuadratureResult:
+    """Integral over [r_p, r_a] under r = r_p + span sin(u)^2, u in [0, pi/2].
+
+    There kin(r) = (r - r_p)(r_a - r) g(u) with g smooth, and the integrand
+    is ``weight(u, r, span, sqrt(g))``.  An orbit whose span is below
+    _CIRCULAR_SPAN r_a, where g cancels to noise, gets the quantity's
+    near-circular limit ``circular(p, oc, r_c)`` at the mean radius instead.
+    """
     p = as_potential(pot)
     kin = _radial_kinetic(p, oc)
     r_p, r_a = turning_radii(p, oc)
     span = r_a - r_p
+    if span <= _CIRCULAR_SPAN * r_a:
+        return circular(p, oc, 0.5 * (r_p + r_a))
 
-    def r_of(u: float) -> float:
+    def f(u: float) -> float:
         s = math.sin(u)
-        return r_p + span * s * s
-
-    def smooth(u: float) -> float:
-        r = r_of(u)
+        r = r_p + span * s * s
         denom = (r - r_p) * (r_a - r)
-        val = kin(r) / denom if denom > 0.0 else 0.0
-        return max(val, 1e-300)
+        g = kin(r) / denom if denom > 0.0 else 0.0
+        return weight(u, r, span, math.sqrt(max(g, 1e-300)))
 
-    return p, r_p, r_a, span, r_of, smooth
-
-
-def _run_quad(f: Callable[[float], float], epsrel: float) -> QuadratureResult:
     # QUADPACK appends a warning message to the result when it gives up.
     val, abserr, info, *warning = quad(f, 0.0, 0.5 * math.pi, epsabs=0.0,
                                        epsrel=epsrel, limit=200, full_output=1)
@@ -343,41 +336,30 @@ def _run_quad(f: Callable[[float], float], epsrel: float) -> QuadratureResult:
 def quad_radial_period(pot: PotentialLike, oc: OrbitConstants,
                        epsrel: float = 1e-11) -> QuadratureResult:
     """T = sqrt(2) * integral dr / sqrt(xi - Lambda^2/2r^2 - psi) over [r_p, r_a]."""
-    p, r_p, r_a, span, r_of, smooth = _substituted(pot, oc)
-    if span <= _CIRCULAR_SPAN * r_a:
-        t_val, _ = _epicyclic(p, oc, 0.5 * (r_p + r_a))
-        return QuadratureResult(value=t_val, error_estimate=1e-10 * t_val,
-                                evaluations=5)
-    return _run_quad(lambda u: 2.0 * _SQRT2 / math.sqrt(smooth(u)), epsrel)
+    return _orbit_integral(pot, oc, epsrel,
+                           lambda u, r, span, root: 2.0 * _SQRT2 / root,
+                           lambda p, oc, r_c: _epicyclic(p, oc, r_c)[0])
 
 
 def quad_apsidal_angle(pot: PotentialLike, oc: OrbitConstants,
                        epsrel: float = 1e-11) -> QuadratureResult:
     """Theta = sqrt(2) * Lambda * integral dr / (r^2 sqrt(...)) over [r_p, r_a]."""
-    p, r_p, r_a, span, r_of, smooth = _substituted(pot, oc)
-    if span <= _CIRCULAR_SPAN * r_a:
-        _, th = _epicyclic(p, oc, 0.5 * (r_p + r_a))
-        return QuadratureResult(value=th, error_estimate=1e-10 * th, evaluations=5)
-
-    def f(u: float) -> float:
-        r = r_of(u)
-        return 2.0 * _SQRT2 * oc.lam / (r * r * math.sqrt(smooth(u)))
-
-    return _run_quad(f, epsrel)
+    return _orbit_integral(
+        pot, oc, epsrel,
+        lambda u, r, span, root: 2.0 * _SQRT2 * oc.lam / (r * r * root),
+        lambda p, oc, r_c: _epicyclic(p, oc, r_c)[1])
 
 
 def quad_radial_action(pot: PotentialLike, oc: OrbitConstants,
                        epsrel: float = 1e-11) -> QuadratureResult:
     """J = (sqrt(2)/pi) * integral sqrt(xi - Lambda^2/2r^2 - psi) dr."""
-    p, r_p, r_a, span, r_of, smooth = _substituted(pot, oc)
-    if span <= _CIRCULAR_SPAN * r_a:
-        return QuadratureResult(value=0.0, error_estimate=1e-16, evaluations=0)
-
-    def f(u: float) -> float:
+    def weight(u: float, r: float, span: float, root: float) -> float:
         sc = math.sin(u) * math.cos(u)
-        return (2.0 * _SQRT2 / math.pi) * span**2 * sc * sc * math.sqrt(smooth(u))
+        return (2.0 * _SQRT2 / math.pi) * span**2 * sc * sc * root
 
-    return _run_quad(f, epsrel)
+    return _orbit_integral(
+        pot, oc, epsrel, weight,
+        lambda *_: QuadratureResult(value=0.0, error_estimate=1e-16, evaluations=0))
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +368,13 @@ def quad_radial_action(pot: PotentialLike, oc: OrbitConstants,
 
 def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,
                     reltol: float = 1e-10,
-                    t_eval: Optional[Sequence[float]] = None,
-                    n_samples: int = 200) -> list[OdeState]:
+                    t_eval: Optional[Sequence[float]] = None) -> list[OdeState]:
     """Integrate (r, rdot, theta) from periastron with an embedded RK pair.
 
     Starts exactly at (r_p, 0, 0); the right-hand side is smooth at turning
-    points in these variables.  Uses scipy's DOP853.  Raises DomainExit if a
-    finite domain wall is reached and StepSizeUnderflow on integrator failure.
+    points in these variables.  Uses scipy's DOP853, sampled at ``t_eval``
+    or else 200 evenly spaced times.  Raises DomainExit if a finite domain
+    wall is reached and StepSizeUnderflow on integrator failure.
     """
     p = as_potential(pot)
     r_p, r_a = turning_radii(p, oc)
@@ -417,7 +399,7 @@ def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,
         events.append(hit_inner)
 
     if t_eval is None:
-        t_eval = np.linspace(0.0, t_end, n_samples)
+        t_eval = np.linspace(0.0, t_end, 200)
     vmax = math.sqrt(max(2.0 * (oc.xi - p.psi(r_a) - 0.5 * lam2 / r_a**2), 1e-12))
     scale = max(r_a, vmax, 1.0)
     sol = solve_ivp(rhs, (0.0, t_end), [r_p, 0.0, 0.0], method="DOP853",
@@ -429,20 +411,16 @@ def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,
     if not sol.success:
         raise StepSizeUnderflow(f"ODE integration failed: {sol.message}")
 
-    e0 = oc.xi
-    out = []
-    for t, r, rdot, theta in zip(sol.t, sol.y[0], sol.y[1], sol.y[2]):
-        e_t = 0.5 * rdot * rdot + 0.5 * lam2 / (r * r) + p.psi(r)
-        drift = abs(e_t - e0) / max(abs(e0), 1.0)
-        out.append(OdeState(t=float(t), r=float(r), rdot=float(rdot),
-                            theta=float(theta), energy_drift=float(drift),
-                            lam_drift=0.0))
-    return out
+    r, rdot, theta = sol.y
+    e_t = 0.5 * rdot * rdot + 0.5 * lam2 / (r * r) + _psi_array(p, r)
+    drift = np.abs(e_t - oc.xi) / max(abs(oc.xi), 1.0)
+    return [OdeState(t=float(t), r=float(r_k), rdot=float(v_k), theta=float(th_k),
+                     energy_drift=float(d_k), lam_drift=0.0)
+            for t, r_k, v_k, th_k, d_k in zip(sol.t, r, rdot, theta, drift)]
 
 
 def isochrony_spread(pot: PotentialLike, xi: float,
-                     lam_grid: Sequence[float],
-                     epsrel: float = 1e-11) -> float:
+                     lam_grid: Sequence[float]) -> float:
     """(max - min) / mean of the quadrature radial period over a Lambda grid.
 
     Zero (to quadrature noise) exactly when the potential is isochrone;
@@ -451,7 +429,7 @@ def isochrony_spread(pot: PotentialLike, xi: float,
     """
     if len(lam_grid) < 2:
         raise InvalidParams("lam_grid needs at least two Lambda values")
-    periods = [quad_radial_period(pot, OrbitConstants(xi, lam), epsrel).value
+    periods = [quad_radial_period(pot, OrbitConstants(xi, lam)).value
                for lam in lam_grid]
     mean = sum(periods) / len(periods)
     return (max(periods) - min(periods)) / mean

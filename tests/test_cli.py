@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from isochrone import cli
 from isochrone.cli import _columns_to_csv, _rows_to_csv, main
 
 
@@ -270,3 +272,50 @@ def test_log_level_env_var(capsys, monkeypatch):
     code, out, _ = run_cli(["classify", "--kepler", "mu=1"], capsys)
     assert code == 0
     assert out.startswith("Henon")
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["classify", "--henon", "mu=x,beta=1"], "'x'"),
+    (["elements", "--kepler", "mu=1", "--lambda", "1",
+      "--xi-grid=-0.2:-0.1:two"], "'two'"),
+    (["classify", "--latin", "0,1,-2,0,zero"], "'zero'"),
+], ids=["kv", "grid", "latin"])
+def test_malformed_number_exit_2(argv, token, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvalidParams") and token in err
+
+
+def test_malformed_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"kepler": "mu=1", "xi": -0.5,')
+    code, out, err = run_cli(["orbit", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvalidParams") and "cfg.json" in err
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    # A ValueError from inside a command is a bug, not a bad input: it must
+    # surface rather than exit 2 as if the user were at fault.
+    def broken(params):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli.potential, "classify", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["classify", "--kepler", "mu=1"])
+
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "verify_reference.json")
+    .read_text())["batteries"]
+
+
+@pytest.mark.parametrize("battery", sorted(REFERENCE))
+def test_verify_battery_verdicts_match_reference(battery, tmp_path):
+    ref = REFERENCE[battery]
+    out = tmp_path / "report.json"
+    assert main(["verify", *ref["argv"], "-o", str(out)]) == ref["exit_code"]
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == list(ref["checks"].items())

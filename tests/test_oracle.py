@@ -146,6 +146,44 @@ def test_turning_radii_float_only_psi_agrees_with_array_psi():
     assert compared >= 100
 
 
+def test_energy_drift_is_one_array_call(henon, monkeypatch):
+    oc = OrbitConstants(-0.12, 1.0)
+    float_only = RadialPotential(
+        psi=lambda r: potential.psi_value(henon, float(r)),
+        dpsi=lambda r: potential.psi_derivative(henon, r),
+        r_bounds=potential.radial_domain(henon))
+    states = integrate_orbit(henon, oc, 5.0, reltol=1e-10)
+    # A float-only psi is evaluated point by point, to the same bits.
+    assert integrate_orbit(float_only, oc, 5.0, reltol=1e-10) == states
+    ndims = []
+    psi_value = potential.psi_value
+
+    def counted(params, r):
+        ndims.append(np.ndim(r))
+        return psi_value(params, r)
+
+    monkeypatch.setattr(potential, "psi_value", counted)
+    assert integrate_orbit(henon, oc, 5.0, reltol=1e-10) == states
+    # One array call for the turning-point scan, one for the 200 samples.
+    assert ndims.count(1) == 2
+    assert len(states) == 200
+
+
+@pytest.mark.parametrize("params, xs", [
+    (potential.from_henon(1.0, 1.0), (1.0, 2.0)),
+    (potential.from_kepler(1.0), (1.0, 2.0)),
+    (potential.from_hollowed(1.0, 1.0), (8.0, 16.0)),
+    (potential.apply_gauge(potential.from_henon(1.0, 1.0),
+                           potential.GaugeTerm(0.1, 0.2)), (1.0, 2.0)),
+], ids=["henon", "kepler", "hollowed", "henon-gauged"])
+def test_wrapped_y_derivatives_match_closed_form(params, xs):
+    # Finite differences of Y(x) = x psi(sqrt(x/2)), Y''' with its sign.
+    wrapped = as_potential(params)
+    for x in xs:
+        assert wrapped.y_derivatives(x, 4) == pytest.approx(
+            potential.y_derivatives(params, x, 4), rel=1e-3), x
+
+
 @pytest.mark.parametrize("call", [
     lambda: isochrony_spread(potential.from_kepler(1.0), -0.5, []),
     lambda: bertrand_check(potential.from_kepler(1.0), []),
