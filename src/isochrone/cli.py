@@ -195,6 +195,11 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise InvalidParams(f"cannot read config file {args.config!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise InvalidParams("config file must contain a JSON object")
+    # A config value is converted and checked as the same option would be on
+    # the command line.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
+    actions = {action.dest: action for action in common._actions}
     for key, val in cfg.items():
         attr = key.replace("-", "_")
         if attr == "lambda":
@@ -202,6 +207,12 @@ def _apply_config(args: argparse.Namespace) -> None:
         if not hasattr(args, attr):
             raise InvalidParams(f"unknown config key {key!r}")
         if getattr(args, attr) is None:
+            action = actions.get(attr)
+            if action is not None and action.type is not None:
+                val = _number(str(val), f"config key {key!r}", action.type)
+            if action is not None and action.choices and val not in action.choices:
+                raise InvalidParams(f"config key {key!r}: {val!r} is not one of "
+                                    f"{', '.join(action.choices)}")
             setattr(args, attr, val)
 
 

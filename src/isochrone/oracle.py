@@ -17,10 +17,13 @@ The three defining integrals share their turning points and the
 inverse-square-root singularities there.  One substitution,
 r = r_p + (r_a - r_p) sin(u)^2, removes them, and one core integrates each
 quantity's smooth integrand in u by QUADPACK's adaptive Gauss-Kronrod rule.
+A parabola's turning points are solved once per orbit: the three
+quadratures and the ODE of the same (params, oc) share the last solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -231,8 +234,23 @@ def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]
 
     Scans the radial kinetic term on a log grid to seed the maximum, refines
     it, then brackets and solves the two zero crossings with Brent's method.
+    A parabola's last solve is kept, so the quadratures and the ODE of one
+    orbit share it; a generic potential is solved on every call.
     """
-    p = as_potential(pot)
+    if isinstance(pot, ParabolaParams):
+        return _parabola_radii(pot, oc)
+    return _solve_radii(as_potential(pot), oc)
+
+
+# Keyed by value on the caller's (params, oc): the three quadratures and the
+# ODE of one orbit ask in a row, and successive orbits differ.  A generic
+# psi may be any callable, hashable or not, so only parabolae are kept.
+@functools.lru_cache(maxsize=1)
+def _parabola_radii(params: ParabolaParams, oc: OrbitConstants) -> tuple[float, float]:
+    return _solve_radii(as_potential(params), oc)
+
+
+def _solve_radii(p: RadialPotential, oc: OrbitConstants) -> tuple[float, float]:
     kin = _radial_kinetic(p, oc)
     lo, hi = _search_window(p)
     grid = np.geomspace(lo, hi, 600)
@@ -304,7 +322,7 @@ def _orbit_integral(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
     """
     p = as_potential(pot)
     kin = _radial_kinetic(p, oc)
-    r_p, r_a = turning_radii(p, oc)
+    r_p, r_a = turning_radii(pot, oc)
     span = r_a - r_p
     if span <= _CIRCULAR_SPAN * r_a:
         return circular(p, oc, 0.5 * (r_p + r_a))
@@ -314,7 +332,7 @@ def _orbit_integral(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
         r = r_p + span * s * s
         denom = (r - r_p) * (r_a - r)
         g = kin(r) / denom if denom > 0.0 else 0.0
-        return weight(u, r, span, math.sqrt(max(g, 1e-300)))
+        return weight(u, r, span, math.sqrt(1e-300 if g < 1e-300 else g))
 
     # QUADPACK appends a warning message to the result when it gives up.
     val, abserr, info, *warning = quad(f, 0.0, 0.5 * math.pi, epsabs=0.0,
@@ -377,12 +395,12 @@ def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,
     wall is reached and StepSizeUnderflow on integrator failure.
     """
     p = as_potential(pot)
-    r_p, r_a = turning_radii(p, oc)
+    r_p, r_a = turning_radii(pot, oc)
     lam = oc.lam
     lam2 = lam * lam
 
     def rhs(t: float, y: np.ndarray) -> list[float]:
-        r = y[0]
+        r = float(y[0])  # a float: numpy scalar arithmetic is slower, same bits
         return [y[1], lam2 / r**3 - p.force_term(r), lam / (r * r)]
 
     events = []

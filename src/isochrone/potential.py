@@ -55,9 +55,10 @@ class ParabolaParams:
     The discriminant delta = a*d - b*c must be strictly positive.  For b = 0
     the arc is an upright parabola (harmonic class) and convexity requires
     d < 0 and a != 0.  All quantities are dimensionless; units are the
-    caller's contract.  ``delta`` and ``x_v`` are computed once, on
-    construction; they are not fields, so equality, hashing, ``repr`` and
-    ``dataclasses.replace`` see only the five coefficients.
+    caller's contract.  ``delta``, ``x_v``, the domain and the constants of
+    the branch are computed once, on construction; they are not fields, so
+    equality, hashing, ``repr`` and ``dataclasses.replace`` see only the five
+    coefficients.
     """
 
     a: float
@@ -85,14 +86,23 @@ class ParabolaParams:
                 raise InvalidParams("harmonic class (b = 0) requires d < 0")
             if a == 0.0:
                 raise InvalidParams("harmonic class requires a != 0 (degenerate line)")
+            object.__setattr__(self, "_xlo", 0.0)
+            object.__setattr__(self, "_xhi", math.inf)
             return
         x_v = (4.0 * b**2 * e - d**2) / (4.0 * b * delta)
-        object.__setattr__(self, "_x_v", x_v)
         if b < 0.0 and x_v <= 0.0:
             # Left-opening parabola whose real branch never reaches x > 0.
             raise InvalidParams(
                 "bounded-type parabola (b < 0) needs x_v > 0 to intersect x > 0"
             )
+        # The branch Y = _slope x - _offset - sqrt(W) / _b2 with
+        # W = _bdelta (x - x_v), and its domain [_xlo, _xhi].
+        for name, v in (("_x_v", x_v), ("_slope", -(a / b)),
+                        ("_offset", d / (2.0 * b * b)), ("_b2", b * b),
+                        ("_bdelta", b * delta), ("_2b", 2.0 * b),
+                        ("_xlo", max(0.0, x_v) if b > 0.0 else 0.0),
+                        ("_xhi", math.inf if b > 0.0 else x_v)):
+            object.__setattr__(self, name, v)
 
     @property
     def x_v(self) -> float:
@@ -156,12 +166,7 @@ def classify(params: ParabolaParams) -> PotentialClass:
 
 def domain(params: ParabolaParams) -> tuple[float, float]:
     """Physical x-interval of the convex branch (closed at finite ends)."""
-    if params.b == 0.0:
-        return (0.0, math.inf)
-    x_v = params._x_v
-    if params.b > 0.0:
-        return (max(0.0, x_v), math.inf)
-    return (0.0, x_v)
+    return (params._xlo, params._xhi)
 
 
 def radial_domain(params: ParabolaParams) -> tuple[float, float]:
@@ -172,43 +177,38 @@ def radial_domain(params: ParabolaParams) -> tuple[float, float]:
     return (rlo, rhi)
 
 
-def _sqrt_arg(params: ParabolaParams, x: float) -> float:
-    """Argument W = b * delta * (x - x_v) of the branch square root."""
-    return params.b * params.delta * (x - params._x_v)
+# y_value, psi_value and psi_derivative each check the domain and evaluate
+# the branch at a float in their own frame: they are the oracle's innermost
+# calls.
 
 
-def _check_domain(params: ParabolaParams, x: float | np.ndarray):
-    """Raise OutOfDomain unless x is in the domain; return sqrt and max for x's type.
-
-    x is a float or a float64 array.  An array is rejected exactly when the
-    float call on one of its elements would be, and the error names the
-    first such element.
-    """
-    xlo, xhi = domain(params)
-    if isinstance(x, np.ndarray):
-        outside = (x < xlo) | (x > xhi)
-        if outside.any():
-            x = x[outside][0]
-        else:
-            return np.sqrt, np.maximum
-    elif not (x < xlo or x > xhi):
-        return math.sqrt, max
-    raise OutOfDomain(f"x = {x:g} outside domain [{xlo:g}, {xhi:g}]")
+def _out_of_domain(params: ParabolaParams, x: float) -> OutOfDomain:
+    return OutOfDomain(f"x = {x:g} outside domain [{params._xlo:g}, {params._xhi:g}]")
 
 
 def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray:
     """Convex branch Y(x); satisfies Y(2 r^2) = 2 r^2 psi(r).
 
     ``x`` may be a float or a float64 array; the array result equals the
-    float call element for element (same operations in the same order).
+    float call element for element (same operations in the same order).  An
+    array is rejected exactly when the float call on one of its elements
+    would be, and the error names the first such element.
     """
     if params.b == 0.0:
         d = params.d
         return -(params.c / d) * x - params.e / d - (params.a**2 / d) * x * x
-    sqrt, clip = _check_domain(params, x)
-    w = clip(_sqrt_arg(params, x), 0.0)
-    b = params.b
-    return -(params.a / b) * x - params.d / (2.0 * b * b) - sqrt(w) / (b * b)
+    if isinstance(x, np.ndarray):
+        outside = (x < params._xlo) | (x > params._xhi)
+        if outside.any():
+            raise _out_of_domain(params, x[outside][0])
+        w = np.maximum(params._bdelta * (x - params._x_v), 0.0)
+        return params._slope * x - params._offset - np.sqrt(w) / params._b2
+    if x < params._xlo or x > params._xhi:
+        raise _out_of_domain(params, x)
+    w = params._bdelta * (x - params._x_v)
+    if w < 0.0:  # max(w, 0.0) without the builtin call
+        w = 0.0
+    return params._slope * x - params._offset - math.sqrt(w) / params._b2
 
 
 def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[float]:
@@ -225,13 +225,14 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
         out = [-(params.c / d) - 2.0 * (params.a**2 / d) * x,
                -2.0 * params.a**2 / d, 0.0, 0.0]
         return out[:order]
-    _check_domain(params, x)
-    w = _sqrt_arg(params, x)
+    if x < params._xlo or x > params._xhi:
+        raise _out_of_domain(params, x)
+    w = params._bdelta * (x - params._x_v)
     if w <= 0.0:
         raise SingularPoint("derivatives diverge at the vertical tangent x = x_v")
     b, dl = params.b, params.delta
     sw = math.sqrt(w)
-    out = [-(params.a / b) - dl / (2.0 * b * sw)]
+    out = [params._slope - dl / (params._2b * sw)]
     if order == 1:
         return out
     try:
@@ -260,19 +261,38 @@ def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarr
     except ValueError:
         if np.any(r <= 0.0) or not x.all():
             raise OutOfDomain("psi_value requires r > 0 and 2 r^2 > 0") from None
+    if params.b == 0.0 or isinstance(x, np.ndarray):
+        y = y_value(params, x)
+    elif x < params._xlo or x > params._xhi:
+        raise _out_of_domain(params, x)
+    else:
+        w = params._bdelta * (x - params._x_v)
+        if w < 0.0:
+            w = 0.0
+        y = params._slope * x - params._offset - math.sqrt(w) / params._b2
     try:
-        return y_value(params, x) / x
+        return y / x
     except ZeroDivisionError:
         raise OutOfDomain("psi_value requires 2 r^2 > 0") from None
 
 
 def psi_derivative(params: ParabolaParams, r: float) -> float:
-    """d psi / d r, from Y and Y' (chain rule through x = 2 r^2)."""
+    """d psi / d r = 4 r (x Y' - Y) / x^2 at x = 2 r^2, with W and sqrt(W) once."""
     if r <= 0.0:
         raise OutOfDomain("psi_derivative requires r > 0")
     x = 2.0 * r * r
-    y = y_value(params, x)
-    yp = y_derivatives(params, x, 1)[0]
+    if params.b == 0.0:
+        y = y_value(params, x)
+        yp = y_derivatives(params, x, 1)[0]
+    elif x < params._xlo or x > params._xhi:
+        raise _out_of_domain(params, x)
+    else:
+        w = params._bdelta * (x - params._x_v)
+        if w <= 0.0:
+            raise SingularPoint("derivatives diverge at the vertical tangent x = x_v")
+        sw = math.sqrt(w)
+        y = params._slope * x - params._offset - sw / params._b2
+        yp = params._slope - params.delta / (params._2b * sw)
     try:
         return 4.0 * r * (yp * x - y) / (x * x)
     except ZeroDivisionError:  # x^2 underflows to 0 below r ~ 1e-81

@@ -296,6 +296,35 @@ def test_malformed_config_exit_2(tmp_path, capsys):
     assert err.startswith("error: InvalidParams") and "cfg.json" in err
 
 
+@pytest.mark.parametrize("key, value, token", [
+    ("xi", "abc", "'abc'"),
+    ("samples", "five", "'five'"),
+    ("samples", 5.5, "'5.5'"),
+    ("lambda", [0.8], "'[0.8]'"),
+    ("format", "xml", "'xml'"),
+], ids=["xi-text", "samples-text", "samples-float", "lambda-list", "format-choice"])
+def test_mistyped_config_value_exit_2(key, value, token, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    doc = {"kepler": "mu=1", "xi": -0.5, "lambda": 0.8, "samples": 5}
+    cfg.write_text(json.dumps({**doc, key: value}))
+    code, out, err = run_cli(["orbit", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: InvalidParams") and token in err
+
+
+def test_config_numbers_in_strings_convert_as_flags(tmp_path, capsys):
+    # "5" and "-0.5" are what the command line passes too.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kepler": "mu=1", "xi": "-0.5", "lambda": 0.8,
+                               "samples": "5"}))
+    code, out, _ = run_cli(["orbit", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert out == run_cli(["orbit", "--kepler", "mu=1", "--xi", "-0.5",
+                           "--lambda", "0.8", "--samples", "5"], capsys)[1]
+    assert len(out.splitlines()) == 6
+
+
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
     # A ValueError from inside a command is a bug, not a bad input: it must
     # surface rather than exit 2 as if the user were at fault.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isochrone import analytic, potential
+from isochrone import analytic, oracle, potential
 from isochrone.analytic import OrbitConstants, orbit_elements
 from isochrone.birkhoff import bertrand_check
 from isochrone.errors import InvalidParams, NoBoundOrbit, ToleranceNotMet
@@ -112,6 +112,7 @@ def test_turning_radii_scan_is_one_array_call(henon, monkeypatch):
         return psi_value(params, r)
 
     monkeypatch.setattr(potential, "psi_value", counted)
+    oracle._parabola_radii.cache_clear()
     turning_radii(henon, OrbitConstants(-0.12, 1.0))
     # Scanned point by point, the 600-point grid alone took 600 float calls.
     assert calls["array"] == 1
@@ -163,10 +164,107 @@ def test_energy_drift_is_one_array_call(henon, monkeypatch):
         return psi_value(params, r)
 
     monkeypatch.setattr(potential, "psi_value", counted)
+    oracle._parabola_radii.cache_clear()
     assert integrate_orbit(henon, oc, 5.0, reltol=1e-10) == states
     # One array call for the turning-point scan, one for the 200 samples.
     assert ndims.count(1) == 2
     assert len(states) == 200
+
+
+def test_one_orbit_solves_its_turning_points_once(henon, monkeypatch):
+    solves = []
+    solve = oracle._solve_radii
+
+    def counted(p, oc):
+        solves.append(oc)
+        return solve(p, oc)
+
+    monkeypatch.setattr(oracle, "_solve_radii", counted)
+    oracle._parabola_radii.cache_clear()
+    oc = OrbitConstants(-0.12, 1.0)
+    for quad in (quad_radial_period, quad_apsidal_angle, quad_radial_action):
+        quad(henon, oc)
+    integrate_orbit(henon, oc, 5.0)
+    assert solves == [oc]
+    # Equal by value is the same orbit; another orbit is solved afresh.
+    turning_radii(potential.from_henon(1.0, 1.0), OrbitConstants(-0.12, 1.0))
+    assert len(solves) == 1
+    turning_radii(henon, OrbitConstants(-0.12, 0.9))
+    assert len(solves) == 2
+    turning_radii(BASE_POTENTIALS["henon(2,0.25)"], OrbitConstants(-0.12, 0.9))
+    assert len(solves) == 3
+    # A generic potential is solved on every call.
+    wrapped = as_potential(henon)
+    turning_radii(wrapped, oc)
+    quad_radial_period(wrapped, oc)
+    assert len(solves) == 5
+
+
+EDGE_LAMBDAS = [0.05 * 100.0 ** (i / 3) for i in range(4)]
+EDGE_FRACTIONS = [1e-9, 1e-6, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-6]
+
+
+def _oracle_outcomes(params, oc, fresh):
+    out = []
+    for call in (turning_radii, quad_radial_period, quad_apsidal_angle,
+                 quad_radial_action):
+        if fresh:
+            oracle._parabola_radii.cache_clear()
+        try:
+            out.append(call(params, oc))
+        except Exception as exc:  # compared by class below
+            out.append(type(exc))
+    return out
+
+
+def test_kept_turning_points_change_no_result():
+    """With the last solve kept, every value and refusal is a fresh solve's."""
+    bases = [BASE_POTENTIALS[k] for k in
+             ("kepler", "henon", "bounded", "hollowed", "harmonic")]
+    gauge = potential.GaugeTerm(0.1, 0.2)
+    refused = 0
+    for params in bases + [potential.apply_gauge(b, gauge) for b in bases]:
+        for lam in EDGE_LAMBDAS:
+            for frac in EDGE_FRACTIONS:
+                oc = OrbitConstants(analytic.feasible_energy(params, lam, frac), lam)
+                kept = _oracle_outcomes(params, oc, fresh=False)
+                assert kept == _oracle_outcomes(params, oc, fresh=True), (params, oc)
+                refused += sum(isinstance(v, type) for v in kept)
+    # The grid's edges reach the refusals too.
+    assert refused > 0
+
+
+class _UnhashablePsi:
+    __hash__ = None
+
+    def __init__(self, params):
+        self.params = params
+
+    def __call__(self, r):
+        return potential.psi_value(self.params, r)
+
+
+def test_generic_potential_with_unhashable_psi(henon):
+    pot = RadialPotential(psi=_UnhashablePsi(henon),
+                          dpsi=lambda r: potential.psi_derivative(henon, r),
+                          r_bounds=potential.radial_domain(henon))
+    with pytest.raises(TypeError):
+        hash(pot)
+    oc = OrbitConstants(-0.12, 1.0)
+    assert turning_radii(pot, oc) == turning_radii(henon, oc)
+    assert quad_radial_period(pot, oc) == quad_radial_period(henon, oc)
+    assert integrate_orbit(pot, oc, 5.0) == integrate_orbit(henon, oc, 5.0)
+
+
+def test_tracer_still_wraps_the_oracle_and_psi():
+    # The benchmark's tracer wraps plain functions only; a cache object in
+    # place of turning_radii would drop out of its per-layer counts.
+    from perfbench.tracer import public_functions
+
+    assert {"turning_radii", "quad_radial_period", "quad_apsidal_angle",
+            "quad_radial_action"} <= set(public_functions("oracle", oracle))
+    assert {"psi_value", "psi_derivative"} <= set(
+        public_functions("potential", potential))
 
 
 @pytest.mark.parametrize("params, xs", [

@@ -251,6 +251,70 @@ def test_psi_derivative_matches_fd(henon):
             assert psi_derivative(henon, r) == pytest.approx(ref, rel=1e-12)
 
 
+def _psi_derivative_from_y(params, r):
+    """4 r (x Y' - Y) / x^2 from the public Y and Y', in psi_derivative's order."""
+    if r <= 0.0:
+        raise OutOfDomain("r <= 0")
+    x = 2.0 * r * r
+    y = y_value(params, x)
+    yp = y_derivatives(params, x, 1)[0]
+    try:
+        return 4.0 * r * (yp * x - y) / (x * x)
+    except ZeroDivisionError:
+        raise OutOfDomain("x^2 underflows") from None
+
+
+def _value_or_class(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by class
+        return type(exc)
+
+
+FAMILY_BUILDERS = {
+    "kepler": lambda: from_kepler(0.9),
+    "henon": lambda: from_henon(0.7, 1.3),
+    "bounded": lambda: from_bounded(0.9, 1.7),
+    "hollowed": lambda: from_hollowed(0.9, 1.7),
+    "harmonic": lambda: from_harmonic(1.3),
+}
+
+
+@pytest.mark.parametrize("gauged", [False, True], ids=["plain", "gauged"])
+@pytest.mark.parametrize("family", sorted(FAMILY_BUILDERS))
+def test_psi_derivative_is_the_chain_rule_bit_for_bit(family, gauged):
+    params = FAMILY_BUILDERS[family]()
+    if gauged:
+        params = apply_gauge(params, GaugeTerm(0.1, 0.2))
+    # (k a, k b, k^2 c, k^2 d, k^2 e) is the same curve; with b off the
+    # powers of two, a reassociated product shows in the last bit.
+    k = 0.7
+    a, b, c, d, e = params.as_tuple()
+    params = ParabolaParams(k * a, k * b, k * k * c, k * k * d, k * k * e)
+    rlo, rhi = radial_domain(params)
+    inside = [r for r in np.geomspace(1e-6, 1e4, 301) if rlo < r < rhi]
+    assert len(inside) > 100
+    for r in inside:
+        r = float(r)
+        assert psi_derivative(params, r) == _psi_derivative_from_y(params, r), r
+    # Below, at and beyond the domain: the same refusals as the chain rule.
+    for r in (-1.0, 0.0, 1e-100, 0.5 * rlo, rlo, rhi, 2.0 * rhi):
+        if math.isfinite(r):
+            assert (_value_or_class(psi_derivative, params, r)
+                    == _value_or_class(_psi_derivative_from_y, params, r)), r
+    for r in (-1.0, 0.0, 1e-100):
+        with pytest.raises(OutOfDomain):
+            psi_derivative(params, r)
+    if family in ("bounded", "hollowed"):
+        # The vertical tangent x_v = 2 r^2 bounds the domain, at r = beta.
+        r_v = math.sqrt(params.x_v / 2.0)
+        assert 2.0 * r_v * r_v == params.x_v
+        with pytest.raises(SingularPoint):
+            psi_derivative(params, r_v)
+        with pytest.raises(OutOfDomain):
+            psi_derivative(params, 2.0 * r_v if family == "bounded" else 0.5 * r_v)
+
+
 def test_underflowing_radius_is_out_of_domain(kepler, henon):
     # x = 2 r^2 underflows to 0 below r ~ 1e-162, x^2 below r ~ 1e-81.
     for params in (kepler, henon):
@@ -332,9 +396,10 @@ def test_gauge_preserves_branch_geometry(henon):
     assert gauged.x_v == pytest.approx(henon.x_v, rel=1e-13)
 
 
-def test_stored_constants_are_not_fields(henon, harmonic):
-    # delta and x_v are stored on construction: equality, hashing, repr and
-    # replace see only the five coefficients.
+def test_stored_constants_are_not_fields(henon, harmonic, bounded):
+    # delta, x_v, the domain and the branch constants are stored on
+    # construction: equality, hashing, repr and replace see only the five
+    # coefficients, so equal coefficients are one cache key.
     twin = ParabolaParams(*henon.as_tuple())
     assert henon.x_v == (4.0 * 1.0 * 0.0 - 16.0) / (4.0 * 1.0 * 2.0)
     assert twin == henon and hash(twin) == hash(henon)
@@ -344,6 +409,20 @@ def test_stored_constants_are_not_fields(henon, harmonic):
     fresh = ParabolaParams(0.0, 1.0, -2.0, -2.0, 0.0)
     assert (moved.delta, moved.x_v) == (fresh.delta, fresh.x_v) == (2.0, -0.5)
     assert moved != henon
+    for params in (henon, bounded, harmonic):
+        stored = {k: v for k, v in vars(params).items() if k not in "abcde"}
+        assert {"delta", "_xlo", "_xhi"} <= set(stored)
+        twin = ParabolaParams(*params.as_tuple())
+        assert vars(twin) == vars(params)
+        assert not any(k in repr(params) for k in stored)
+        # An edited copy carries its own constants, not the original's.
+        edited = dataclasses.replace(params, e=params.e + 0.5)
+        assert vars(edited) == vars(ParabolaParams(*edited.as_tuple()))
+        assert edited != params and hash(edited) != hash(params)
+    assert len(vars(bounded)) == 5 + 9
+    assert (bounded._slope, bounded._offset, bounded._b2, bounded._bdelta,
+            bounded._2b, bounded._xlo, bounded._xhi) == (
+        -(0.0 / -1.0), -4.0 / 2.0, 1.0, -2.0, -2.0, 0.0, 2.0)
     for _ in range(2):
         with pytest.raises(InvalidParams):
             harmonic.x_v
