@@ -443,8 +443,7 @@ def _radius(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x, np.sqrt(x / 2.0))
 
 
-def _angle(lam: float, el: OrbitElements,
-           E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _angle(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(theta, imaginary residual) at eccentric anomalies E >= 0.
 
     The closed form is derived on the half period E in [0, pi]; beyond it the
@@ -457,14 +456,13 @@ def _angle(lam: float, el: OrbitElements,
     e_frac = E - cycles * TWO_PI
     base = cycles * el.Theta
     if el.harmonic:
-        return (base + _theta_harmonic(lam, el, e_frac), np.zeros_like(E))
+        return (base + _theta_harmonic(el, e_frac), np.zeros_like(E))
     upper = e_frac > math.pi
-    th, resid = _theta_half(lam, el, np.where(upper, TWO_PI - e_frac, e_frac))
+    th, resid = _theta_half(el, np.where(upper, TWO_PI - e_frac, e_frac))
     return (np.where(upper, base + el.Theta - th, base + th), resid)
 
 
-def _theta_half(lam: float, el: OrbitElements,
-                E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _theta_half(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """theta(E) on E in [0, pi] for b != 0, plus the imaginary residual.
 
     Partial fractions split 1/x(E) into two terms with shifted eccentricities
@@ -491,16 +489,16 @@ def _theta_half(lam: float, el: OrbitElements,
     for norm, slope in terms:
         total = total + norm * np.where(pole, 0.5 * math.pi,
                                         np.arctan(slope * half_tan))
-    total = total * (lam / (el.omega_r * el.alpha2))
+    total = total * (el.lam / (el.omega_r * el.alpha2))
     return (np.real(total), np.abs(np.imag(total)))
 
 
-def _theta_harmonic(lam: float, el: OrbitElements, E: np.ndarray) -> np.ndarray:
+def _theta_harmonic(el: OrbitElements, E: np.ndarray) -> np.ndarray:
     """theta(E) on E in [0, 2 pi) for the harmonic class."""
     quarter_tan = np.tan(0.25 * E)
     g = math.sqrt((1.0 + el.ecc) / (1.0 - el.ecc))
     pair = np.arctan(g * quarter_tan) + np.arctan(quarter_tan / g)
-    return 4.0 * lam * pair / (el.omega_r * math.sqrt(el.x_p * el.x_a))
+    return 4.0 * el.lam * pair / (el.omega_r * math.sqrt(el.x_p * el.x_a))
 
 
 def _as_array(values, what: str) -> np.ndarray:
@@ -533,7 +531,7 @@ def solve_kepler(ecc: float, M, tol: float = 1e-13):
     return _shaped(_kepler(ecc, _as_array(M, "mean anomaly"), tol), M)
 
 
-def radius_of_E(params: ParabolaParams, elements: OrbitElements, E):
+def radius_of_E(elements: OrbitElements, E):
     """Henon abscissa and radius (x, r) at eccentric anomaly E (float or array).
 
     E = 0 is periastron and E = pi apoastron for every class; the harmonic
@@ -543,20 +541,19 @@ def radius_of_E(params: ParabolaParams, elements: OrbitElements, E):
     return (_shaped(x, E), _shaped(r, E))
 
 
-def angle_of_E_with_residual(params: ParabolaParams, oc: OrbitConstants,
-                             elements: OrbitElements, E):
+def angle_of_E_with_residual(elements: OrbitElements, E):
     """Polar angle theta(E) with cycle unwrapping, plus imaginary residual.
 
     E is a float or an array of values >= 0; see ``_angle`` and
     ``_theta_half`` for the closed form.
     """
-    theta, resid = _angle(oc.lam, elements, _as_array(E, "eccentric anomaly"))
+    theta, resid = _angle(elements, _as_array(E, "eccentric anomaly"))
     return (_shaped(theta, E), _shaped(resid, E))
 
 
-def angle_of_E(params: ParabolaParams, oc: OrbitConstants,
-               elements: OrbitElements, E):
-    return angle_of_E_with_residual(params, oc, elements, E)[0]
+def angle_of_E(elements: OrbitElements, E):
+    """Polar angle theta(E); see angle_of_E_with_residual."""
+    return angle_of_E_with_residual(elements, E)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -607,7 +604,7 @@ def trajectory(params: ParabolaParams, oc: OrbitConstants,
     else:
         e_anom = _kepler(el.eps_eff, m, 1e-13)
     x, r = _radius(el, e_anom)
-    theta, _ = _angle(oc.lam, el, e_anom)
+    theta, _ = _angle(el, e_anom)
     return Trajectory(t=t, E=e_anom, x=x, r=r, theta=theta, z_j=m,
                       z_lam=(el.Theta / TWO_PI) * m)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import analytic, potential as potmod
 from .errors import InvalidParams, NoCircularOrbit, SingularPoint
@@ -84,12 +84,6 @@ class TheoremCheck:
     passed: bool
 
 
-def _derivs_at(obj: PotentialLike, x: float, order: int = 4) -> list[float]:
-    if isinstance(obj, ParabolaParams):
-        return potmod.y_derivatives(obj, x, order)
-    return obj.y_derivatives(x, order)
-
-
 def circular_abscissa(obj: PotentialLike, lam: float) -> float:
     """Solve x Y'(x) - Y(x) = Lambda^2 for the circular abscissa x_c = 2 r_c^2."""
     if isinstance(obj, ParabolaParams):
@@ -108,18 +102,28 @@ def _near_vertical_tangent(params: ParabolaParams, x_c: float) -> bool:
     return params.b != 0.0 and abs(x_c) > 1e6 * abs(x_c - params.x_v)
 
 
-def invariants_from_potential(obj: PotentialLike, lam: float) -> BirkhoffInvariants:
-    """Normal-form coefficients from derivatives of Y at x_c; any potential."""
+def _circular_orbit(obj: PotentialLike,
+                    lam: float) -> tuple[BirkhoffInvariants, list[float]]:
+    """The FromPotential invariants at Lambda, and [Y', .., Y4] at x_c."""
     x_c = circular_abscissa(obj, lam)
-    if isinstance(obj, ParabolaParams) and _near_vertical_tangent(obj, x_c):
-        raise NoCircularOrbit(f"circular orbit at Lambda = {lam:g} within "
-                              "rounding of the vertical tangent")
-    y1, y2, y3, y4 = _derivs_at(obj, x_c, 4)
+    if isinstance(obj, ParabolaParams):
+        if _near_vertical_tangent(obj, x_c):
+            raise NoCircularOrbit(f"circular orbit at Lambda = {lam:g} within "
+                                  "rounding of the vertical tangent")
+        ys = potmod.y_derivatives(obj, x_c, 4)
+    else:
+        ys = obj.y_derivatives(x_c, 4)
+    y1, y2, y3, y4 = ys
     if y2 <= 0.0:
         raise SingularPoint(f"Y''(x_c) = {y2:g} must be positive")
     big_b = 4.0 * y3 / y2 + x_c * (3.0 * y2 * y4 - 5.0 * y3 * y3) / (3.0 * y2 * y2)
-    return BirkhoffInvariants(l=y1, b_inv=math.sqrt(8.0 * y2), B_inv=big_b,
-                              route=Route.FROM_POTENTIAL)
+    return (BirkhoffInvariants(l=y1, b_inv=math.sqrt(8.0 * y2), B_inv=big_b,
+                               route=Route.FROM_POTENTIAL), ys)
+
+
+def invariants_from_potential(obj: PotentialLike, lam: float) -> BirkhoffInvariants:
+    """Normal-form coefficients from derivatives of Y at x_c; any potential."""
+    return _circular_orbit(obj, lam)[0]
 
 
 def invariants_from_period(params: ParabolaParams, lam: float) -> BirkhoffInvariants:
@@ -144,9 +148,12 @@ def invariants_from_period(params: ParabolaParams, lam: float) -> BirkhoffInvari
     )
 
 
-def _lam_derivative(fun: Callable[[float], float], lam: float) -> float:
+def _slopes(obj: PotentialLike, lam: float) -> tuple[float, float]:
+    """(dl/dLambda, db/dLambda) by central differences of step 1e-4 Lambda."""
     h = 1e-4 * lam
-    return (fun(lam + h) - fun(lam - h)) / (2.0 * h)
+    hi = invariants_from_potential(obj, lam + h)
+    lo = invariants_from_potential(obj, lam - h)
+    return ((hi.l - lo.l) / (2.0 * h), (hi.b_inv - lo.b_inv) / (2.0 * h))
 
 
 def _rel_residual(lhs: float, rhs: float) -> float:
@@ -167,14 +174,9 @@ def isochrone_theorem_check(obj: PotentialLike,
     """
     out = []
     for lam in lam_grid:
-        inv = invariants_from_potential(obj, lam)
-        l_prime = _lam_derivative(
-            lambda L: invariants_from_potential(obj, L).l, lam)
-        b_prime = _lam_derivative(
-            lambda L: invariants_from_potential(obj, L).b_inv, lam)
+        inv, (_, y2, y3, y4) = _circular_orbit(obj, lam)
+        l_prime, b_prime = _slopes(obj, lam)
         res_i = _rel_residual(inv.B_inv * l_prime, inv.b_inv * b_prime)
-        x_c = circular_abscissa(obj, lam)
-        _, y2, y3, y4 = _derivs_at(obj, x_c, 4)
         res_ii = _rel_residual(3.0 * y2 * y4, 5.0 * y3 * y3)
         out.append(TheoremCheck(lam=lam, invariant_ode_residual=res_i,
                                 potential_ode_residual=res_ii,
@@ -196,8 +198,7 @@ def bertrand_check(obj: PotentialLike,
         raise InvalidParams("lam_grid needs at least two Lambda values")
     lps, bs = [], []
     for lam in lam_grid:
-        lps.append(_lam_derivative(
-            lambda L: invariants_from_potential(obj, L).l, lam))
+        lps.append(_slopes(obj, lam)[0])
         bs.append(invariants_from_potential(obj, lam).b_inv)
     q_fit = sum(lp * b for lp, b in zip(lps, bs)) / sum(b * b for b in bs)
     if abs(q_fit) < 1e-300:

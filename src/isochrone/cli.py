@@ -8,10 +8,10 @@ orbit    : sample one trajectory (CSV columns t,E,x,r,theta,zJ,zLambda)
 table    : elements rendered as an aligned text table
 verify   : JSON report of oracle comparisons and theorem checks
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 no bound
-orbit.  Floats are printed with 17 significant digits so outputs round-trip
-binary64 exactly and runs are byte-stable.  The ISOCHRONE_LOG environment
-variable sets the logging level.
+Exit codes: 0 success, 1 verification failure (a failed check or any other
+refusal), 2 invalid input, 3 no bound orbit.  Floats are printed with 17
+significant digits so outputs round-trip binary64 exactly and runs are
+byte-stable.  The ISOCHRONE_LOG environment variable sets the logging level.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -100,12 +100,17 @@ def _number(token: str, what: str, kind: type = float) -> float:
         raise InvalidParams(f"{what}: {token!r} is not {noun}") from None
 
 
-def _parse_kv(spec: str, fields: Sequence[str], what: str) -> dict[str, float]:
-    """Parse 'mu=1,beta=2' (a bare number is allowed for single-field specs)."""
+def _parse_kv(spec: str, fields: dict[str, Optional[float]],
+              what: str) -> dict[str, float]:
+    """Parse 'mu=1,beta=2' against {field: default}; a None default is required.
+
+    A bare number is allowed for single-field specs.  Only the given values
+    are returned, in the order given.
+    """
     out: dict[str, float] = {}
     spec = spec.strip()
     if "=" not in spec and len(fields) == 1:
-        return {fields[0]: _number(spec, what)}
+        return {next(iter(fields)): _number(spec, what)}
     for token in spec.split(","):
         if not token:
             continue
@@ -115,8 +120,8 @@ def _parse_kv(spec: str, fields: Sequence[str], what: str) -> dict[str, float]:
             raise InvalidParams(f"unknown {what} parameter {key!r} "
                                 f"(expected {', '.join(fields)})")
         out[key] = _number(val, f"{what} parameter {key}")
-    missing = [f for f in fields if f not in out and f != "mu"]
-    if missing and what != "plummer" and what != "gauge":
+    missing = [f for f, default in fields.items() if default is None and f not in out]
+    if missing:
         raise InvalidParams(f"{what} spec missing {', '.join(missing)}")
     return out
 
@@ -137,18 +142,24 @@ def _parse_grid(spec: str) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-_POTENTIAL_FLAGS = ("latin", "kepler", "harmonic", "henon", "bounded",
-                    "hollowed", "plummer")
+# The named potentials: flag -> (constructor, {field: default}), where a
+# None default marks a required field.
+_NAMED = {
+    "kepler": (potential.from_kepler, {"mu": 1.0}),
+    "harmonic": (potential.from_harmonic, {"omega": None}),
+    "henon": (potential.from_henon, {"mu": 1.0, "beta": None}),
+    "bounded": (potential.from_bounded, {"mu": 1.0, "beta": None}),
+    "hollowed": (potential.from_hollowed, {"mu": 1.0, "beta": None}),
+    "plummer": (oracle.plummer_potential, {"b": 1.0, "mu": 1.0}),
+}
+_GAUGE_FIELDS = {"eps": 0.0, "lam": 0.0}
+_POTENTIAL_FLAGS = ("latin", *_NAMED)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--latin", metavar="a,b,c,d,e")
-    p.add_argument("--kepler", metavar="mu=")
-    p.add_argument("--harmonic", metavar="omega=")
-    p.add_argument("--henon", metavar="mu=,beta=")
-    p.add_argument("--bounded", metavar="mu=,beta=")
-    p.add_argument("--hollowed", metavar="mu=,beta=")
-    p.add_argument("--plummer", metavar="b=[,mu=]")
+    for flag, (_, fields) in _NAMED.items():
+        p.add_argument(f"--{flag}", metavar=",".join(f"{f}=" for f in fields))
     p.add_argument("--gauge", metavar="eps=,lam=")
     p.add_argument("--xi", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
@@ -226,65 +237,41 @@ def _resolve_potential(args: argparse.Namespace, allow_generic: bool = False):
     form = present[0]
     raw = getattr(args, form)
     desc: dict = {"form": form}
-    params = None
-    generic = None
     if form == "latin":
         vals = [_number(v, "--latin") for v in str(raw).split(",")]
         if len(vals) != 5:
             raise InvalidParams("--latin needs exactly five coefficients")
-        params = ParabolaParams(*vals)
-    elif form == "kepler":
-        kv = _parse_kv(str(raw), ("mu",), "kepler")
-        params = potential.from_kepler(kv.get("mu", 1.0))
-        desc["greek"] = kv
-    elif form == "harmonic":
-        kv = _parse_kv(str(raw), ("omega",), "harmonic")
-        params = potential.from_harmonic(kv["omega"])
-        desc["greek"] = kv
-    elif form == "plummer":
-        kv = _parse_kv(str(raw), ("b", "mu"), "plummer")
-        generic = oracle.plummer_potential(mu=kv.get("mu", 1.0), b=kv.get("b", 1.0))
-        desc["greek"] = kv
+        pot = ParabolaParams(*vals)
     else:
-        kv = _parse_kv(str(raw), ("mu", "beta"), form)
-        ctor = {"henon": potential.from_henon,
-                "bounded": potential.from_bounded,
-                "hollowed": potential.from_hollowed}[form]
-        params = ctor(kv.get("mu", 1.0), kv["beta"])
+        ctor, fields = _NAMED[form]
+        kv = _parse_kv(str(raw), fields, form)
+        pot = ctor(**{**fields, **kv})
         desc["greek"] = kv
-    if args.gauge is not None:
-        if params is None:
+    if not isinstance(pot, ParabolaParams):
+        if args.gauge is not None:
             raise InvalidParams("--gauge applies only to parabola potentials")
-        kv = _parse_kv(str(args.gauge), ("eps", "lam"), "gauge")
-        params = potential.apply_gauge(
-            params, GaugeTerm(kv.get("eps", 0.0), kv.get("lam", 0.0)))
+        if not allow_generic:
+            raise InvalidParams(f"the {args.command} command needs a parabola potential")
+        desc["class"] = pot.name
+        return None, pot, desc
+    if args.gauge is not None:
+        kv = _parse_kv(str(args.gauge), _GAUGE_FIELDS, "gauge")
+        pot = potential.apply_gauge(pot, GaugeTerm(*{**_GAUGE_FIELDS, **kv}.values()))
         desc["gauge"] = kv
-    if generic is not None and not allow_generic:
-        raise InvalidParams(f"the {args.command} command needs a parabola potential")
-    if params is not None:
-        desc["latin"] = list(params.as_tuple())
-        desc["class"] = str(potential.classify(params))
-    else:
-        desc["class"] = generic.name
-    return params, generic, desc
+    desc["latin"] = list(pot.as_tuple())
+    desc["class"] = str(potential.classify(pot))
+    return pot, None, desc
 
 
 def _particle_grids(args: argparse.Namespace) -> tuple[list[float], list[float]]:
-    if args.xi_grid is not None:
-        xis = _parse_grid(args.xi_grid)
-    elif args.xi is not None:
-        xis = [args.xi]
-    else:
-        raise InvalidParams("provide --xi or --xi-grid")
-    if args.lambda_grid is not None:
-        lams = _parse_grid(args.lambda_grid)
-    elif args.lam is not None:
-        lams = [args.lam]
-    else:
-        raise InvalidParams("provide --lambda or --lambda-grid")
-    if not xis or not lams:
-        raise InvalidParams("grids must be non-empty")
-    return xis, lams
+    def grid(flag: str, spec: Optional[str], value: Optional[float]) -> list[float]:
+        if spec is not None:
+            return _parse_grid(spec)
+        if value is None:
+            raise InvalidParams(f"provide --{flag} or --{flag}-grid")
+        return [value]
+
+    return grid("xi", args.xi_grid, args.xi), grid("lambda", args.lambda_grid, args.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -326,27 +313,22 @@ def _element_rows(params: ParabolaParams, xis: Sequence[float],
                            ecc=el.ecc, alpha=alpha, x_p=el.x_p, x_a=el.x_a,
                            error=None)
             except IsochroneError as exc:
-                row.update(T=None, Theta=None, J=None, Omega=None, ecc=None,
-                           alpha=None, x_p=None, x_a=None,
+                row.update(dict.fromkeys(_ELEM_COLS[2:-1]),
                            error=f"{type(exc).__name__}: {exc}")
             rows.append(row)
     return rows
 
 
 def _rows_to_csv(rows: list[dict], cols: Sequence[str]) -> str:
-    lines = [",".join(cols)]
-    for row in rows:
-        cells = []
-        for c in cols:
-            v = row.get(c)
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(fmt(v))
-            else:
-                cells.append(str(v).replace(",", ";"))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, float):
+            return fmt(v)
+        return str(v).replace(",", ";")
+
+    lines = [cols] + [[cell(row.get(c)) for c in cols] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _columns_to_csv(cols: Sequence[str], columns: Sequence[np.ndarray]) -> str:
@@ -417,10 +399,23 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 # verification battery
 
 
-def _check(name: str, residual: float, tolerance: float, **extra) -> dict:
+def _rel(value: float, ref: float, floor: float = 0.0) -> float:
+    """Relative residual |value - ref| / max(|ref|, floor)."""
+    return abs(value - ref) / max(abs(ref), floor)
+
+
+def _check(checks: list[dict], name: str, residuals: Iterable[float],
+           tolerance: float, **extra) -> dict:
+    """Append and return the record of one check: its largest residual.
+
+    A NaN residual is reported as NaN and fails.
+    """
+    values = [0.0, *residuals]
+    residual = math.nan if any(map(math.isnan, values)) else max(values)
     rec = {"name": name, "residual": residual, "tolerance": tolerance,
            "pass": bool(residual <= tolerance)}
     rec.update(extra)
+    checks.append(rec)
     return rec
 
 
@@ -430,69 +425,55 @@ def _verify_parabola(params: ParabolaParams, lams: Sequence[float],
     cls = potential.classify(params)
     b = params.b
 
-    # Universal parabola ODE on interior points.
+    # Universal parabola ODE 3 Y2 Y4 = 5 Y3^2 on interior points.
     xlo, xhi = potential.domain(params)
     hi_ref = xhi if math.isfinite(xhi) else max(100.0, 100.0 * max(xlo, 1.0))
-    span = hi_ref - xlo
-    xs = [xlo + span * (10.0 ** (-6.0 + 5.9 * i / 19)) for i in range(20)]
-    worst = 0.0
-    for x in xs:
-        if b != 0.0:
-            _, y2, y3, y4 = potential.y_derivatives(params, x, 4)
-            denom = max(1.0, abs(5.0 * y3 * y3))
-            worst = max(worst, abs(potential.ode_residual_from_derivatives(
-                y2, y3, y4)) / denom)
-    checks.append(_check("parabola_ode_residual", worst, 1e-10))
+    xs = [xlo + (hi_ref - xlo) * (10.0 ** (-6.0 + 5.9 * i / 19)) for i in range(20)]
+    derivs = [potential.y_derivatives(params, x, 4) for x in xs]
+    _check(checks, "parabola_ode_residual",
+           (_rel(3.0 * y2 * y4, 5.0 * y3 * y3, 1.0) for _, y2, y3, y4 in derivs),
+           1e-10)
 
-    # Identity suite over a feasible grid.
-    res_omega_t = res_ratio = res_half = res_round = res_third = 0.0
-    oracle_t = oracle_th = oracle_j = 0.0
+    # The feasible grid: each orbit's elements and its three quadratures, in
+    # a row, so that the oracle solves the orbit's turning points once.
+    grid = []
     for lam in lams:
         for frac in (0.35, 0.7):
-            xi = analytic.feasible_energy(params, lam, frac)
-            oc = OrbitConstants(xi, lam)
-            el = analytic.orbit_elements(params, oc)
-            res_omega_t = max(res_omega_t,
-                              abs(el.omega_r * el.T - 2 * math.pi) / (2 * math.pi))
-            om_j, om_l = analytic.frequencies(params, el.J, lam)
-            ratio_ref = el.Theta / (2 * math.pi)
-            res_ratio = max(res_ratio, abs(om_l / om_j - ratio_ref) / ratio_ref)
-            th_half = analytic.angle_of_E(params, oc, el, math.pi)
-            res_half = max(res_half, abs(th_half - el.Theta / 2) / (el.Theta / 2))
-            res_round = max(res_round,
-                            abs(analytic.hamiltonian(params, el.J, lam) - xi)
-                            / max(abs(xi), 1.0))
-            if b != 0.0:
-                rhs = math.sqrt(params.delta / (2.0 * abs(b) ** 3))
-                lhs = el.omega_r**2 * abs(el.alpha2) ** 1.5
-                res_third = max(res_third, abs(lhs - rhs) / rhs)
-            qt = oracle.quad_radial_period(params, oc).value
-            qh = oracle.quad_apsidal_angle(params, oc).value
-            qj = oracle.quad_radial_action(params, oc).value
-            oracle_t = max(oracle_t, abs(el.T - qt) / el.T)
-            oracle_th = max(oracle_th, abs(el.Theta - qh) / el.Theta)
-            oracle_j = max(oracle_j, abs(el.J - qj) / max(el.J, 1.0))
-    checks.append(_check("identity_omega_times_T", res_omega_t, 1e-10))
-    checks.append(_check("identity_frequency_ratio", res_ratio, 1e-10))
-    checks.append(_check("identity_theta_pi_half_apsidal", res_half, 1e-10))
-    checks.append(_check("hamiltonian_roundtrip", res_round, 1e-10))
+            oc = OrbitConstants(analytic.feasible_energy(params, lam, frac), lam)
+            grid.append((analytic.orbit_elements(params, oc),
+                         oracle.quad_radial_period(params, oc).value,
+                         oracle.quad_apsidal_angle(params, oc).value,
+                         oracle.quad_radial_action(params, oc).value))
+    els = [el for el, *_ in grid]
+    freqs = [analytic.frequencies(params, el.J, el.lam) for el in els]
+    _check(checks, "identity_omega_times_T",
+           (_rel(el.omega_r * el.T, 2 * math.pi) for el in els), 1e-10)
+    _check(checks, "identity_frequency_ratio",
+           (_rel(om_l / om_j, el.Theta / (2 * math.pi))
+            for el, (om_j, om_l) in zip(els, freqs)), 1e-10)
+    _check(checks, "identity_theta_pi_half_apsidal",
+           (_rel(analytic.angle_of_E(el, math.pi), el.Theta / 2) for el in els), 1e-10)
+    _check(checks, "hamiltonian_roundtrip",
+           (_rel(analytic.hamiltonian(params, el.J, el.lam), el.xi, 1.0) for el in els),
+           1e-10)
     if b != 0.0:
-        checks.append(_check("identity_third_law_alpha", res_third, 1e-10))
-    checks.append(_check("oracle_radial_period", oracle_t, tol))
-    checks.append(_check("oracle_apsidal_angle", oracle_th, tol))
-    checks.append(_check("oracle_radial_action", oracle_j, tol))
+        rhs = math.sqrt(params.delta / (2.0 * abs(b) ** 3))
+        _check(checks, "identity_third_law_alpha",
+               (_rel(el.omega_r**2 * abs(el.alpha2) ** 1.5, rhs) for el in els), 1e-10)
+    _check(checks, "oracle_radial_period", (_rel(qt, el.T) for el, qt, _, _ in grid), tol)
+    _check(checks, "oracle_apsidal_angle",
+           (_rel(qh, el.Theta) for el, _, qh, _ in grid), tol)
+    _check(checks, "oracle_radial_action",
+           (_rel(qj, el.J, 1.0) for el, _, _, qj in grid), tol)
 
     # Third law via the circular-energy route.
-    res = 0.0
-    for lam in lams:
-        xi = analytic.feasible_energy(params, lam, 0.5)
-        t_direct = analytic.radial_period(params, xi)
-        res = max(res, abs(birkhoff.third_law(params, xi) - t_direct) / t_direct)
-    checks.append(_check("third_law_consistency", res, 1e-10))
+    xi_mids = [analytic.feasible_energy(params, lam, 0.5) for lam in lams]
+    _check(checks, "third_law_consistency",
+           (_rel(birkhoff.third_law(params, xi), analytic.radial_period(params, xi))
+            for xi in xi_mids), 1e-10)
 
     # Isochrony of the quadrature period at fixed energy.
-    lam_mid = lams[len(lams) // 2]
-    xi_fix = analytic.feasible_energy(params, lam_mid, 0.5)
+    lam_mid, xi_fix = lams[len(lams) // 2], xi_mids[len(lams) // 2]
     adm = []
     for lam in lams:
         try:
@@ -501,90 +482,77 @@ def _verify_parabola(params: ParabolaParams, lams: Sequence[float],
         except IsochroneError:
             continue
     if len(adm) >= 2:
-        checks.append(_check("isochrony_spread",
-                             oracle.isochrony_spread(params, xi_fix, adm), tol))
+        _check(checks, "isochrony_spread",
+               [oracle.isochrony_spread(params, xi_fix, adm)], tol)
 
     # Birkhoff route equality and the theorem residuals.
-    dl = db = dB = 0.0
-    for lam in lams:
-        i1 = birkhoff.invariants_from_potential(params, lam)
-        i2 = birkhoff.invariants_from_period(params, lam)
-        dl = max(dl, abs(i1.l - i2.l) / max(abs(i2.l), 1.0))
-        db = max(db, abs(i1.b_inv - i2.b_inv) / i2.b_inv)
-        dB = max(dB, abs(i1.B_inv - i2.B_inv) / max(abs(i2.B_inv), 1.0))
-    checks.append(_check("birkhoff_route_l", dl, 1e-10))
-    checks.append(_check("birkhoff_route_b", db, 1e-10))
-    checks.append(_check("birkhoff_route_B", dB, 1e-6))
+    routes = [(birkhoff.invariants_from_potential(params, lam),
+               birkhoff.invariants_from_period(params, lam)) for lam in lams]
+    _check(checks, "birkhoff_route_l", (_rel(i1.l, i2.l, 1.0) for i1, i2 in routes), 1e-10)
+    _check(checks, "birkhoff_route_b", (_rel(i1.b_inv, i2.b_inv) for i1, i2 in routes),
+           1e-10)
+    _check(checks, "birkhoff_route_B",
+           (_rel(i1.B_inv, i2.B_inv, 1.0) for i1, i2 in routes), 1e-6)
     thm = birkhoff.isochrone_theorem_check(params, lams)
-    checks.append(_check("isochrone_theorem_invariant_ode",
-                         max(c.invariant_ode_residual for c in thm), 1e-6))
-    checks.append(_check("isochrone_theorem_parabola_ode",
-                         max(c.potential_ode_residual for c in thm), 1e-6))
+    _check(checks, "isochrone_theorem_invariant_ode",
+           (c.invariant_ode_residual for c in thm), 1e-6)
+    _check(checks, "isochrone_theorem_parabola_ode",
+           (c.potential_ode_residual for c in thm), 1e-6)
 
     # Frequency-map wedge invariants.
     fi = birkhoff.frequency_invariants(params, 0.1, lam_mid)
-    checks.append(_check("frequency_invariant_isochrony", abs(fi.j_inv), 1e-6,
-                         g_inv=fi.g_inv, t_inv=fi.t_inv))
+    _check(checks, "frequency_invariant_isochrony", [abs(fi.j_inv)], 1e-6,
+           g_inv=fi.g_inv, t_inv=fi.t_inv)
 
     # One eccentric trajectory against the ODE oracle.
-    xi = analytic.feasible_energy(params, lam_mid, 0.6)
-    oc = OrbitConstants(xi, lam_mid)
+    oc = OrbitConstants(analytic.feasible_energy(params, lam_mid, 0.6), lam_mid)
     el = analytic.orbit_elements(params, oc)
     times = np.linspace(0.0, el.T, 101)
     traj = analytic.trajectory(params, oc, times)
     states = oracle.integrate_orbit(params, oc, el.T, reltol=1e-11, t_eval=times)
-    dr = max(abs(s.r - st.r) for s, st in zip(traj, states)) / el.r_a
-    dth = max(abs(s.theta - st.theta) for s, st in zip(traj, states)) / el.Theta
-    checks.append(_check("trajectory_vs_ode_radius", dr, 1e-6))
-    checks.append(_check("trajectory_vs_ode_angle", dth, 1e-6))
+    _check(checks, "trajectory_vs_ode_radius",
+           (abs(s.r - st.r) / el.r_a for s, st in zip(traj, states)), 1e-6)
+    _check(checks, "trajectory_vs_ode_angle",
+           (abs(s.theta - st.theta) / el.Theta for s, st in zip(traj, states)), 1e-6)
     if b != 0.0 and params.x_v > 0.0:
-        th, im = analytic.angle_of_E_with_residual(params, oc, el,
-                                                   np.linspace(0.0, math.pi, 41))
-        imres = float(np.max(im / np.maximum(np.abs(th), 1e-30)))
-        checks.append(_check("complex_branch_imaginary_residual", imres, 1e-12))
+        th, im = analytic.angle_of_E_with_residual(el, np.linspace(0.0, math.pi, 41))
+        _check(checks, "complex_branch_imaginary_residual",
+               (im / np.maximum(np.abs(th), 1e-30)).tolist(), 1e-12)
 
     if with_bertrand:
         q_fit, q_res = birkhoff.bertrand_check(params, lams)
         if cls.family is PotentialFamily.HARMONIC or cls.kepler_degenerate:
             q_expect = 0.5 if cls.family is PotentialFamily.HARMONIC else 1.0
-            checks.append(_check("bertrand_constant_Q",
-                                 max(abs(q_fit - q_expect), q_res), 1e-6,
-                                 q_fit=q_fit))
+            _check(checks, "bertrand_constant_Q", [abs(q_fit - q_expect), q_res], 1e-6,
+                   q_fit=q_fit)
         else:
             # Non-Bertrand isochrones must fail the constant-Q fit.
-            rec = _check("bertrand_non_constant_Q", q_res, 1e-3, q_fit=q_fit)
+            rec = _check(checks, "bertrand_non_constant_Q", [q_res], 1e-3, q_fit=q_fit)
             rec["pass"] = bool(q_res > 1e-3)
-            checks.append(rec)
     return checks
 
 
 def _verify_generic(gen: oracle.RadialPotential, xi: float,
                     lams: Sequence[float], tol: float) -> list[dict]:
-    spread = oracle.isochrony_spread(gen, xi, lams)
+    checks: list[dict] = []
+    _check(checks, "isochrony_spread", [oracle.isochrony_spread(gen, xi, lams)], tol)
+    oc = OrbitConstants(xi, lams[0])
     states = oracle.integrate_orbit(
-        gen, OrbitConstants(xi, lams[0]),
-        4.0 * oracle.quad_radial_period(gen, OrbitConstants(xi, lams[0])).value,
-        reltol=1e-10)
-    drift = max(s.energy_drift for s in states)
-    return [
-        _check("isochrony_spread", spread, tol),
-        _check("ode_energy_drift", drift, 1e-9),
-    ]
+        gen, oc, 4.0 * oracle.quad_radial_period(gen, oc).value, reltol=1e-10)
+    _check(checks, "ode_energy_drift", (s.energy_drift for s in states), 1e-9)
+    return checks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params, generic, desc = _resolve_potential(args, allow_generic=True)
     tol = args.tol if args.tol is not None else 1e-8
+    default_grid = "0.3:0.75:10" if generic is not None else "0.6:1.4:5"
+    lams = _parse_grid(args.lambda_grid if args.lambda_grid is not None else default_grid)
     if generic is not None:
         xi = args.xi if args.xi is not None else -0.4
-        lams = (_parse_grid(args.lambda_grid) if args.lambda_grid is not None
-                else _parse_grid("0.3:0.75:10"))
         checks = _verify_generic(generic, xi, lams, tol)
     else:
-        lams = (_parse_grid(args.lambda_grid) if args.lambda_grid is not None
-                else _parse_grid("0.6:1.4:5"))
-        checks = _verify_parabola(params, lams, tol,
-                                  with_bertrand=bool(getattr(args, "bertrand", None)))
+        checks = _verify_parabola(params, lams, tol, with_bertrand=bool(args.bertrand))
     passed = all(c["pass"] for c in checks)
     report = {"potential": desc, "tolerance": tol, "checks": checks,
               "passed": passed}
@@ -613,12 +581,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "orbit":
             return cmd_orbit(args)
         return cmd_verify(args)
-    except _ORBIT_ERRORS as exc:
+    except IsochroneError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _INPUT_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, _ORBIT_ERRORS):
+            return 3
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 1
 
 
 if __name__ == "__main__":

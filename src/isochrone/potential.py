@@ -46,6 +46,7 @@ __all__ = [
 
 # Tolerance below which x_v is treated as exactly zero (Kepler degeneracy).
 _XV_ZERO = 1e-14
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -192,23 +193,43 @@ def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray
     ``x`` may be a float or a float64 array; the array result equals the
     float call element for element (same operations in the same order).  An
     array is rejected exactly when the float call on one of its elements
-    would be, and the error names the first such element.
+    would be, and the error names such an element.  Where Y does not come
+    out finite (x = inf, or an overflow) it raises OutOfDomain.
     """
+    if isinstance(x, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if params.b == 0.0:
+                d = params.d
+                y = -(params.c / d) * x - params.e / d - (params.a**2 / d) * x * x
+            else:
+                outside = (x < params._xlo) | (x > params._xhi)
+                if outside.any():
+                    raise _out_of_domain(params, x[outside][0])
+                w = np.maximum(params._bdelta * (x - params._x_v), 0.0)
+                y = params._slope * x - params._offset - np.sqrt(w) / params._b2
+        return _finite(y, "Y", "x", x)
     if params.b == 0.0:
         d = params.d
-        return -(params.c / d) * x - params.e / d - (params.a**2 / d) * x * x
-    if isinstance(x, np.ndarray):
-        outside = (x < params._xlo) | (x > params._xhi)
-        if outside.any():
-            raise _out_of_domain(params, x[outside][0])
-        w = np.maximum(params._bdelta * (x - params._x_v), 0.0)
-        return params._slope * x - params._offset - np.sqrt(w) / params._b2
-    if x < params._xlo or x > params._xhi:
+        y = -(params.c / d) * x - params.e / d - (params.a**2 / d) * x * x
+    elif x < params._xlo or x > params._xhi:
         raise _out_of_domain(params, x)
-    w = params._bdelta * (x - params._x_v)
-    if w < 0.0:  # max(w, 0.0) without the builtin call
-        w = 0.0
-    return params._slope * x - params._offset - math.sqrt(w) / params._b2
+    else:
+        w = params._bdelta * (x - params._x_v)
+        if w < 0.0:  # max(w, 0.0) without the builtin call
+            w = 0.0
+        y = params._slope * x - params._offset - math.sqrt(w) / params._b2
+    if y - y == 0.0:  # finite: inf - inf and nan - nan are nan
+        return y
+    raise OutOfDomain(f"Y is not finite at x = {x:g}")
+
+
+def _finite(values: np.ndarray, what: str, var: str, at: np.ndarray) -> np.ndarray:
+    """``values``, or OutOfDomain naming the first point of ``at`` where one
+    of them is not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise OutOfDomain(f"{what} is not finite at {var} = {at[bad][0]:g}")
+    return values
 
 
 def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[float]:
@@ -249,19 +270,23 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
 def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarray:
     """Potential in r-space, psi(r) = Y(2 r^2) / (2 r^2).
 
-    ``r`` may be a float or a float64 array, as for :func:`y_value`.
+    ``r`` may be a float or a float64 array, as for :func:`y_value`.  Where
+    2 r^2 underflows to 0, or psi does not come out finite, it raises
+    OutOfDomain.
     """
     # The plain test adds nothing to QUADPACK's scalar calls; an array's
     # truth value is ambiguous (ValueError), so an array takes np.any.
-    # Below r ~ 1e-162, x underflows to 0.
-    x = 2.0 * r * r
     try:
         if r <= 0.0:
             raise OutOfDomain("psi_value requires r > 0")
     except ValueError:
-        if np.any(r <= 0.0) or not x.all():
-            raise OutOfDomain("psi_value requires r > 0 and 2 r^2 > 0") from None
-    if params.b == 0.0 or isinstance(x, np.ndarray):
+        with np.errstate(over="ignore"):
+            x = 2.0 * r * r
+            if np.any(r <= 0.0) or not x.all():
+                raise OutOfDomain("psi_value requires r > 0 and 2 r^2 > 0") from None
+            return _finite(y_value(params, x) / x, "psi", "r", r)
+    x = 2.0 * r * r
+    if params.b == 0.0:
         y = y_value(params, x)
     elif x < params._xlo or x > params._xhi:
         raise _out_of_domain(params, x)
@@ -271,16 +296,23 @@ def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarr
             w = 0.0
         y = params._slope * x - params._offset - math.sqrt(w) / params._b2
     try:
-        return y / x
-    except ZeroDivisionError:
+        psi = y / x
+    except ZeroDivisionError:  # x underflows to 0 below r ~ 1e-162
         raise OutOfDomain("psi_value requires 2 r^2 > 0") from None
+    if psi - psi == 0.0:  # finite: inf - inf and nan - nan are nan
+        return psi
+    raise OutOfDomain(f"psi is not finite at r = {r:g}")
 
 
 def psi_derivative(params: ParabolaParams, r: float) -> float:
-    """d psi / d r = 4 r (x Y' - Y) / x^2 at x = 2 r^2, with W and sqrt(W) once."""
+    """d psi / d r = 4 r (x Y' - Y) / x^2 at x = 2 r^2, with W and sqrt(W) once;
+    OutOfDomain where x^2 underflows to 0 or overflows."""
     if r <= 0.0:
         raise OutOfDomain("psi_derivative requires r > 0")
     x = 2.0 * r * r
+    xx = x * x
+    if xx > _FLOAT_MAX:  # above r ~ 8e76
+        raise OutOfDomain(f"psi_derivative: (2 r^2)^2 overflows at r = {r:g}")
     if params.b == 0.0:
         y = y_value(params, x)
         yp = y_derivatives(params, x, 1)[0]
@@ -294,7 +326,7 @@ def psi_derivative(params: ParabolaParams, r: float) -> float:
         y = params._slope * x - params._offset - sw / params._b2
         yp = params._slope - params.delta / (params._2b * sw)
     try:
-        return 4.0 * r * (yp * x - y) / (x * x)
+        return 4.0 * r * (yp * x - y) / xx
     except ZeroDivisionError:  # x^2 underflows to 0 below r ~ 1e-81
         raise OutOfDomain("psi_derivative requires (2 r^2)^2 > 0") from None
 

@@ -128,8 +128,7 @@ def test_criterion_05_trajectory_equivalence(all_classes):
                                      zip(traj, states)) / el.Theta)
         if name in ("bounded", "hollowed"):
             for e_val in np.linspace(0.0, math.pi, 41):
-                th, im = analytic.angle_of_E_with_residual(
-                    params, oc, el, float(e_val))
+                th, im = analytic.angle_of_E_with_residual(el, float(e_val))
                 worst_im = max(worst_im, im / max(abs(th), 1e-30))
     elapsed = time.perf_counter() - t0
     ok = (worst_r <= 1e-6 and worst_th <= 1e-6 and worst_im <= 1e-12
@@ -169,7 +168,7 @@ def test_criterion_07_identity_suite(all_classes):
             om_j, om_l = analytic.frequencies(params, el.J, oc.lam)
             ratio = el.Theta / (2 * math.pi)
             worst = max(worst, abs(om_l / om_j - ratio) / ratio)
-            th = analytic.angle_of_E(params, oc, el, math.pi)
+            th = analytic.angle_of_E(el, math.pi)
             worst = max(worst, abs(th - el.Theta / 2) / (el.Theta / 2))
     record(7, "identities Omega*T, Omega^2 alpha^3, freq ratio, theta(pi) "
               "<= 1e-10", worst <= 1e-10, f"worst {worst:.1e}")

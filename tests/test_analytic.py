@@ -266,49 +266,49 @@ def test_solve_kepler_monotone(ecc, m1, dm):
 def test_radius_of_E_endpoints(all_classes):
     for _, params, oc in all_classes:
         el = orbit_elements(params, oc)
-        assert radius_of_E(params, el, 0.0)[0] == pytest.approx(el.x_p, rel=1e-12)
-        assert radius_of_E(params, el, math.pi)[0] == pytest.approx(
+        assert radius_of_E(el, 0.0)[0] == pytest.approx(el.x_p, rel=1e-12)
+        assert radius_of_E(el, math.pi)[0] == pytest.approx(
             el.x_a, rel=1e-12)
 
 
 def test_radius_of_E_kepler_midpoint(kepler):
     el = orbit_elements(kepler, GOLDEN)
-    _, r = radius_of_E(kepler, el, math.pi / 2)
+    _, r = radius_of_E(el, math.pi / 2)
     assert r == pytest.approx(1.0, rel=1e-13)
 
 
 def test_radius_of_E_harmonic_midpoint(harmonic):
     oc = OrbitConstants(2.5, 1.0)
     el = orbit_elements(harmonic, oc)
-    x, _ = radius_of_E(harmonic, el, math.pi / 2)
+    x, _ = radius_of_E(el, math.pi / 2)
     assert x == pytest.approx(0.5 * (el.x_p + el.x_a), rel=1e-12)
 
 
 def test_angle_of_E_kepler_quadrant(kepler):
     el = orbit_elements(kepler, GOLDEN)
-    assert angle_of_E(kepler, GOLDEN, el, 0.0) == 0.0
-    assert angle_of_E(kepler, GOLDEN, el, math.pi / 2) == pytest.approx(
+    assert angle_of_E(el, 0.0) == 0.0
+    assert angle_of_E(el, math.pi / 2) == pytest.approx(
         2.0 * math.atan(2.0), rel=1e-13)
 
 
 def test_angle_half_period_is_half_apsidal(all_classes):
     for _, params, _ in all_classes:
         for oc, el in grid_orbits(params, LAM_GRID, fracs=(0.4, 0.75)):
-            th = angle_of_E(params, oc, el, math.pi)
+            th = angle_of_E(el, math.pi)
             assert th == pytest.approx(el.Theta / 2.0, rel=1e-10)
 
 
 def test_angle_reflection_and_periodicity(henon):
     oc = OrbitConstants(-0.12, 1.0)
     el = orbit_elements(henon, oc)
-    th1 = angle_of_E(henon, oc, el, 1.0)
-    assert angle_of_E(henon, oc, el, 2 * math.pi - 1.0) == pytest.approx(
+    th1 = angle_of_E(el, 1.0)
+    assert angle_of_E(el, 2 * math.pi - 1.0) == pytest.approx(
         el.Theta - th1, rel=1e-12)
-    assert angle_of_E(henon, oc, el, 1.0 + 4 * math.pi) == pytest.approx(
+    assert angle_of_E(el, 1.0 + 4 * math.pi) == pytest.approx(
         2 * el.Theta + th1, rel=1e-12)
     e_vals = np.array([[0.0, 1.0], [math.pi, 7.5]])
-    assert angle_of_E(henon, oc, el, e_vals).tolist() == [
-        [angle_of_E(henon, oc, el, e) for e in row] for row in e_vals.tolist()]
+    assert angle_of_E(el, e_vals).tolist() == [
+        [angle_of_E(el, e) for e in row] for row in e_vals.tolist()]
 
 
 def test_complex_branch_imaginary_residual(bounded, hollowed):
@@ -317,7 +317,7 @@ def test_complex_branch_imaginary_residual(bounded, hollowed):
         el = orbit_elements(params, oc)
         for i in range(41):
             e_val = math.pi * i / 40.0
-            th, resid = angle_of_E_with_residual(params, oc, el, e_val)
+            th, resid = angle_of_E_with_residual(el, e_val)
             assert resid <= 1e-12 * max(abs(th), 1e-30)
 
 
@@ -433,9 +433,9 @@ def test_empty_trajectory_and_non_finite_inputs(kepler):
         with pytest.raises(InvalidParams):
             solve_kepler(0.5, bad)
         with pytest.raises(InvalidParams):
-            radius_of_E(kepler, el, bad)
+            radius_of_E(el, bad)
         with pytest.raises(InvalidParams):
-            angle_of_E(kepler, GOLDEN, el, bad)
+            angle_of_E(el, bad)
 
 
 # ---------------------------------------------------------------------------

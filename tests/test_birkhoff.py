@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from isochrone import analytic
+from isochrone import analytic, birkhoff
 from isochrone.analytic import OrbitConstants
 from isochrone.birkhoff import (
     Route,
@@ -17,7 +17,7 @@ from isochrone.birkhoff import (
 )
 from isochrone.errors import IsochroneError, NoCircularOrbit
 from isochrone.oracle import RadialPotential, plummer_potential
-from isochrone.potential import y_derivatives, y_value
+from isochrone.potential import from_henon, y_derivatives, y_value
 
 from conftest import gauged_potentials
 
@@ -144,6 +144,24 @@ def test_bertrand_kepler_and_harmonic(kepler, harmonic):
 def test_bertrand_henon_not_constant(henon):
     _, res = bertrand_check(henon, LAM_GRID)
     assert res > 1e-3
+
+
+@pytest.mark.parametrize("check", [isochrone_theorem_check, bertrand_check])
+@pytest.mark.parametrize("pot", [from_henon(1.0, 1.0), plummer_potential(1.0, 1.0)],
+                         ids=["henon", "plummer"])
+def test_each_lambda_solves_three_circular_orbits(check, pot, monkeypatch):
+    # Lambda itself and the pair Lambda +- h of the central differences.
+    solved = []
+    solve = birkhoff.circular_abscissa
+
+    def counted(obj, lam):
+        solved.append(lam)
+        return solve(obj, lam)
+
+    monkeypatch.setattr(birkhoff, "circular_abscissa", counted)
+    check(pot, LAM_GRID)
+    assert len(solved) == 3 * len(LAM_GRID)
+    assert sorted(set(solved)) == sorted(solved)
 
 
 def test_third_law_values(kepler, harmonic, henon):

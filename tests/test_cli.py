@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isochrone import cli
+from isochrone import cli, oracle
 from isochrone.cli import _columns_to_csv, _rows_to_csv, main
+from isochrone.errors import DomainExit, StepSizeUnderflow
 
 
 def run_cli(args, capsys):
@@ -347,4 +348,65 @@ def test_verify_battery_verdicts_match_reference(battery, tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", *ref["argv"], "-o", str(out)]) == ref["exit_code"]
     checks = json.loads(out.read_text())["checks"]
-    assert [(c["name"], c["pass"]) for c in checks] == list(ref["checks"].items())
+    assert [c["name"] for c in checks] == list(ref["checks"])
+    assert [c["pass"] for c in checks] == list(ref["checks"].values())
+
+
+@pytest.mark.parametrize("battery", sorted(REFERENCE))
+def test_verify_battery_solves_each_orbit_once(battery, monkeypatch, tmp_path):
+    # The three quadratures of one orbit ask in a row, so the oracle's kept
+    # turning points serve them all: one solve per distinct parabola orbit.
+    # Harmonic's fixed-energy orbit (xi 2, Lambda 0.6) is also a grid orbit,
+    # asked for again by the isochrony check, so it is solved twice; the
+    # generic Plummer potential is solved on every call.
+    calls, solves = [], []
+    turning_radii, solve = oracle.turning_radii, oracle._solve_radii
+
+    def counted_call(pot, oc):
+        calls.append((pot, oc))
+        return turning_radii(pot, oc)
+
+    def counted_solve(p, oc):
+        solves.append(oc)
+        return solve(p, oc)
+
+    monkeypatch.setattr(oracle, "turning_radii", counted_call)
+    monkeypatch.setattr(oracle, "_solve_radii", counted_solve)
+    oracle._parabola_radii.cache_clear()
+    main(["verify", *REFERENCE[battery]["argv"], "-o", str(tmp_path / "r.json")])
+    if battery == "plummer":
+        assert len(solves) == len(calls) == 12
+    else:
+        assert len(solves) == len(set(calls)) + (battery == "harmonic")
+    assert (len(calls), len(solves)) == {
+        "henon": (36, 16), "kepler": (36, 16), "bounded": (31, 11),
+        "hollowed": (36, 16), "harmonic": (36, 16), "henon-gauged": (36, 16),
+        "plummer": (12, 12)}[battery]
+
+
+def test_oracle_refusal_exits_1(capsys):
+    # Lambda near 0 gives near-radial orbits the quadrature refuses.
+    code, out, err = run_cli(
+        ["verify", "--henon", "mu=1,beta=1", "--lambda-grid", "0.001:0.01:3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ToleranceNotMet: ")
+
+
+@pytest.mark.parametrize("refusal", [StepSizeUnderflow, DomainExit])
+def test_every_isochrone_error_exits_1_with_one_line(refusal, monkeypatch, capsys):
+    def refuse(pot, oc, *args, **kwargs):
+        raise refusal("planted")
+
+    monkeypatch.setattr(cli.oracle, "quad_apsidal_angle", refuse)
+    code, out, err = run_cli(["verify", "--kepler", "mu=1"], capsys)
+    assert (code, out, err) == (1, "", f"error: {refusal.__name__}: planted\n")
+
+
+def test_check_reports_a_nan_residual_as_a_failure():
+    checks = []
+    rec = cli._check(checks, "planted", [1e-12, math.nan, 0.0], 1e-6, extra=1.0)
+    assert checks == [rec]
+    assert math.isnan(rec["residual"]) and rec["pass"] is False
+    assert list(rec) == ["name", "residual", "tolerance", "pass", "extra"]
+    assert cli._check(checks, "empty", [], 1e-6)["residual"] == 0.0

@@ -333,6 +333,50 @@ def test_underflowing_radius_is_out_of_domain(kepler, henon):
     assert psi_derivative(kepler, 1e-60) == pytest.approx(1e120, rel=1e-14)
 
 
+def _henon_psi(mu, beta, eps=0, lam=0):
+    def psi(r):
+        return -mu / (beta + mpmath.sqrt(beta**2 + r**2)) + eps + lam / (2 * r**2)
+    return psi
+
+
+# psi(r) of each family in closed form, evaluated in mpmath; None outside
+# the family's domain.
+OVERFLOW_CASES = {
+    "kepler": (from_kepler(1.0), lambda r: -1 / r),
+    "harmonic": (from_harmonic(2.0), lambda r: 4 * r**2 / 8),
+    "henon": (from_henon(1.0, 1.0), _henon_psi(1, 1)),
+    "bounded": (from_bounded(1.0, 1.0), lambda r: None),
+    "hollowed": (from_hollowed(1.0, 1.0), lambda r: -mpmath.sqrt(r**2 - 1) / r**2),
+    "gauged henon": (apply_gauge(from_henon(1.0, 1.0), GaugeTerm(0.1, 0.2)),
+                     _henon_psi(1, 1, mpmath.mpf("0.1"), mpmath.mpf("0.2"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_CASES))
+def test_overflowing_radius_is_out_of_domain_or_exact(name):
+    # x = 2 r^2 overflows above r ~ 9e153 and x^2 above r ~ 8e76: psi and
+    # psi' either come out right or raise, never nan, inf or a silent 0.
+    params, closed = OVERFLOW_CASES[name]
+    for r in (1e100, 1e150, 1e160, 1e200):
+        with mpmath.workdps(40):
+            r_mp = mpmath.mpf(r)
+            exact = closed(r_mp)
+            slope = (None if exact is None
+                     else mpmath.diff(closed, r_mp, h=r_mp * mpmath.mpf("1e-15")))
+        for call, ref in ((lambda: psi_value(params, r), exact),
+                          (lambda: psi_value(params, np.array([1.0, r]))[-1], exact),
+                          (lambda: psi_derivative(params, r), slope)):
+            try:
+                got = call()
+            except OutOfDomain:
+                continue
+            assert ref is not None and math.isfinite(got)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+    for x in (math.inf, np.array([1.0, math.inf])):
+        with pytest.raises(OutOfDomain):
+            y_value(params, x)
+
+
 # ---------------------------------------------------------------------------
 # gauge
 
