@@ -19,6 +19,12 @@ r = r_p + (r_a - r_p) sin(u)^2, removes them, and one core integrates each
 quantity's smooth integrand in u by QUADPACK's adaptive Gauss-Kronrod rule.
 A parabola's turning points are solved once per orbit: the three
 quadratures and the ODE of the same (params, oc) share the last solve.
+
+scipy is imported inside the four functions that call it, on the first
+oracle call, not with this module: the closed-form commands (``classify``,
+``elements``, ``table``, ``orbit``) never load it.  It stays a runtime
+dependency: ``verify``, the oracle's functions and the Birkhoff checks of a
+generic :class:`RadialPotential` load it.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
 from . import potential as potmod
 from .analytic import OrbitConstants
@@ -215,6 +219,8 @@ def _search_window(p: RadialPotential) -> tuple[float, float]:
 def _force_balance_radius(p: RadialPotential, lam: float, lo: float,
                           hi: float) -> Optional[float]:
     """Circular radius from Lambda^2 / r^3 = psi'(r); sharp, unlike the kinetic max."""
+    from scipy.optimize import brentq
+
     def bal(r: float) -> float:
         return lam**2 / r**3 - p.force_term(r)
 
@@ -251,6 +257,8 @@ def _parabola_radii(params: ParabolaParams, oc: OrbitConstants) -> tuple[float, 
 
 
 def _solve_radii(p: RadialPotential, oc: OrbitConstants) -> tuple[float, float]:
+    from scipy.optimize import brentq, minimize_scalar
+
     kin = _radial_kinetic(p, oc)
     lo, hi = _search_window(p)
     grid = np.geomspace(lo, hi, 600)
@@ -320,6 +328,8 @@ def _orbit_integral(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
     _CIRCULAR_SPAN r_a, where g cancels to noise, gets the quantity's
     near-circular limit ``circular(p, oc, r_c)`` at the mean radius instead.
     """
+    from scipy.integrate import quad
+
     p = as_potential(pot)
     kin = _radial_kinetic(p, oc)
     r_p, r_a = turning_radii(pot, oc)
@@ -394,6 +404,8 @@ def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,
     or else 200 evenly spaced times.  Raises DomainExit if a finite domain
     wall is reached and StepSizeUnderflow on integrator failure.
     """
+    from scipy.integrate import solve_ivp
+
     p = as_potential(pot)
     r_p, r_a = turning_radii(pot, oc)
     lam = oc.lam

@@ -197,22 +197,22 @@ def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray
     out finite (x = inf, or an overflow) it raises OutOfDomain.
     """
     if isinstance(x, np.ndarray):
+        outside = (x < params._xlo) | (x > params._xhi)
+        if outside.any():
+            raise _out_of_domain(params, x[outside][0])
         with np.errstate(over="ignore", invalid="ignore"):
             if params.b == 0.0:
                 d = params.d
                 y = -(params.c / d) * x - params.e / d - (params.a**2 / d) * x * x
             else:
-                outside = (x < params._xlo) | (x > params._xhi)
-                if outside.any():
-                    raise _out_of_domain(params, x[outside][0])
                 w = np.maximum(params._bdelta * (x - params._x_v), 0.0)
                 y = params._slope * x - params._offset - np.sqrt(w) / params._b2
         return _finite(y, "Y", "x", x)
+    if x < params._xlo or x > params._xhi:
+        raise _out_of_domain(params, x)
     if params.b == 0.0:
         d = params.d
         y = -(params.c / d) * x - params.e / d - (params.a**2 / d) * x * x
-    elif x < params._xlo or x > params._xhi:
-        raise _out_of_domain(params, x)
     else:
         w = params._bdelta * (x - params._x_v)
         if w < 0.0:  # max(w, 0.0) without the builtin call
@@ -241,13 +241,13 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
     """
     if not 1 <= order <= 4:
         raise InvalidParams(f"order must be between 1 and 4, got {order!r}")
+    if x < params._xlo or x > params._xhi:
+        raise _out_of_domain(params, x)
     if params.b == 0.0:
         d = params.d
         out = [-(params.c / d) - 2.0 * (params.a**2 / d) * x,
                -2.0 * params.a**2 / d, 0.0, 0.0]
         return out[:order]
-    if x < params._xlo or x > params._xhi:
-        raise _out_of_domain(params, x)
     w = params._bdelta * (x - params._x_v)
     if w <= 0.0:
         raise SingularPoint("derivatives diverge at the vertical tangent x = x_v")
@@ -306,8 +306,8 @@ def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarr
 
 def psi_derivative(params: ParabolaParams, r: float) -> float:
     """d psi / d r = 4 r (x Y' - Y) / x^2 at x = 2 r^2, with W and sqrt(W) once;
-    OutOfDomain where x^2 underflows to 0 or overflows."""
-    if r <= 0.0:
+    OutOfDomain where x^2 underflows to 0 or overflows, and for r = nan."""
+    if not r > 0.0:
         raise OutOfDomain("psi_derivative requires r > 0")
     x = 2.0 * r * r
     xx = x * x

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isochrone
 from isochrone import cli, oracle
 from isochrone.cli import _columns_to_csv, _rows_to_csv, main
 from isochrone.errors import DomainExit, StepSizeUnderflow
@@ -226,6 +230,41 @@ def test_verify_byte_determinism(tmp_path):
     assert main(argv + ["-o", str(f1)]) == 0
     assert main(argv + ["-o", str(f2)]) == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+# The closed-form commands never load scipy; the oracle imports it on its
+# first call.  One fresh process, since this suite has scipy loaded already.
+_NO_SCIPY_CHILD = """
+import sys
+import isochrone, isochrone.cli
+from isochrone.cli import main
+out = sys.argv[1]
+for argv in (
+        ["classify", "--kepler", "mu=1"],
+        ["elements", "--henon", "mu=1,beta=1", "--xi", "-0.3", "--lambda", "0.5"],
+        ["table", "--harmonic", "omega=2", "--xi-grid", "2:3:2",
+         "--lambda-grid", "0.5:1.5:2"],
+        ["orbit", "--hollowed", "mu=1,beta=1", "--xi", "-0.2", "--lambda", "1",
+         "--samples", "40", "-o", out + "/orbit.csv"],
+        ["orbit", "--kepler", "mu=1", "--xi", "-0.5", "--lambda", "0.8",
+         "--samples", "40", "--format", "json", "-o", out + "/orbit.json"]):
+    assert main(argv) == 0, argv
+assert "scipy" not in sys.modules, "an analytic command loaded scipy"
+assert main(["verify", "--kepler", "mu=1", "-o", out + "/verify.json"]) == 0
+assert "scipy" in sys.modules
+"""
+
+
+def test_analytic_commands_never_load_scipy(tmp_path):
+    src = str(Path(isochrone.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    here = tmp_path / "here.json"
+    assert main(["verify", "--kepler", "mu=1", "-o", str(here)]) == 0
+    assert (tmp_path / "verify.json").read_bytes() == here.read_bytes()
 
 
 # ---------------------------------------------------------------------------

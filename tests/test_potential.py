@@ -97,11 +97,16 @@ def test_y_value_examples(kepler, harmonic, henon):
     assert y_value(henon, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_y_value_out_of_domain(bounded, hollowed):
-    with pytest.raises(OutOfDomain):
-        y_value(bounded, 2.5)
-    with pytest.raises(OutOfDomain):
-        y_value(hollowed, 1.0)
+def test_y_value_out_of_domain(bounded, hollowed, harmonic):
+    # The harmonic class checks its domain [0, inf) like the other families.
+    for params, x in ((bounded, 2.5), (hollowed, 1.0), (harmonic, -1.0),
+                      (harmonic, float(np.nextafter(0.0, -1.0)))):
+        with pytest.raises(OutOfDomain):
+            y_value(params, x)
+        with pytest.raises(OutOfDomain):
+            y_value(params, np.array([x]))
+        with pytest.raises(OutOfDomain):
+            y_derivatives(params, x, 2)
 
 
 def test_psi_value_examples(kepler, henon, bounded):
@@ -302,7 +307,7 @@ def test_psi_derivative_is_the_chain_rule_bit_for_bit(family, gauged):
         if math.isfinite(r):
             assert (_value_or_class(psi_derivative, params, r)
                     == _value_or_class(_psi_derivative_from_y, params, r)), r
-    for r in (-1.0, 0.0, 1e-100):
+    for r in (-1.0, 0.0, 1e-100, math.nan):
         with pytest.raises(OutOfDomain):
             psi_derivative(params, r)
     if family in ("bounded", "hollowed"):
