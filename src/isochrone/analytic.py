@@ -13,6 +13,10 @@ Conventions used throughout (all validated against the ODE oracle):
 * ``alpha2`` is the *signed* squared semi-major axis, ``delta / (8 b (a+b xi)**2)``,
   carrying the sign of b; with it the radius map is universally
   ``x(E) = x_v + 2 alpha2 (1 - eps_eff cos E)**2``.
+* The turning points are x(E) at E = 0 and pi.  x_a = x(pi) is taken from
+  the map; x(0) cancels near escape, so x_p comes from the product of the
+  roots, ``x_p x_a = S(Lambda)**2 / (a + b xi)**2`` (for the harmonic class
+  ``(Lambda**2 + A0) / A2``).
 * For left-opening parabolae (b < 0, the bounded family) the eccentric
   anomaly anchored at periastron obeys ``Omega t = E + eps sin(E)``; this is
   folded into a signed eccentricity ``eps_eff = sign(b) * eps`` so a single
@@ -146,12 +150,6 @@ class TrajectorySample:
 # small closed-form helpers
 
 
-def _harmonic_coeffs(p: ParabolaParams) -> tuple[float, float, float]:
-    """(A2, A1, A0) of the harmonic branch Y = A2 x^2 + A1 x + A0."""
-    d = p.d
-    return (-p.a**2 / d, -p.c / d, -p.e / d)
-
-
 def _s_squared(p: ParabolaParams, lam: float) -> float:
     """S(Lambda)^2 = b^2 L^4 - d L^2 + e."""
     return p.b**2 * lam**4 - p.d * lam**2 + p.e
@@ -166,13 +164,23 @@ def _s_value(p: ParabolaParams, lam: float) -> float:
     return math.sqrt(s2)
 
 
+def _half_r_squared(p: ParabolaParams, lam: float, s_big: float) -> float:
+    """R(Lambda)^2 / 2 = p + b S, with p = b^2 Lambda^2 - d/2 and S = ``s_big``;
+    where b p <= 0 it is q / (p - b S), q = d^2/4 - b^2 e the product of the
+    roots p +- b S, so that nothing cancels."""
+    b = p.b
+    pp = b * b * (lam * lam) - 0.5 * p.d
+    if b * pp > 0.0:
+        return pp + b * s_big
+    return (0.25 * p.d * p.d - b * b * p.e) / (pp - b * s_big)
+
+
 def _r_value(p: ParabolaParams, lam: float) -> float:
     """R(Lambda) = sqrt(2 b^2 L^2 - d + 2 b S(L)); xi-independent action part."""
-    s = _s_value(p, lam)
-    arg = 2.0 * p.b**2 * lam**2 - p.d + 2.0 * p.b * s
-    if arg <= 0.0:
+    s_c = _half_r_squared(p, lam, _s_value(p, lam))
+    if s_c <= 0.0:
         raise InvalidParams("R(Lambda)^2 non-positive; parabola not admissible here")
-    return math.sqrt(arg)
+    return math.sqrt(2.0 * s_c)
 
 
 def _r_prime(p: ParabolaParams, lam: float) -> float:
@@ -180,6 +188,16 @@ def _r_prime(p: ParabolaParams, lam: float) -> float:
     s = _s_value(p, lam)
     r = _r_value(p, lam)
     return lam * (2.0 * p.b**2 + p.b * (2.0 * p.b**2 * lam**2 - p.d) / s) / r
+
+
+def _harmonic_root(p: ParabolaParams, lam: float, divisor: bool = False) -> float:
+    """sqrt(Lambda^2 + A0) of the harmonic class; InvalidParams where it is
+    imaginary, or zero and the caller divides by it."""
+    arg = lam**2 + p._a0
+    if arg < 0.0 or divisor and arg == 0.0:
+        raise InvalidParams(f"Lambda^2 - e/d = {arg:g} must be positive "
+                            f"for the harmonic class (Lambda = {lam:g})")
+    return math.sqrt(arg)
 
 
 def _beta_hat(p: ParabolaParams, xi: float) -> float:
@@ -202,13 +220,6 @@ def _ecc_coeffs(p: ParabolaParams, lam: float) -> tuple[float, float]:
     return (pcoef, qcoef)
 
 
-def _ecc_squared(p: ParabolaParams, xi: float, lam: float) -> float:
-    """Isochrone eccentricity squared for b != 0 (may fall outside [0,1))."""
-    bh = _beta_hat(p, xi)
-    pcoef, qcoef = _ecc_coeffs(p, lam)
-    return 1.0 + 2.0 * pcoef * bh + qcoef * bh * bh
-
-
 def _clip_ecc2(e2: float) -> float:
     """Clip tiny negative round-off; reject genuinely unbound values."""
     if e2 < 0.0:
@@ -224,20 +235,18 @@ def _clip_ecc2(e2: float) -> float:
 # turning points
 
 
-def turning_points(params: ParabolaParams, oc: OrbitConstants) -> tuple[float, float]:
-    """Periastron and apoastron abscissae (x_p, x_a) of a bound orbit.
+def _apsides(params: ParabolaParams,
+             oc: OrbitConstants) -> tuple[float, float, float, Optional[float]]:
+    """(ecc, x_p, x_a, alpha2) of a bound orbit; alpha2 is None for harmonic.
 
-    Solves the intersection of the line y = xi x - Lambda^2 with the convex
-    branch.  For b != 0 the substitution u = sqrt(a2 x + a3) reduces the
-    problem to a quadratic in u; the harmonic class is already quadratic in x.
-    Circular orbits return x_p == x_a.
+    x_p is the root of the line-parabola quadratic taken from the product
+    of the roots, kept at or below x_a.
     """
     xi, lam = oc.xi, oc.lam
     if params.b == 0.0:
-        a2c, a1c, a0c = _harmonic_coeffs(params)
-        bb = xi - a1c
-        cc = lam**2 + a0c
-        disc = bb * bb - 4.0 * a2c * cc
+        bb = xi - params._a1
+        cc = lam**2 + params._a0
+        disc = bb * bb - 4.0 * params._a2 * cc
         if disc < 0.0:
             if disc > -1e-12 * max(1.0, bb * bb):
                 disc = 0.0
@@ -245,27 +254,31 @@ def turning_points(params: ParabolaParams, oc: OrbitConstants) -> tuple[float, f
                 raise NoBoundOrbit("energy below the circular minimum")
         if bb <= 0.0:
             raise NoBoundOrbit("no positive turning points for this energy")
-        root = math.sqrt(disc)
-        x_p = (bb - root) / (2.0 * a2c)
-        x_a = (bb + root) / (2.0 * a2c)
+        q = bb + math.sqrt(disc)
+        x_a = q / (2.0 * params._a2)
+        x_p = min(2.0 * cc / q, x_a)
         if x_p < 0.0:
             raise NoBoundOrbit("inner turning point below x = 0")
-        return (x_p, x_a)
+        ecc = math.sqrt(max(1.0 - x_p / x_a, 0.0)) if x_a > 0.0 else 0.0
+        return (ecc, x_p, x_a, None)
+    bh = _require_bound_slope(params, xi)
+    pcoef, qcoef = _ecc_coeffs(params, lam)
+    ecc = math.sqrt(_clip_ecc2(1.0 + 2.0 * pcoef * bh + qcoef * bh * bh))
+    alpha2 = params.delta / (8.0 * params.b * bh * bh)
+    h = 1.0 + math.copysign(ecc, params.b)
+    x_a = params._x_v + 2.0 * alpha2 * h * h
+    x_p = min(_s_squared(params, lam) / (bh * bh * x_a), x_a) if x_a != 0.0 else 0.0
+    return (ecc, x_p, x_a, alpha2)
 
-    _require_bound_slope(params, xi)
-    a, b, d, e, dl = params.a, params.b, params.d, params.e, params.delta
-    a0 = d / (2.0 * b * b) - lam**2
-    a1 = xi + a / b
-    a2 = dl / b**3
-    a3 = (d * d - 4.0 * b * b * e) / (4.0 * b**4)
-    u0 = -a2 / (2.0 * a1)
-    v0 = u0 * u0 + 2.0 * a0 * u0 + a3
-    ecc = math.sqrt(_clip_ecc2(v0 / (u0 * u0)))
-    xs = []
-    for u in (u0 * (1.0 - ecc), u0 * (1.0 + ecc)):
-        xs.append((u * u - a3) / a2)
-    x_p, x_a = min(xs), max(xs)
-    return (x_p, x_a)
+
+def turning_points(params: ParabolaParams, oc: OrbitConstants) -> tuple[float, float]:
+    """Periastron and apoastron abscissae (x_p, x_a) of a bound orbit.
+
+    The intersections of the line y = xi x - Lambda^2 with the convex
+    branch, x(E) at E = 0 and pi (see the module docstring).  Circular
+    orbits return x_p == x_a.
+    """
+    return _apsides(params, oc)[1:3]
 
 
 # ---------------------------------------------------------------------------
@@ -289,30 +302,21 @@ def apsidal_angle(params: ParabolaParams, lam: float) -> float:
     if lam <= 0.0:
         raise InvalidParams("apsidal angle requires Lambda > 0")
     if params.b == 0.0:
-        _, _, a0c = _harmonic_coeffs(params)
-        arg = lam**2 + a0c
-        if arg <= 0.0:
-            raise InvalidParams("Lambda^2 - e/d must be positive for harmonic Theta")
-        return math.pi * lam / math.sqrt(arg)
+        return math.pi * lam / _harmonic_root(params, lam, divisor=True)
     return math.pi * lam * _r_value(params, lam) / _s_value(params, lam)
 
 
 def radial_action(params: ParabolaParams, oc: OrbitConstants) -> float:
     """Radial action J = (1/2pi) closed-integral of p_r dr, in closed form."""
     xi, lam = oc.xi, oc.lam
+    _apsides(params, oc)  # raises where there is no bound orbit
     if params.b == 0.0:
-        # Feasibility check mirrors turning_points.
-        turning_points(params, oc)
-        a2c, a1c, a0c = _harmonic_coeffs(params)
-        sd = math.sqrt(-params.d)
-        aa = abs(params.a)
-        j = sd * xi / (4.0 * aa) - 0.5 * math.sqrt(lam**2 + a0c) \
+        sd, aa = math.sqrt(-params.d), abs(params.a)
+        j = sd * xi / (4.0 * aa) - 0.5 * _harmonic_root(params, lam) \
             - params.c / (4.0 * aa * sd)
     else:
-        bh = _require_bound_slope(params, xi)
-        _clip_ecc2(_ecc_squared(params, xi, lam))
-        b = params.b
-        j = (math.sqrt(-params.delta / bh) - _r_value(params, lam)) / (2.0 * b)
+        bh = _beta_hat(params, xi)
+        j = (math.sqrt(-params.delta / bh) - _r_value(params, lam)) / (2.0 * params.b)
     if j < 0.0:
         if j < -1e-10 * max(1.0, abs(xi), lam):
             raise NoBoundOrbit(f"negative radial action J = {j:g}")
@@ -327,11 +331,9 @@ def hamiltonian(params: ParabolaParams, J: float, lam: float) -> float:
     if lam <= 0.0:
         raise InvalidParams("hamiltonian requires Lambda > 0")
     if params.b == 0.0:
-        _, _, a0c = _harmonic_coeffs(params)
-        sd = math.sqrt(-params.d)
-        aa = abs(params.a)
-        return (-params.c / params.d + 4.0 * aa * J / sd
-                + 2.0 * aa * math.sqrt(lam**2 + a0c) / sd)
+        sd, aa = math.sqrt(-params.d), abs(params.a)
+        return (params._a1 + 4.0 * aa * J / sd
+                + 2.0 * aa * _harmonic_root(params, lam) / sd)
     b = params.b
     den = 2.0 * b * J + _r_value(params, lam)
     return -params.a / b - params.delta / (b * den * den)
@@ -342,10 +344,9 @@ def frequencies(params: ParabolaParams, J: float, lam: float) -> tuple[float, fl
     if lam <= 0.0:
         raise InvalidParams("frequencies require Lambda > 0")
     if params.b == 0.0:
-        _, _, a0c = _harmonic_coeffs(params)
-        sd = math.sqrt(-params.d)
-        aa = abs(params.a)
-        return (4.0 * aa / sd, 2.0 * aa * lam / (sd * math.sqrt(lam**2 + a0c)))
+        sd, aa = math.sqrt(-params.d), abs(params.a)
+        return (4.0 * aa / sd,
+                2.0 * aa * lam / (sd * _harmonic_root(params, lam, divisor=True)))
     b = params.b
     den = 2.0 * b * J + _r_value(params, lam)
     om_j = 4.0 * params.delta / den**3
@@ -360,33 +361,23 @@ def frequencies(params: ParabolaParams, J: float, lam: float) -> tuple[float, fl
 def orbit_elements(params: ParabolaParams, oc: OrbitConstants) -> OrbitElements:
     """Assemble all per-orbit derived quantities for (params, xi, Lambda)."""
     xi, lam = oc.xi, oc.lam
-    x_p, x_a = turning_points(params, oc)
+    ecc, x_p, x_a, alpha2 = _apsides(params, oc)
+    if ecc <= CIRCULAR_ECC:
+        ecc = 0.0
     T = radial_period(params, xi)
     theta_tot = apsidal_angle(params, lam)
     J = radial_action(params, oc)
-    if params.b == 0.0:
-        omega = TWO_PI / T
-        ecc = math.sqrt(max(1.0 - x_p / x_a, 0.0)) if x_a > 0.0 else 0.0
-        if ecc <= CIRCULAR_ECC:
-            ecc = 0.0
-        return OrbitElements(
-            xi=xi, lam=lam, omega_r=omega, ecc=ecc, T=T, Theta=theta_tot, J=J,
-            x_p=x_p, x_a=x_a, alpha2=None, x_v=None, zeta2=None,
-            harmonic=True, b_sign=0.0,
-        )
-    bh = _beta_hat(params, xi)
-    omega = math.sqrt(-16.0 * bh**3 / params.delta)
-    e2 = _clip_ecc2(_ecc_squared(params, xi, lam))
-    ecc = math.sqrt(e2)
-    if ecc <= CIRCULAR_ECC:
-        ecc = 0.0
-    alpha2 = params.delta / (8.0 * params.b * bh * bh)
-    x_v = params.x_v
-    zeta2 = -x_v / (2.0 * alpha2)
+    harmonic = params.b == 0.0
+    if harmonic:
+        omega, x_v, zeta2 = TWO_PI / T, None, None
+    else:
+        omega = math.sqrt(-16.0 * _beta_hat(params, xi) ** 3 / params.delta)
+        x_v = params.x_v
+        zeta2 = -x_v / (2.0 * alpha2)
     return OrbitElements(
         xi=xi, lam=lam, omega_r=omega, ecc=ecc, T=T, Theta=theta_tot, J=J,
         x_p=x_p, x_a=x_a, alpha2=alpha2, x_v=x_v, zeta2=zeta2,
-        harmonic=False, b_sign=math.copysign(1.0, params.b),
+        harmonic=harmonic, b_sign=0.0 if harmonic else math.copysign(1.0, params.b),
     )
 
 
@@ -642,28 +633,22 @@ def _circular_orbit(params: ParabolaParams, lam: float) -> tuple[float, float]:
         raise InvalidParams("circular orbit requires Lambda > 0")
     lam2 = lam * lam
     if params.b == 0.0:
-        a2c, a1c, a0c = _harmonic_coeffs(params)
-        arg = (lam2 + a0c) / a2c
+        arg = (lam2 + params._a0) / params._a2
         if arg <= 0.0:
             raise NoCircularOrbit("Lambda^2 below the harmonic minimum")
         x_c = math.sqrt(arg)
-        return (x_c, a1c + 2.0 * a2c * x_c)
-    b, d = params.b, params.d
+        return (x_c, params._a1 + 2.0 * params._a2 * x_c)
     s2 = _s_squared(params, lam)
     if s2 <= 0.0:
         raise NoCircularOrbit(f"no circular orbit at Lambda = {lam:g}: S^2 = {s2:g}")
     s_big = math.sqrt(s2)
-    p = b * b * lam2 - 0.5 * d
-    if b * p > 0.0:
-        s_c = p + b * s_big
-    else:
-        s_c = (0.25 * d * d - b * b * params.e) / (p - b * s_big)
+    s_c = _half_r_squared(params, lam, s_big)
     x_c = 2.0 * s_big * s_c / params.delta
     xlo, xhi = pot.domain(params)
     if not (s_c > 0.0 and xlo < x_c < xhi):
         raise NoCircularOrbit(
             f"Lambda^2 = {lam2:g} outside the range of x Y' - Y on the domain")
-    return (x_c, -params.a / b - params.delta / (2.0 * b * s_c))
+    return (x_c, -params.a / params.b - params.delta / (2.0 * params.b * s_c))
 
 
 def feasible_energy(params: ParabolaParams, lam: float, frac: float = 0.5) -> float:

@@ -213,29 +213,30 @@ def third_law(params: ParabolaParams, xi: float) -> float:
     Y'(x_c) = xi has the closed-form root s = sqrt(b delta (x_c - x_v))
     = -delta / (2 (a + b xi)), positive exactly when a + b xi < 0; then
     T = pi / sqrt(2 Y''(x_c)) is evaluated from the potential's derivatives
-    and agrees with the direct closed form.  Raises NoCircularOrbit when x_c
-    falls outside the domain or too close to a wall for Y''(x_c) to hold
-    10 digits.
+    and agrees with the direct closed form (Y'' is constant for the harmonic
+    class, where every xi above Y'(0) has a circular orbit).  Raises
+    NoCircularOrbit when x_c falls outside the domain or too close to a wall
+    for Y''(x_c) to hold 10 digits.
     """
     if params.b == 0.0:
-        a2c, a1c, _ = analytic._harmonic_coeffs(params)
-        if xi <= a1c:
+        y1, y2 = potmod.y_derivatives(params, 0.0, 2)
+        if xi <= y1:
             raise NoCircularOrbit("energy below the harmonic potential floor")
-        return math.pi / math.sqrt(4.0 * a2c)
-    a, b, d, dl = params.a, params.b, params.d, params.delta
-    bh = a + b * xi
-    if bh >= 0.0:
-        raise NoCircularOrbit(
-            f"no circular orbit at energy xi = {xi:g}: a + b xi = {bh:g} >= 0")
-    s = -dl / (2.0 * bh)
-    x_c = ((s - 0.5 * d) * (s + 0.5 * d) + b * b * params.e) / (b * dl)
-    xlo, xhi = potmod.domain(params)
-    if not xlo < x_c < xhi:
-        raise NoCircularOrbit(f"no circular orbit at energy xi = {xi:g}")
-    if _near_vertical_tangent(params, x_c):
-        raise NoCircularOrbit(
-            f"circular orbit at xi = {xi:g} within rounding of the vertical tangent")
-    y2 = potmod.y_derivatives(params, x_c, 2)[1]
+    else:
+        a, b, d, dl = params.a, params.b, params.d, params.delta
+        bh = a + b * xi
+        if bh >= 0.0:
+            raise NoCircularOrbit(
+                f"no circular orbit at energy xi = {xi:g}: a + b xi = {bh:g} >= 0")
+        s = -dl / (2.0 * bh)
+        x_c = ((s - 0.5 * d) * (s + 0.5 * d) + b * b * params.e) / (b * dl)
+        xlo, xhi = potmod.domain(params)
+        if not xlo < x_c < xhi:
+            raise NoCircularOrbit(f"no circular orbit at energy xi = {xi:g}")
+        if _near_vertical_tangent(params, x_c):
+            raise NoCircularOrbit(f"circular orbit at xi = {xi:g} within "
+                                  "rounding of the vertical tangent")
+        y2 = potmod.y_derivatives(params, x_c, 2)[1]
     return math.pi / math.sqrt(2.0 * y2)
 
 

@@ -87,8 +87,10 @@ class ParabolaParams:
                 raise InvalidParams("harmonic class (b = 0) requires d < 0")
             if a == 0.0:
                 raise InvalidParams("harmonic class requires a != 0 (degenerate line)")
-            object.__setattr__(self, "_xlo", 0.0)
-            object.__setattr__(self, "_xhi", math.inf)
+            # The branch Y = _a2 x^2 + _a1 x + _a0 on [0, inf].
+            for name, v in (("_a2", -(a**2 / d)), ("_a1", -(c / d)),
+                            ("_a0", -(e / d)), ("_xlo", 0.0), ("_xhi", math.inf)):
+                object.__setattr__(self, name, v)
             return
         x_v = (4.0 * b**2 * e - d**2) / (4.0 * b * delta)
         if b < 0.0 and x_v <= 0.0:
@@ -202,8 +204,7 @@ def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray
             raise _out_of_domain(params, x[outside][0])
         with np.errstate(over="ignore", invalid="ignore"):
             if params.b == 0.0:
-                d = params.d
-                y = -(params.c / d) * x - params.e / d - (params.a**2 / d) * x * x
+                y = params._a1 * x + params._a0 + params._a2 * x * x
             else:
                 w = np.maximum(params._bdelta * (x - params._x_v), 0.0)
                 y = params._slope * x - params._offset - np.sqrt(w) / params._b2
@@ -211,8 +212,7 @@ def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray
     if x < params._xlo or x > params._xhi:
         raise _out_of_domain(params, x)
     if params.b == 0.0:
-        d = params.d
-        y = -(params.c / d) * x - params.e / d - (params.a**2 / d) * x * x
+        y = params._a1 * x + params._a0 + params._a2 * x * x
     else:
         w = params._bdelta * (x - params._x_v)
         if w < 0.0:  # max(w, 0.0) without the builtin call
@@ -241,13 +241,10 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
     """
     if not 1 <= order <= 4:
         raise InvalidParams(f"order must be between 1 and 4, got {order!r}")
-    if x < params._xlo or x > params._xhi:
+    if not params._xlo <= x <= params._xhi:  # also rejects x = nan
         raise _out_of_domain(params, x)
     if params.b == 0.0:
-        d = params.d
-        out = [-(params.c / d) - 2.0 * (params.a**2 / d) * x,
-               -2.0 * params.a**2 / d, 0.0, 0.0]
-        return out[:order]
+        return [params._a1 + 2.0 * params._a2 * x, 2.0 * params._a2, 0.0, 0.0][:order]
     w = params._bdelta * (x - params._x_v)
     if w <= 0.0:
         raise SingularPoint("derivatives diverge at the vertical tangent x = x_v")

@@ -90,6 +90,60 @@ def test_turning_points_no_bound_orbit(henon):
         turning_points(henon, OrbitConstants(0.1, 1.0))
 
 
+def mp_turning_points(params, oc):
+    """Roots (x_p, x_a) of the line-parabola quadratic at 50 digits.
+
+    Putting y = xi x - Lambda^2 into (a x + b y)^2 + c x + d y + e = 0 gives
+    (a + b xi)^2 x^2 + (c + d xi - 2 b (a + b xi) Lambda^2) x + S^2 = 0 with
+    S^2 = b^2 Lambda^4 - d Lambda^2 + e.
+    """
+    with mpmath.workdps(50):
+        a, b, c, d, e = (mpmath.mpf(v) for v in params.as_tuple())
+        xi, lam2 = mpmath.mpf(oc.xi), mpmath.mpf(oc.lam) ** 2
+        bh2 = (a + b * xi) ** 2
+        qb = c + d * xi - 2 * b * (a + b * xi) * lam2
+        qc = b * b * lam2 * lam2 - d * lam2 + e
+        x_a = (mpmath.sqrt(qb * qb - 4 * bh2 * qc) - qb) / (2 * bh2)
+        return (qc / (bh2 * x_a), x_a)
+
+
+def test_turning_points_match_mpmath(kepler, henon, bounded, hollowed):
+    # Near escape (0.999999) and for small Lambda the periastron is far
+    # below the apoastron; it must not inherit the apoastron's rounding.
+    for params in (kepler, henon, bounded, hollowed):
+        for lam in (0.05, 1.0, 3.0):
+            for frac in (0.35, 0.9, 0.999999):
+                oc = OrbitConstants(feasible_energy(params, lam, frac), lam)
+                refs = mp_turning_points(params, oc)
+                for got, ref in zip(turning_points(params, oc), refs):
+                    assert abs(got - ref) <= 1e-14 * ref, (params, lam, frac)
+
+
+def test_turning_points_at_the_centre(henon, harmonic):
+    # At rest in the Henon centre both turning points are x = 0.
+    assert turning_points(henon, OrbitConstants(-0.5, 0.0)) == (0.0, 0.0)
+    # A radial harmonic orbit passes through the centre and has J = xi/2.
+    radial = OrbitConstants(2.0, 0.0)
+    assert turning_points(harmonic, radial)[0] == 0.0
+    assert radial_action(harmonic, radial) == 1.0
+
+
+def test_orbits_into_the_centre_are_refused(harmonic, kepler):
+    # A gauge term lam/(2 r^2) with lam < 0 beats the centrifugal barrier
+    # at small Lambda: harmonic Lambda^2 + A0 < 0, and R(Lambda) = 0 for the
+    # gauged Kepler potential below Lambda^2 = 0.1.  No orbit has these
+    # actions, so there is no value to return.
+    harm = apply_gauge(harmonic, GaugeTerm(0.0, -0.5))
+    kep = apply_gauge(kepler, GaugeTerm(0.0, -0.1))
+    with pytest.raises(InvalidParams):
+        apsidal_angle(kep, 0.2)
+    for fn in (hamiltonian, frequencies):
+        with pytest.raises(InvalidParams):
+            fn(harm, 1.0, 0.5)
+        with pytest.raises(InvalidParams):
+            fn(kep, 0.1, 0.2)
+
+
 # ---------------------------------------------------------------------------
 # periods, angles, actions
 

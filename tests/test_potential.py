@@ -109,6 +109,16 @@ def test_y_value_out_of_domain(bounded, hollowed, harmonic):
             y_derivatives(params, x, 2)
 
 
+def test_nan_abscissa_is_out_of_domain(all_classes):
+    # nan fails every comparison: the domain test must be one that nan fails.
+    for name, params, _ in all_classes:
+        with pytest.raises(OutOfDomain):
+            y_derivatives(params, math.nan, 4)
+        if params.b != 0.0:
+            with pytest.raises(OutOfDomain):
+                parabola_ode_residual(params, math.nan)
+
+
 def test_psi_value_examples(kepler, henon, bounded):
     assert psi_value(kepler, 2.0) == pytest.approx(-0.5, rel=1e-15)
     assert psi_value(henon, 1.0) == pytest.approx(-1.0 / (1.0 + math.sqrt(2)),
