@@ -26,12 +26,15 @@ Conventions used throughout (all validated against the ODE oracle):
   arithmetic where zeta is real, and in complex arithmetic (principal
   branches, real part returned) for the hollowed family, where zeta is
   imaginary and the two partial-fraction terms are complex conjugates.
+* The Kepler equation is solved without iteration from ``M = 2 pi t / T``,
+  exactly 2 pi k where t / T = k, so that E = 2 pi k there; at eps_eff = 0
+  (circular orbits, the harmonic class) E = M.
 * The Kepler inversion and the closed forms x(E), r(E), theta(E) act on
   each element of a float64 array independently: ``trajectory`` runs them
   once over all its times, and the scalar functions wrap the same code.
 
-The harmonic class (b = 0) keeps its own elementary solution with E := Omega t
-and ``x(E) = x_a + (x_p - x_a) cos(E/2)**2``.
+The harmonic class (b = 0) keeps its own elementary solution with E = M and
+``x(E) = x_a + (x_p - x_a) cos(E/2)**2``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .errors import (
     InvalidParams,
     NoBoundOrbit,
     NoCircularOrbit,
+    ToleranceNotMet,
     UnboundOrbit,
 )
 from .potential import ParabolaParams
@@ -181,13 +185,6 @@ def _r_value(p: ParabolaParams, lam: float) -> float:
     if s_c <= 0.0:
         raise InvalidParams("R(Lambda)^2 non-positive; parabola not admissible here")
     return math.sqrt(2.0 * s_c)
-
-
-def _r_prime(p: ParabolaParams, lam: float) -> float:
-    """dR/dLambda in closed form (equals b * Lambda * R / S)."""
-    s = _s_value(p, lam)
-    r = _r_value(p, lam)
-    return lam * (2.0 * p.b**2 + p.b * (2.0 * p.b**2 * lam**2 - p.d) / s) / r
 
 
 def _harmonic_root(p: ParabolaParams, lam: float, divisor: bool = False) -> float:
@@ -347,11 +344,11 @@ def frequencies(params: ParabolaParams, J: float, lam: float) -> tuple[float, fl
         sd, aa = math.sqrt(-params.d), abs(params.a)
         return (4.0 * aa / sd,
                 2.0 * aa * lam / (sd * _harmonic_root(params, lam, divisor=True)))
-    b = params.b
-    den = 2.0 * b * J + _r_value(params, lam)
-    om_j = 4.0 * params.delta / den**3
-    om_lam = 2.0 * params.delta * _r_prime(params, lam) / (b * den**3)
-    return (om_j, om_lam)
+    r_big = _r_value(params, lam)
+    den3 = (2.0 * params.b * J + r_big) ** 3
+    # omega_Lambda = 2 delta R' / (b den^3) with R' = dR/dLambda = b Lambda R / S.
+    return (4.0 * params.delta / den3,
+            2.0 * params.delta * lam * r_big / (_s_value(params, lam) * den3))
 
 
 # ---------------------------------------------------------------------------
@@ -389,38 +386,45 @@ def orbit_elements(params: ParabolaParams, oc: OrbitConstants) -> OrbitElements:
 # float or an array.
 
 
-def _kepler(ecc: float, M: np.ndarray, tol: float) -> np.ndarray:
-    """Solve E - ecc sin E = M elementwise for |ecc| < 1 (sign-agnostic in ecc).
+# E - sin E = E^3 sum_k (-1)^k E^(2k) / (2k + 3)!, to rounding for |E| < 1.
+_SIN_TAIL = [(-1) ** k / math.factorial(2 * k + 3) for k in range(8)]
 
-    Newton from E0 = M + ecc sin M, falling back to bisection whenever a step
-    leaves the bracket [M - |ecc|, M + |ecc|]; unconditionally convergent.
-    Each pass updates only the elements that have not yet converged, so every
-    element takes the same steps as it would alone.
+
+def _reduce(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, k) with m = M - k 2 pi in (-pi, pi] and k whole; the difference is
+    exact (Sterbenz), so m + k * TWO_PI gives M back."""
+    cycles = np.ceil((M - math.pi) / TWO_PI)
+    return (M - cycles * TWO_PI, cycles)
+
+
+def _kepler(ecc: float, M: np.ndarray) -> np.ndarray:
+    """Solve E - ecc sin E = M elementwise for |ecc| < 1, without iteration.
+
+    Markley (1995, Celest. Mech. Dyn. Astron. 63, 101) on M reduced to
+    [-pi, pi]: the root of a cubic from a Pade approximant of sin E, exact at
+    0 and +-pi, then one fifth-order correction, with E - sin E summed as its
+    series where it cancels.  A negative ecc maps through
+    E(-e, m) = E(e, m + pi) - pi.  At ecc = 0 it returns M bit for bit.
     """
-    cycles = np.floor(M / TWO_PI)
-    m = M - cycles * TWO_PI
-    ae = abs(ecc)
-    lo, hi = m - ae, m + ae
-    e_anom = np.minimum(np.maximum(m + ecc * np.sin(m), lo), hi)
-    live = np.arange(m.size)
-    for _ in range(200):
-        e_cur = e_anom[live]
-        f = e_cur - ecc * np.sin(e_cur) - m[live]
-        keep = np.abs(f) > tol
-        live, e_cur, f = live[keep], e_cur[keep], f[keep]
-        if live.size == 0:
-            break
-        above = f > 0.0
-        hi[live[above]] = e_cur[above]
-        lo[live[~above]] = e_cur[~above]
-        cand = e_cur - f / (1.0 - ecc * np.cos(e_cur))
-        lo_c, hi_c = lo[live], hi[live]
-        out = ~((lo_c < cand) & (cand < hi_c))
-        cand[out] = 0.5 * (lo_c[out] + hi_c[out])
-        moved = cand != e_cur
-        live = live[moved]
-        e_anom[live] = cand[moved]
-    return e_anom + cycles * TWO_PI
+    m, cycles = _reduce(M)
+    if ecc < 0.0:
+        half = np.where(m > 0.0, math.pi, -math.pi)
+        return (_kepler(-ecc, m - half) + half) + cycles * TWO_PI
+    alpha = (3.0 * math.pi**2 + 1.6 * math.pi * (math.pi - np.abs(m)) / (1.0 + ecc)) \
+        / (math.pi**2 - 6.0)
+    d = 3.0 * (1.0 - ecc) + alpha * ecc
+    q = 2.0 * alpha * d * (1.0 - ecc) - m * m
+    r = 3.0 * alpha * d * (d - 1.0 + ecc) * m + m * m * m
+    w = np.cbrt(np.abs(r) + np.sqrt(q * q * q + r * r)) ** 2
+    e1 = (2.0 * r * w / (w * w + w * q + q * q) + m) / d
+    f2, f3 = ecc * np.sin(e1), ecc * np.cos(e1)
+    tail = e1**3 * np.polynomial.polynomial.polyval(e1 * e1, _SIN_TAIL)
+    f0 = np.where(np.abs(e1) < 1.0, (1.0 - ecc) * e1 + ecc * tail, e1 - f2) - m
+    f1 = 1.0 - f3
+    d3 = -f0 / (f1 - 0.5 * f0 * f2 / f1)
+    d4 = -f0 / (f1 + 0.5 * d3 * f2 + d3 * d3 * f3 / 6.0)
+    d5 = -f0 / (f1 + 0.5 * d4 * f2 + d4 * d4 * f3 / 6.0 - d4**3 * f2 / 24.0)
+    return (e1 + d5) + cycles * TWO_PI
 
 
 def _radius(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,22 +439,20 @@ def _radius(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _angle(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, imaginary residual) at eccentric anomalies E >= 0.
+    """(theta, imaginary residual) at eccentric anomalies E.
 
-    The closed form is derived on the half period E in [0, pi]; beyond it the
-    reflection theta(2 pi - E) = Theta - theta(E) and the periodicity
-    theta(E + 2 pi k) = k Theta + theta(E) extend it to all E >= 0.
+    The closed form is derived on the half period E in [0, pi]; the symmetry
+    theta(-E) = -theta(E) and the periodicity theta(E + 2 pi k) = k Theta +
+    theta(E) extend it to all E.
     """
     if el.ecc <= CIRCULAR_ECC:
         return (el.Theta * E / TWO_PI, np.zeros_like(E))
-    cycles = np.floor(E / TWO_PI)
-    e_frac = E - cycles * TWO_PI
-    base = cycles * el.Theta
+    e_red, cycles = _reduce(E)
     if el.harmonic:
-        return (base + _theta_harmonic(el, e_frac), np.zeros_like(E))
-    upper = e_frac > math.pi
-    th, resid = _theta_half(el, np.where(upper, TWO_PI - e_frac, e_frac))
-    return (np.where(upper, base + el.Theta - th, base + th), resid)
+        th, resid = _theta_harmonic(el, np.abs(e_red)), np.zeros_like(E)
+    else:
+        th, resid = _theta_half(el, np.abs(e_red))
+    return (cycles * el.Theta + np.copysign(th, e_red), resid)
 
 
 def _theta_half(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -485,7 +487,7 @@ def _theta_half(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _theta_harmonic(el: OrbitElements, E: np.ndarray) -> np.ndarray:
-    """theta(E) on E in [0, 2 pi) for the harmonic class."""
+    """theta(E) on E in [0, pi] for the harmonic class."""
     quarter_tan = np.tan(0.25 * E)
     g = math.sqrt((1.0 + el.ecc) / (1.0 - el.ecc))
     pair = np.arctan(g * quarter_tan) + np.arctan(quarter_tan / g)
@@ -509,17 +511,18 @@ def _shaped(result: np.ndarray, like):
 
 
 def solve_kepler(ecc: float, M, tol: float = 1e-13):
-    """Invert the generalized Kepler equation Omega t = E - ecc sin E.
-
-    Parameters
-    ----------
-    ecc : eccentricity in [0, 1).
-    M : mean anomaly Omega t, a float or array (cycles are preserved).
-    tol : absolute residual target, default 1e-13.
-    """
+    """Invert the generalized Kepler equation Omega t = E - ecc sin E in one
+    closed-form step, for ecc in [0, 1) and M a float or array (cycles are
+    preserved); ToleranceNotMet where the residual on M reduced to [-pi, pi]
+    exceeds ``tol``."""
     if not 0.0 <= ecc < 1.0:
         raise InvalidParams(f"eccentricity must lie in [0, 1), got {ecc!r}")
-    return _shaped(_kepler(ecc, _as_array(M, "mean anomaly"), tol), M)
+    m, cycles = _reduce(_as_array(M, "mean anomaly"))
+    e_anom = _kepler(ecc, m)
+    resid = np.abs(e_anom - ecc * np.sin(e_anom) - m).max(initial=0.0)
+    if not resid <= tol:  # also for a nan residual
+        raise ToleranceNotMet(f"Kepler residual {resid:.3g} exceeds tol = {tol:g}")
+    return _shaped(e_anom + cycles * TWO_PI, M)
 
 
 def radius_of_E(elements: OrbitElements, E):
@@ -535,8 +538,8 @@ def radius_of_E(elements: OrbitElements, E):
 def angle_of_E_with_residual(elements: OrbitElements, E):
     """Polar angle theta(E) with cycle unwrapping, plus imaginary residual.
 
-    E is a float or an array of values >= 0; see ``_angle`` and
-    ``_theta_half`` for the closed form.
+    E is a float or an array; see ``_angle`` and ``_theta_half`` for the
+    closed form.
     """
     theta, resid = _angle(elements, _as_array(E, "eccentric anomaly"))
     return (_shaped(theta, E), _shaped(resid, E))
@@ -582,18 +585,15 @@ def trajectory(params: ParabolaParams, oc: OrbitConstants,
                times: Sequence[float] | np.ndarray) -> Trajectory:
     """Sample the analytic orbit at the given times (a 1-D sequence or array).
 
-    Periastron with theta = 0 at t = 0.  Also reports the angle variables
-    z_J = Omega t and z_Lambda = (Theta / 2 pi) Omega t.
+    Periastron with theta = 0 at t = 0.  E solves the Kepler equation at the
+    mean anomaly z_J = M = 2 pi t / T (= Omega t); z_Lambda = (Theta / 2 pi) M.
     """
     el = orbit_elements(params, oc)
     if np.ndim(times) != 1:
         raise InvalidParams("sample times must be a 1-D sequence")
     t = _as_array(times, "sample time")
-    m = el.omega_r * t
-    if el.harmonic or el.ecc <= CIRCULAR_ECC:
-        e_anom = m
-    else:
-        e_anom = _kepler(el.eps_eff, m, 1e-13)
+    m = TWO_PI * (t / el.T)
+    e_anom = _kepler(el.eps_eff, m)
     x, r = _radius(el, e_anom)
     theta, _ = _angle(el, e_anom)
     return Trajectory(t=t, E=e_anom, x=x, r=r, theta=theta, z_j=m,

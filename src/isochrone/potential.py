@@ -396,7 +396,5 @@ def ode_residual_from_derivatives(y2: float, y3: float, y4: float) -> float:
 
 def parabola_ode_residual(params: ParabolaParams, x: float) -> float:
     """Universal-ODE residual at x; identically zero (to rounding) on parabolae."""
-    if params.b == 0.0:
-        return 0.0
     d2, d3, d4 = y_derivatives(params, x, 4)[1:]
     return ode_residual_from_derivatives(d2, d3, d4)

@@ -29,8 +29,10 @@ from isochrone.analytic import (
 )
 from isochrone.errors import (
     InvalidParams,
+    IsochroneError,
     NoBoundOrbit,
     NoCircularOrbit,
+    ToleranceNotMet,
     UnboundOrbit,
 )
 from isochrone.potential import GaugeTerm, ParabolaParams, apply_gauge, y_value
@@ -217,6 +219,25 @@ def test_frequencies_values(kepler, harmonic):
     assert om_lam / om_j == pytest.approx(0.5, rel=1e-14)
 
 
+def test_frequencies_match_mpmath_where_r_cancels(bounded):
+    # bounded gauged by (-0.3, 0.2) at Lambda = 20 has b p < 0, where
+    # 2 b^2 Lambda^2 - d + 2 b S(Lambda) cancels; omega_Lambda = dH/dLambda.
+    params = apply_gauge(bounded, GaugeTerm(-0.3, 0.2))
+    lam, J = 20.0, 0.5
+    with mpmath.workdps(50):
+        a, b, c, d, e = (mpmath.mpf(v) for v in params.as_tuple())
+        delta = a * d - b * c
+
+        def hamiltonian_mp(lam_mp):
+            s_big = mpmath.sqrt(b * b * lam_mp**4 - d * lam_mp**2 + e)
+            r_big = mpmath.sqrt(2 * b * b * lam_mp**2 - d + 2 * b * s_big)
+            return -a / b - delta / (b * (2 * b * J + r_big) ** 2)
+
+        ref = mpmath.diff(hamiltonian_mp, mpmath.mpf(lam))
+    om_lam = frequencies(params, J, lam)[1]
+    assert abs(om_lam - ref) <= 1e-15 * abs(ref)
+
+
 def test_frequency_ratio_equals_theta(all_classes):
     for _, params, _ in all_classes:
         for oc, el in grid_orbits(params, LAM_GRID):
@@ -298,6 +319,53 @@ def test_solve_kepler_rejects_bad_ecc():
         solve_kepler(1.0, 0.5)
     with pytest.raises(InvalidParams):
         solve_kepler(-0.1, 0.5)
+
+
+def test_solve_kepler_tol_is_a_check():
+    # The residual is taken on the anomaly reduced to [-pi, pi], so a large
+    # mean anomaly meets the default tolerance.
+    e_val = solve_kepler(0.5, 1e6)
+    assert abs(e_val - 0.5 * math.sin(e_val) - 1e6) <= 1e-9
+    anomalies = np.linspace(0.1, 3.0, 50)
+    with pytest.raises(ToleranceNotMet):
+        solve_kepler(0.6, anomalies, tol=1e-300)
+
+
+# Bound on |E - E_exact| per eccentricity: 2-3x the largest error measured on
+# 500 anomalies, uniform on [-2 pi, 2 pi] and log-spaced down to 1e-12.  A
+# negative ecc maps through E(-e, m) = E(e, m + pi) - pi, which adds the
+# rounding of pi times dE/dm (about 80 next to E = pi at -0.999999).
+KEPLER_E_BOUNDS = {0.5: 1.5e-15, 0.99: 5e-15, 0.999999: 5e-15, 1.0 - 1e-12: 5e-15,
+                   -0.9: 3e-15, -0.999999: 3e-14}
+
+
+def mp_kepler_root(ecc, m):
+    """The root of E - ecc sin E = m at 50 digits, bracketed by m +- |ecc|."""
+    with mpmath.workdps(50):
+        ecc, m = mpmath.mpf(ecc), mpmath.mpf(m)
+        lo, hi = m - abs(ecc), m + abs(ecc)
+        return mpmath.findroot(lambda e: e - ecc * mpmath.sin(e) - m, (lo, hi),
+                               solver="illinois", tol=mpmath.mpf(10) ** -90,
+                               maxsteps=500)
+
+
+def test_kepler_matches_mpmath():
+    rng = np.random.default_rng(11)
+    anomalies = np.concatenate([rng.uniform(0.0, 2 * math.pi, 40),
+                                np.logspace(-12, 0, 25)])
+    for ecc, bound in KEPLER_E_BOUNDS.items():
+        e_anom = analytic._kepler(ecc, anomalies)
+        for m, e_val in zip(anomalies, e_anom):
+            err = abs(float(mp_kepler_root(ecc, m) - mpmath.mpf(e_val)))
+            assert err <= bound, (ecc, m, err)
+
+
+def test_kepler_is_the_identity_at_zero_eccentricity():
+    rng = np.random.default_rng(12)
+    anomalies = np.concatenate([rng.uniform(-1e8, 1e8, 2000), rng.uniform(-50, 50, 2000),
+                                np.logspace(-300, 2, 200), [0.0, math.pi, -math.pi]])
+    for ecc in (0.0, -0.0):
+        assert np.array_equal(analytic._kepler(ecc, anomalies), anomalies)
 
 
 @settings(max_examples=300, deadline=None)
@@ -395,6 +463,50 @@ def test_trajectory_angle_variables(kepler):
     assert s.z_lam == pytest.approx(el.Theta / (2 * math.pi) * el.omega_r * t,
                                     rel=1e-14)
     assert s.z_j == pytest.approx(s.E - el.ecc * math.sin(s.E), abs=1e-12)
+
+
+def test_trajectory_whole_periods_return_to_periastron():
+    # At whole periods that are exact in floating point, M = 2 pi t / T is
+    # exactly 2 pi k, so E = 2 pi k, theta = k Theta and r repeats r(0).
+    periods = np.array([0.0, 1.0, 2.0, 4.0, 8.0])
+    count = 0
+    for label, params in gauged_potentials():
+        for lam in (0.3, 3.0):
+            for frac in (1e-6, 0.5, 0.999999):
+                try:
+                    oc = OrbitConstants(feasible_energy(params, lam, frac), lam)
+                    el = orbit_elements(params, oc)
+                except IsochroneError:
+                    continue
+                traj = trajectory(params, oc, periods * el.T)
+                case = (label, lam, frac)
+                assert np.array_equal(traj.E, 2 * math.pi * periods), case
+                assert np.array_equal(traj.theta, periods * el.Theta), case
+                assert np.all(traj.r == traj.r[0]), case
+                count += 1
+    assert count >= 300
+
+
+def test_anomaly_is_the_mean_anomaly_without_eccentricity(harmonic):
+    # Harmonic and circular orbits: E = z_J = 2 pi t / T bit for bit.
+    orbits = [(harmonic, OrbitConstants(2.5, 1.0))]
+    for _, params in gauged_potentials():
+        for lam in (0.3, 1.0, 3.0):
+            try:
+                orbits.append((params, OrbitConstants(circular_energy(params, lam), lam)))
+            except IsochroneError:
+                pass
+    times = np.linspace(0.0, 7.3, 50)
+    circular = 0
+    for params, oc in orbits:
+        el = orbit_elements(params, oc)
+        if el.ecc != 0.0 and not el.harmonic:
+            continue
+        circular += not el.harmonic
+        traj = trajectory(params, oc, times)
+        assert np.array_equal(traj.E, traj.z_j)
+        assert np.array_equal(traj.z_j, 2 * math.pi * (times / el.T))
+    assert circular >= 100
 
 
 def test_circular_trajectory(kepler):

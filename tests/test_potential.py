@@ -107,6 +107,8 @@ def test_y_value_out_of_domain(bounded, hollowed, harmonic):
             y_value(params, np.array([x]))
         with pytest.raises(OutOfDomain):
             y_derivatives(params, x, 2)
+        with pytest.raises(OutOfDomain):
+            parabola_ode_residual(params, x)
 
 
 def test_nan_abscissa_is_out_of_domain(all_classes):
@@ -114,9 +116,8 @@ def test_nan_abscissa_is_out_of_domain(all_classes):
     for name, params, _ in all_classes:
         with pytest.raises(OutOfDomain):
             y_derivatives(params, math.nan, 4)
-        if params.b != 0.0:
-            with pytest.raises(OutOfDomain):
-                parabola_ode_residual(params, math.nan)
+        with pytest.raises(OutOfDomain):
+            parabola_ode_residual(params, math.nan)
 
 
 def test_psi_value_examples(kepler, henon, bounded):
