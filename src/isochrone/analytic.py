@@ -85,6 +85,11 @@ TWO_PI = 2.0 * math.pi
 # formula is 0/0-free but ill-conditioned there.
 CIRCULAR_ECC = 1e-12
 
+# An anomaly is reduced to (-pi, pi] only where its ulp is at most this many
+# radians, i.e. below 2^33 (about 1.4e9 periods); beyond it the float holds
+# too little of the phase for E or theta to mean anything.
+PHASE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OrbitConstants:
@@ -392,7 +397,12 @@ _SIN_TAIL = [(-1) ** k / math.factorial(2 * k + 3) for k in range(8)]
 
 def _reduce(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m, k) with m = M - k 2 pi in (-pi, pi] and k whole; the difference is
-    exact (Sterbenz), so m + k * TWO_PI gives M back."""
+    exact (Sterbenz), so m + k * TWO_PI gives M back.  InvalidParams where M
+    is not finite or its ulp exceeds PHASE_TOL."""
+    big = float(np.abs(M).max(initial=0.0))
+    if not math.ulp(big) <= PHASE_TOL:  # also for inf and nan
+        raise InvalidParams(f"anomaly {big:.17g} is beyond the phase tolerance: "
+                            f"its ulp exceeds {PHASE_TOL:g} rad")
     cycles = np.ceil((M - math.pi) / TWO_PI)
     return (M - cycles * TWO_PI, cycles)
 
@@ -592,7 +602,8 @@ def trajectory(params: ParabolaParams, oc: OrbitConstants,
     if np.ndim(times) != 1:
         raise InvalidParams("sample times must be a 1-D sequence")
     t = _as_array(times, "sample time")
-    m = TWO_PI * (t / el.T)
+    with np.errstate(over="ignore"):  # _reduce refuses an infinite M
+        m = TWO_PI * (t / el.T)
     e_anom = _kepler(el.eps_eff, m)
     x, r = _radius(el, e_anom)
     theta, _ = _angle(el, e_anom)

@@ -11,7 +11,8 @@ verify   : JSON report of oracle comparisons and theorem checks
 Exit codes: 0 success, 1 verification failure (a failed check or any other
 refusal), 2 invalid input, 3 no bound orbit.  Floats are printed with 17
 significant digits so outputs round-trip binary64 exactly and runs are
-byte-stable.  The ISOCHRONE_LOG environment variable sets the logging level.
+byte-stable; the orbit CSV is formatted in numpy chunks, byte for byte as
+``%.17g``.  The ISOCHRONE_LOG environment variable sets the logging level.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import math
 import os
 import re
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import analytic, birkhoff, oracle, potential
+from . import _g17, analytic, birkhoff, oracle, potential
 from .analytic import OrbitConstants
 from .errors import (
     InvalidParams,
@@ -80,11 +81,20 @@ def _json_text(obj, indent: int = 0) -> str:
 def _emit(text: str, output: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
+    _emit_bytes([text.encode()], output)
+
+
+def _emit_bytes(chunks: Iterable[bytes], output: Optional[str]) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        with open(output, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream such as io.StringIO
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
+        return
+    sys.stdout.flush()  # text written before goes out first
+    buffer.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +341,11 @@ def _rows_to_csv(rows: list[dict], cols: Sequence[str]) -> str:
     return "".join(",".join(line) + "\n" for line in lines)
 
 
-def _columns_to_csv(cols: Sequence[str], columns: Sequence[np.ndarray]) -> str:
-    """CSV of float columns: the bytes of _rows_to_csv with fmt cells."""
-    line = ",".join(["%.17g"] * len(cols)) + "\n"
-    cells = tuple(np.column_stack(columns).ravel().tolist())
-    return (",".join(cols) + "\n" + line * len(columns[0])) % cells
+def _columns_to_csv(cols: Sequence[str],
+                    columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    """CSV of float columns in chunks: the bytes of _rows_to_csv with fmt cells."""
+    yield (",".join(cols) + "\n").encode("ascii")
+    yield from _g17.csv_rows(columns)
 
 
 def _rows_to_table(rows: list[dict], cols: Sequence[str]) -> str:
@@ -391,7 +401,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
                           "constants": {"xi": oc.xi, "lambda": oc.lam},
                           "samples": rows}), args.output)
     else:
-        _emit(_columns_to_csv(_ORBIT_COLS, traj.columns()), args.output)
+        _emit_bytes(_columns_to_csv(_ORBIT_COLS, traj.columns()), args.output)
     return 0
 
 

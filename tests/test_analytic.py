@@ -35,7 +35,13 @@ from isochrone.errors import (
     ToleranceNotMet,
     UnboundOrbit,
 )
-from isochrone.potential import GaugeTerm, ParabolaParams, apply_gauge, y_value
+from isochrone.potential import (
+    GaugeTerm,
+    ParabolaParams,
+    apply_gauge,
+    from_harmonic,
+    y_value,
+)
 
 from conftest import gauged_potentials, grid_orbits
 
@@ -326,9 +332,34 @@ def test_solve_kepler_tol_is_a_check():
     # mean anomaly meets the default tolerance.
     e_val = solve_kepler(0.5, 1e6)
     assert abs(e_val - 0.5 * math.sin(e_val) - 1e6) <= 1e-9
+    # Just below 2^33 the ulp of M is within PHASE_TOL, and |E - M| <= ecc.
+    m_big = 2.0**33 - 1.0
+    assert math.ulp(m_big) <= analytic.PHASE_TOL
+    assert abs(solve_kepler(0.5, m_big) - m_big) <= 0.5 + math.ulp(m_big)
     anomalies = np.linspace(0.1, 3.0, 50)
     with pytest.raises(ToleranceNotMet):
         solve_kepler(0.6, anomalies, tol=1e-300)
+
+
+@pytest.mark.parametrize("anomaly", [1e17, -1e17, 1.7e308, 2.0**33])
+def test_solve_kepler_refuses_an_anomaly_beyond_the_phase_tolerance(anomaly):
+    # ulp(M) > PHASE_TOL: the float no longer holds the phase of M.
+    assert math.ulp(anomaly) > analytic.PHASE_TOL
+    with pytest.raises(InvalidParams, match="phase tolerance"):
+        solve_kepler(0.5, anomaly)
+
+
+def test_trajectory_refuses_times_beyond_the_phase_tolerance(kepler):
+    el = orbit_elements(kepler, GOLDEN)
+    for late in (1e17 * el.T, 1.7e308):
+        with pytest.raises(InvalidParams, match="phase tolerance"):
+            trajectory(kepler, GOLDEN, [0.0, late])
+    # T < 1, so 2 pi t / T overflows to inf: refused, with no warning.
+    fast = from_harmonic(10.0)
+    oc = OrbitConstants(feasible_energy(fast, 1.0, 0.5), 1.0)
+    assert orbit_elements(fast, oc).T < 1.0
+    with pytest.raises(InvalidParams, match="phase tolerance"):
+        trajectory(fast, oc, [0.0, 1.7e308])
 
 
 # Bound on |E - E_exact| per eccentricity: 2-3x the largest error measured on

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import isochrone
-from isochrone import cli, oracle
+from isochrone import _g17, cli, oracle
 from isochrone.cli import _columns_to_csv, _rows_to_csv, main
 from isochrone.errors import DomainExit, StepSizeUnderflow
 
@@ -128,11 +130,37 @@ def test_orbit_samples_below_one_exit_2(samples, capsys):
 
 def test_column_writer_matches_row_writer():
     cols = ("a", "b", "c")
-    columns = (np.array([0.0, -0.0, 1e-300, -1e-300]),
-               np.array([1e300, -1e300, math.inf, -math.inf]),
-               np.array([-2.5, 1.0 / 3.0, 5e-324, -123456789.125]))
-    rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in columns))]
-    assert _columns_to_csv(cols, columns) == _rows_to_csv(rows, cols)
+    columns = (np.array([0.0, -0.0, 1e-300, -1e-300, 1234567890123456.75, 0.1]),
+               np.array([1e300, -1e300, math.inf, -math.inf, math.nan, 1e17]),
+               np.array([-2.5, 1.0 / 3.0, 5e-324, -123456789.125, 1e-5,
+                         np.nextafter(1e17, 0.0)]))
+    rng = np.random.default_rng(5)
+    for n in (None, _g17.CHUNK - 1, _g17.CHUNK, _g17.CHUNK + 1):
+        if n is not None:
+            columns = [rng.normal(size=n) * 10.0 ** rng.integers(-10, 20, n)
+                       for _ in cols]
+        rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in columns))]
+        csv = b"".join(_columns_to_csv(cols, columns)).decode("ascii")
+        assert csv == _rows_to_csv(rows, cols)
+
+
+def test_orbit_stdout_bytes_equal_file_bytes(tmp_path, capsysbinary):
+    argv = ["orbit", "--hollowed", "mu=1,beta=1", "--xi", "-0.2", "--lambda", "1",
+            "--samples", str(_g17.CHUNK + 1), "--periods", "2"]
+    path = tmp_path / "orbit.csv"
+    assert main(argv + ["-o", str(path)]) == 0
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == path.read_bytes()
+    # Text still held in a buffered stdout goes out before the CSV's bytes.
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="ascii", newline="")
+    with contextlib.redirect_stdout(stdout):
+        print("before")
+        assert main(argv) == 0
+    assert raw.getvalue() == b"before\n" + path.read_bytes()
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(argv) == 0
+    assert text.getvalue().encode("ascii") == path.read_bytes()
 
 
 def test_orbit_byte_determinism(tmp_path):
@@ -233,11 +261,14 @@ def test_verify_byte_determinism(tmp_path):
 
 
 # The closed-form commands never load scipy; the oracle imports it on its
-# first call.  One fresh process, since this suite has scipy loaded already.
+# first call.  Importing the CLI builds none of the formatter's tables.  One
+# fresh process, since this suite has scipy loaded already.
 _NO_SCIPY_CHILD = """
 import sys
 import isochrone, isochrone.cli
 from isochrone.cli import main
+tables = isochrone._g17._tables.cache_info
+assert tables().currsize == 0, "importing the CLI built the formatter's tables"
 out = sys.argv[1]
 for argv in (
         ["classify", "--kepler", "mu=1"],
@@ -250,6 +281,7 @@ for argv in (
          "--samples", "40", "--format", "json", "-o", out + "/orbit.json"]):
     assert main(argv) == 0, argv
 assert "scipy" not in sys.modules, "an analytic command loaded scipy"
+assert tables().currsize == 1
 assert main(["verify", "--kepler", "mu=1", "-o", out + "/verify.json"]) == 0
 assert "scipy" in sys.modules
 """
