@@ -47,7 +47,8 @@ class ToleranceNotMet(IsochroneError):
 
 
 class StepSizeUnderflow(IsochroneError):
-    """The ODE integrator could not advance without violating tolerances."""
+    """The ODE integrator could not advance without violating tolerances,
+    or spent its step budget without reaching the next output time."""
 
 
 class DomainExit(IsochroneError):

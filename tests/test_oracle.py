@@ -6,7 +6,13 @@ import pytest
 from isochrone import analytic, oracle, potential
 from isochrone.analytic import OrbitConstants, orbit_elements
 from isochrone.birkhoff import bertrand_check
-from isochrone.errors import InvalidParams, NoBoundOrbit, ToleranceNotMet
+from isochrone.errors import (
+    DomainExit,
+    InvalidParams,
+    NoBoundOrbit,
+    StepSizeUnderflow,
+    ToleranceNotMet,
+)
 from isochrone.oracle import (
     RadialPotential,
     as_potential,
@@ -374,3 +380,114 @@ def test_generic_handle_without_derivative():
     assert turning_radii(branchy, oc) == turning_radii(plummer_potential(), oc)
     states = integrate_orbit(bare, oc, 5.0, reltol=1e-8)
     assert states[-1].r > 0.0
+
+
+@pytest.mark.parametrize("t_end, reltol, t_eval", [
+    (5.0, 1e-10, [0.0, 6.0]),
+    (5.0, 1e-10, [-1.0, 1.0]),
+    (5.0, 1e-10, [2.0, 1.0]),
+    (5.0, 1e-10, [1.0, 1.0]),
+    (5.0, 1e-10, [math.nan]),
+    (5.0, 1e-10, []),
+    (0.0, 1e-10, None),
+    (-5.0, 1e-10, None),
+    (math.nan, 1e-10, None),
+    (math.inf, 1e-10, None),
+    (5.0, math.nan, None),
+    (5.0, 0.0, None),
+    (5.0, 1e-15, None),
+    (5.0, math.inf, None),
+], ids=["t_eval-beyond", "t_eval-negative", "t_eval-unsorted",
+        "t_eval-repeated", "t_eval-nan", "t_eval-empty", "t_end-zero",
+        "t_end-backward", "t_end-nan", "t_end-inf", "reltol-nan",
+        "reltol-zero", "reltol-below-floor", "reltol-inf"])
+def test_integrate_orbit_refuses_bad_inputs(henon, t_end, reltol, t_eval):
+    with pytest.raises(InvalidParams):
+        integrate_orbit(henon, OrbitConstants(-0.12, 1.0), t_end, reltol=reltol,
+                        t_eval=t_eval)
+
+
+def _solve_ivp_states(pot, oc, t_end, reltol, t_eval):
+    """(t, r, rdot, theta) from scipy's solve_ivp on the oracle's equations."""
+    from scipy.integrate import solve_ivp
+
+    p = as_potential(pot)
+    r_p, r_a = turning_radii(pot, oc)
+    lam2 = oc.lam * oc.lam
+
+    def rhs(t, y):
+        r = float(y[0])
+        return [y[1], lam2 / r**3 - p.force_term(r), oc.lam / (r * r)]
+
+    vmax = math.sqrt(max(2.0 * (oc.xi - p.psi(r_a) - 0.5 * lam2 / r_a**2), 1e-12))
+    sol = solve_ivp(rhs, (0.0, t_end), [r_p, 0.0, 0.0], method="DOP853",
+                    rtol=reltol, atol=1e-2 * reltol * max(r_a, vmax, 1.0),
+                    t_eval=t_eval)
+    assert sol.success
+    return list(zip(sol.t, *sol.y))
+
+
+@pytest.mark.parametrize("outputs", [None, 101], ids=["default", "101"])
+def test_integrate_orbit_is_solve_ivp_to_the_bit(all_classes, outputs):
+    henon_gauged = potential.apply_gauge(potential.from_henon(1.0, 1.0),
+                                         potential.GaugeTerm(0.1, 0.2))
+    orbits = [(pot, oc, orbit_elements(pot, oc).T) for _, pot, oc in all_classes]
+    oc = OrbitConstants(analytic.feasible_energy(henon_gauged, 1.0, 0.6), 1.0)
+    orbits.append((henon_gauged, oc, orbit_elements(henon_gauged, oc).T))
+    orbits.append((plummer_potential(), OrbitConstants(-0.4, 0.5), 10.0))
+    for pot, oc, t_end in orbits:
+        t_eval = None if outputs is None else np.linspace(0.0, t_end, outputs)
+        states = integrate_orbit(pot, oc, t_end, reltol=1e-11, t_eval=t_eval)
+        ref = _solve_ivp_states(pot, oc, t_end, 1e-11, np.linspace(
+            0.0, t_end, outputs or 200))
+        assert [(s.t, s.r, s.rdot, s.theta) for s in states] == ref, pot
+
+
+@pytest.mark.parametrize("params, lam, xi", [
+    # Apoastron 2e-10 inside the bounded family's wall: 130 853 right-hand
+    # side calls and 1.4 s to return, without the step budget.
+    (potential.from_bounded(1.0, 1.0), 5.0, 13.499979427961884),
+    # Lambda = 1e-4: 10 846 steps to an endpoint 1.1e-5 off.
+    (potential.from_henon(1.0, 1.0), 1e-4,
+     analytic.feasible_energy(potential.from_henon(1.0, 1.0), 1e-4, 0.5)),
+], ids=["bounded-near-wall", "henon-tiny-lambda"])
+def test_step_budget_refuses_a_crawl(params, lam, xi):
+    base = as_potential(params)
+    calls = []
+
+    def dpsi(r):
+        calls.append(r)
+        return base.dpsi(r)
+
+    counted = RadialPotential(psi=base.psi, dpsi=dpsi, r_bounds=base.r_bounds)
+    oc = OrbitConstants(xi, lam)
+    T = orbit_elements(params, oc).T
+    with pytest.raises(StepSizeUnderflow, match="2000 steps"):
+        integrate_orbit(counted, oc, T, reltol=1e-11, t_eval=[T])
+    assert len(calls) < 40_000
+
+
+def test_step_budget_is_per_output_interval(bounded):
+    # 2424 steps to one period: refused with one output, while 101 outputs
+    # split the same steps into intervals within the budget.
+    oc = OrbitConstants(analytic.feasible_energy(bounded, 1e-4, 1e-6), 1e-4)
+    el = orbit_elements(bounded, oc)
+    with pytest.raises(StepSizeUnderflow):
+        integrate_orbit(bounded, oc, el.T, reltol=1e-11, t_eval=[el.T])
+    states = integrate_orbit(bounded, oc, el.T, reltol=1e-11,
+                             t_eval=np.linspace(0.0, el.T, 101))
+    assert states[-1].r == pytest.approx(el.r_p, abs=1e-6 * el.r_a)
+
+
+@pytest.mark.parametrize("r_bounds", [(0.0, 1.5), (0.8, math.inf)],
+                         ids=["outer-wall", "inner-wall"])
+def test_a_wall_inside_the_orbit_raises_domain_exit(monkeypatch, r_bounds):
+    # The Plummer orbit spans r = 0.50 .. 2.11; the scan would find no
+    # turning point inside the walls, so it is handed the true ones.
+    plummer = plummer_potential()
+    oc = OrbitConstants(-0.4, 0.5)
+    radii = turning_radii(plummer, oc)
+    walled = RadialPotential(psi=plummer.psi, dpsi=plummer.dpsi, r_bounds=r_bounds)
+    monkeypatch.setattr(oracle, "turning_radii", lambda pot, oc: radii)
+    with pytest.raises(DomainExit):
+        integrate_orbit(walled, oc, 10.0)
