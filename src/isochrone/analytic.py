@@ -414,9 +414,12 @@ def _kepler(ecc: float, M: np.ndarray) -> np.ndarray:
     [-pi, pi]: the root of a cubic from a Pade approximant of sin E, exact at
     0 and +-pi, then one fifth-order correction, with E - sin E summed as its
     series where it cancels.  A negative ecc maps through
-    E(-e, m) = E(e, m + pi) - pi.  At ecc = 0 it returns M bit for bit.
+    E(-e, m) = E(e, m + pi) - pi.  At ecc = 0 the root is M itself, returned
+    as m + 2 pi k: the bits the solve gives (+0 where M is -0).
     """
     m, cycles = _reduce(M)
+    if ecc == 0.0:
+        return m + cycles * TWO_PI
     if ecc < 0.0:
         half = np.where(m > 0.0, math.pi, -math.pi)
         return (_kepler(-ecc, m - half) + half) + cycles * TWO_PI

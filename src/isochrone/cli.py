@@ -12,12 +12,17 @@ Exit codes: 0 success, 1 verification failure (a failed check or any other
 refusal), 2 invalid input, 3 no bound orbit.  Floats are printed with 17
 significant digits so outputs round-trip binary64 exactly and runs are
 byte-stable; the orbit CSV is formatted in numpy chunks, byte for byte as
-``%.17g``.  The ISOCHRONE_LOG environment variable sets the logging level.
+``%.17g``.  ``orbit`` computes and writes its CSV in blocks of 4096 rows, so
+its memory does not depend on ``--samples`` (a fresh process peaks at about
+33 MB RSS from 1e5 to 3e6 samples); a refusal still comes before the first
+byte.  The ISOCHRONE_LOG environment variable sets the logging level.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import logging
 import math
@@ -206,6 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and then reused: each
+    parse starts from a new namespace, so no call carries into the next."""
+    return build_parser()
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     if not args.config:
         return
@@ -342,10 +354,15 @@ def _rows_to_csv(rows: list[dict], cols: Sequence[str]) -> str:
 
 
 def _columns_to_csv(cols: Sequence[str],
-                    columns: Sequence[np.ndarray]) -> Iterator[bytes]:
-    """CSV of float columns in chunks: the bytes of _rows_to_csv with fmt cells."""
+                    blocks: Iterable[Sequence[np.ndarray]]) -> Iterator[bytes]:
+    """CSV of float columns in chunks: the bytes of _rows_to_csv with fmt cells.
+
+    Each block is a sequence of equal-length columns, read only when its rows
+    are due; its rows follow those of the block before.
+    """
     yield (",".join(cols) + "\n").encode("ascii")
-    yield from _g17.csv_rows(columns)
+    for columns in blocks:
+        yield from _g17.csv_rows(columns)
 
 
 def _rows_to_table(rows: list[dict], cols: Sequence[str]) -> str:
@@ -380,6 +397,9 @@ def cmd_elements(args: argparse.Namespace, as_table: bool = False) -> int:
 
 
 _ORBIT_COLS = ("t", "E", "x", "r", "theta", "zJ", "zLambda")
+# Rows of the orbit CSV computed at once: 32 KiB per column, so that memory
+# does not grow with --samples.
+_BLOCK = 8 * _g17.CHUNK
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
@@ -392,16 +412,28 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     periods = args.periods if args.periods is not None else 1.0
     if n < 1 or periods <= 0.0:
         raise InvalidParams("--samples must be >= 1 and --periods > 0")
-    times = periods * el.T * np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
-    traj = analytic.trajectory(params, oc, times)
+
+    def block(start: int, stop: int) -> analytic.Trajectory:
+        """The trajectory at rows start .. stop - 1 of the n sample times."""
+        times = periods * el.T * np.arange(start, stop) / (n - 1) if n > 1 \
+            else np.zeros(1)
+        return analytic.trajectory(params, oc, times)
+
     if (args.format or "csv") == "json":
         rows = [{"t": s.t, "E": s.E, "x": s.x, "r": s.r, "theta": s.theta,
-                 "zJ": s.z_j, "zLambda": s.z_lam} for s in traj]
+                 "zJ": s.z_j, "zLambda": s.z_lam} for s in block(0, n)]
         _emit(_json_text({"potential": desc,
                           "constants": {"xi": oc.xi, "lambda": oc.lam},
                           "samples": rows}), args.output)
-    else:
-        _emit_bytes(_columns_to_csv(_ORBIT_COLS, traj.columns()), args.output)
+        return 0
+    # Times rise with the row, so the last block holds the largest anomaly
+    # and any time that is not finite: computed first, it raises every
+    # refusal before a byte is written.
+    starts = range(0, n, _BLOCK)
+    last = block(starts[-1], n)
+    blocks = itertools.chain((block(s, s + _BLOCK) for s in starts[:-1]), [last])
+    _emit_bytes(_columns_to_csv(_ORBIT_COLS, (b.columns() for b in blocks)),
+                args.output)
     return 0
 
 
@@ -577,8 +609,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     level = os.environ.get("ISOCHRONE_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _apply_config(args)
         log.debug("dispatch %s", args.command)

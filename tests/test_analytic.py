@@ -394,9 +394,11 @@ def test_kepler_matches_mpmath():
 def test_kepler_is_the_identity_at_zero_eccentricity():
     rng = np.random.default_rng(12)
     anomalies = np.concatenate([rng.uniform(-1e8, 1e8, 2000), rng.uniform(-50, 50, 2000),
-                                np.logspace(-300, 2, 200), [0.0, math.pi, -math.pi]])
+                                np.logspace(-300, 2, 200), [0.0, -0.0, math.pi, -math.pi]])
     for ecc in (0.0, -0.0):
-        assert np.array_equal(analytic._kepler(ecc, anomalies), anomalies)
+        # Bit for bit, -0 giving +0 as the solve does.
+        assert np.array_equal(analytic._kepler(ecc, anomalies).view(np.int64),
+                              (anomalies + 0.0).view(np.int64))
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import isochrone
-from isochrone import _g17, cli, oracle
+from isochrone import _g17, analytic, cli, oracle, potential
+from isochrone.analytic import OrbitConstants
 from isochrone.cli import _columns_to_csv, _rows_to_csv, main
 from isochrone.errors import DomainExit, StepSizeUnderflow
 
@@ -140,17 +141,19 @@ def test_column_writer_matches_row_writer():
             columns = [rng.normal(size=n) * 10.0 ** rng.integers(-10, 20, n)
                        for _ in cols]
         rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in columns))]
-        csv = b"".join(_columns_to_csv(cols, columns)).decode("ascii")
+        csv = b"".join(_columns_to_csv(cols, [columns])).decode("ascii")
         assert csv == _rows_to_csv(rows, cols)
 
 
 def test_orbit_stdout_bytes_equal_file_bytes(tmp_path, capsysbinary):
     argv = ["orbit", "--hollowed", "mu=1,beta=1", "--xi", "-0.2", "--lambda", "1",
-            "--samples", str(_g17.CHUNK + 1), "--periods", "2"]
+            "--periods", "2"]
     path = tmp_path / "orbit.csv"
-    assert main(argv + ["-o", str(path)]) == 0
-    assert main(argv) == 0
-    assert capsysbinary.readouterr().out == path.read_bytes()
+    for samples in (2 * cli._BLOCK + 3, _g17.CHUNK + 1):  # several blocks, one
+        assert main(argv + [f"--samples={samples}", "-o", str(path)]) == 0
+        assert main(argv + [f"--samples={samples}"]) == 0
+        assert capsysbinary.readouterr().out == path.read_bytes()
+    argv.append(f"--samples={_g17.CHUNK + 1}")
     # Text still held in a buffered stdout goes out before the CSV's bytes.
     raw = io.BytesIO()
     stdout = io.TextIOWrapper(raw, encoding="ascii", newline="")
@@ -161,6 +164,81 @@ def test_orbit_stdout_bytes_equal_file_bytes(tmp_path, capsysbinary):
     with contextlib.redirect_stdout(io.StringIO()) as text:
         assert main(argv) == 0
     assert text.getvalue().encode("ascii") == path.read_bytes()
+
+
+_STREAMED = [  # (flag, spec, params, xi, Lambda): Kepler-class, harmonic, hollowed
+    ("--kepler", "mu=1", potential.from_kepler(1.0), -0.5, 0.8),
+    ("--harmonic", "omega=1", potential.from_harmonic(1.0), 2.0, 0.7),
+    ("--hollowed", "mu=1,beta=1", potential.from_hollowed(1.0, 1.0), -0.2, 1.0),
+]
+
+
+@pytest.mark.parametrize("flag, spec, params, xi, lam", _STREAMED,
+                         ids=["kepler", "harmonic", "hollowed"])
+def test_orbit_blocks_give_the_whole_array_bytes(flag, spec, params, xi, lam,
+                                                  tmp_path, capsysbinary):
+    # The CSV is computed in blocks of _BLOCK rows; at and around the block
+    # edges its bytes are those of one trajectory over all the times.
+    oc = OrbitConstants(xi, lam)
+    el = analytic.orbit_elements(params, oc)
+    block = cli._BLOCK
+    path = tmp_path / "orbit.csv"
+    for n in (1, 2, block - 1, block, block + 1, 2 * block + 1):
+        times = 1.5 * el.T * np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
+        traj = analytic.trajectory(params, oc, times)
+        whole = b"".join(_columns_to_csv(cli._ORBIT_COLS, [traj.columns()]))
+        argv = ["orbit", flag, spec, f"--xi={xi}", f"--lambda={lam}",
+                f"--samples={n}", "--periods=1.5"]
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == whole, n
+        assert main(argv + ["-o", str(path)]) == 0
+        assert path.read_bytes() == whole, n
+
+
+@pytest.mark.parametrize("periods", ["1e20", "2e9"])
+def test_orbit_refusal_comes_before_the_first_byte(periods, tmp_path, capsysbinary):
+    # At 2e9 periods only the last block's anomalies exceed the phase
+    # tolerance (2^33 rad); the refusal still precedes every byte.
+    argv = ["orbit", "--kepler", "mu=1", "--xi", "-0.5", "--lambda", "0.8",
+            "--periods", periods, "--samples", str(2 * cli._BLOCK + 1)]
+    assert main(argv) == 2
+    out = capsysbinary.readouterr()
+    assert out.out == b""
+    assert out.err.startswith(b"error: InvalidParams")
+    path = tmp_path / "orbit.csv"
+    assert main(argv + ["-o", str(path)]) == 2
+    assert not path.exists()
+    path.write_bytes(b"kept\n")
+    assert main(argv + ["-o", str(path)]) == 2
+    assert path.read_bytes() == b"kept\n"
+
+
+# The child's own peak RSS.  Linux carries ru_maxrss across fork and exec,
+# so it would report the test process's peak; VmHWM starts anew at exec.
+_PEAK_RSS_CHILD = """
+import sys
+from isochrone.cli import main
+code = main(["orbit", "--henon", "mu=1,beta=1", "--xi=-0.3", "--lambda=0.5",
+             "--periods", "3", "--samples", "500000", "-o", sys.argv[1]])
+with open("/proc/self/status") as fh:
+    kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, kib / 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_orbit_memory_does_not_grow_with_samples():
+    # A whole-array orbit of 500 000 samples peaks near 113 MB; the blocks
+    # keep a fresh process near 33 MB, whatever --samples.
+    src = str(Path(isochrone.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, os.devnull],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    code, peak_mb = proc.stdout.split()
+    assert code == "0"
+    assert float(peak_mb) < 80.0
 
 
 def test_orbit_byte_determinism(tmp_path):
@@ -337,6 +415,27 @@ def test_elements_json_format(capsys):
     doc = json.loads(out)
     assert doc["rows"][0]["T"] == pytest.approx(2 * math.pi)
     assert doc["potential"]["class"] == "Henon (Kepler degenerate)"
+
+
+def test_one_parser_serves_every_call_and_carries_nothing(tmp_path, capsys):
+    # main builds its parser once; an option given to one call must not
+    # reach the next, which parses as a fresh build_parser() would.
+    assert cli._parser() is cli._parser()
+    assert cli._parser() is not cli.build_parser()
+    orbit = ["orbit", "--kepler", "mu=1", "--xi", "-0.5", "--lambda", "0.8"]
+    verify = ["verify", "--kepler", "mu=1"]
+    for first, second in ((orbit + ["--samples", "5"], orbit),
+                          (verify + ["--bertrand"], verify)):
+        cli._parser().parse_args(first)
+        assert cli._parser().parse_args(second) == cli.build_parser().parse_args(second)
+    assert main(orbit + ["--samples", "5"]) == 0
+    assert main(orbit) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6 + 101
+    report = tmp_path / "verify.json"
+    assert main(verify + ["--bertrand", "-o", str(report)]) == 0
+    assert "bertrand_constant_Q" in report.read_text()
+    assert main(verify + ["-o", str(report)]) == 0
+    assert "bertrand" not in report.read_text()
 
 
 def test_log_level_env_var(capsys, monkeypatch):
