@@ -7,7 +7,7 @@ independent.  Two independent routes compute them:
 * ``FromPotential`` - from derivatives of Y at the circular abscissa x_c,
   valid for any radial potential:
       l = Y'(x_c),  b = sqrt(8 Y''),  B = 4 Y3/Y2 + x_c (3 Y2 Y4 - 5 Y3^2)/(3 Y2^2)
-  with closed-form derivatives for a parabola, and finite differences of
+  with closed-form derivatives for a parabola; finite-difference derivatives of
   Y(x) = x psi(sqrt(x/2)) for the generic type ``oracle.RadialPotential``.
 * ``FromPeriod`` - from the closed-form radial period of an isochrone
   parabola: l = xi_c, b = 2 pi / T(xi_c), B = -4 pi^2 T'(xi_c) / T^3.
@@ -26,9 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import analytic, potential as potmod
 from .errors import InvalidParams, NoCircularOrbit, SingularPoint
-from .oracle import PotentialLike
+from .oracle import CENTRAL, FORWARD, PotentialLike, difference
 from .potential import ParabolaParams
 
 __all__ = [
@@ -149,11 +151,12 @@ def invariants_from_period(params: ParabolaParams, lam: float) -> BirkhoffInvari
 
 
 def _slopes(obj: PotentialLike, lam: float) -> tuple[float, float]:
-    """(dl/dLambda, db/dLambda) by central differences of step 1e-4 Lambda."""
-    h = 1e-4 * lam
-    hi = invariants_from_potential(obj, lam + h)
-    lo = invariants_from_potential(obj, lam - h)
-    return ((hi.l - lo.l) / (2.0 * h), (hi.b_inv - lo.b_inv) / (2.0 * h))
+    """(dl/dLambda, db/dLambda) by the central rule of step 1e-4 Lambda."""
+    def l_and_b(L: float) -> np.ndarray:
+        inv = invariants_from_potential(obj, L)
+        return np.array([inv.l, inv.b_inv])
+
+    return tuple(difference(l_and_b, lam, 1e-4 * lam, CENTRAL).tolist())
 
 
 def _rel_residual(lhs: float, rhs: float) -> float:
@@ -242,25 +245,15 @@ def third_law(params: ParabolaParams, xi: float) -> float:
 
 def frequency_invariants(params: ParabolaParams, J: float,
                          lam: float) -> FrequencyInvariants:
-    """Wedge scalars of the frequency map, by central differences in (J, Lambda)."""
+    """Wedge scalars of the frequency map, by finite differences in (J, Lambda)."""
+    w = analytic.frequencies(params, J, lam)
     h_j = 1e-5 * max(1.0, abs(J))
-    h_l = 1e-5 * lam
+    d_j = difference(lambda j: np.array(analytic.frequencies(params, j, lam)), J,
+                     h_j, CENTRAL if J - h_j >= 0.0 else FORWARD).tolist()
+    d_l = difference(lambda L: np.array(analytic.frequencies(params, J, L)), lam,
+                     1e-5 * lam, CENTRAL).tolist()
 
-    def omega(j: float, L: float) -> tuple[float, float]:
-        return analytic.frequencies(params, j, L)
-
-    if J - h_j >= 0.0:
-        wj_lo, wj_hi = omega(J - h_j, lam), omega(J + h_j, lam)
-        d_j = ((wj_hi[0] - wj_lo[0]) / (2 * h_j), (wj_hi[1] - wj_lo[1]) / (2 * h_j))
-    else:
-        w0, w1, w2 = omega(J, lam), omega(J + h_j, lam), omega(J + 2 * h_j, lam)
-        d_j = ((-3 * w0[0] + 4 * w1[0] - w2[0]) / (2 * h_j),
-               (-3 * w0[1] + 4 * w1[1] - w2[1]) / (2 * h_j))
-    wl_lo, wl_hi = omega(J, lam - h_l), omega(J, lam + h_l)
-    d_l = ((wl_hi[0] - wl_lo[0]) / (2 * h_l), (wl_hi[1] - wl_lo[1]) / (2 * h_l))
-    w = omega(J, lam)
-
-    def wedge(u: tuple[float, float], v: tuple[float, float]) -> float:
+    def wedge(u: Sequence[float], v: Sequence[float]) -> float:
         return u[0] * v[1] - u[1] * v[0]
 
     return FrequencyInvariants(j_inv=wedge(d_j, w), g_inv=wedge(w, d_l),

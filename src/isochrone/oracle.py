@@ -69,14 +69,27 @@ _SQRT2 = math.sqrt(2.0)
 # epicyclic (small-oscillation) limit instead of the singular quadrature.
 _CIRCULAR_SPAN = 1e-9
 
-# 5-point central differences: Y^(n)(x) = sum_k w_k Y(x + k h) / (c h^n),
-# k = -2..2, one row (w, c, h relative to max(|x|, 1)) per order n = 1..4.
-_STENCILS = (
-    ((1, -8, 0, 8, -1), 12, 1e-4),
-    ((-1, 16, -30, 16, -1), 12, 1e-4),
-    ((-1, 2, 0, -2, 1), 2, 2e-3),
-    ((1, -4, 6, -4, 1), 1, 1e-2),
+# Difference rules (n, ((k, w_k), ...), c): the n-th derivative is
+# sum_k w_k f(x + k h) / (c h^n), evaluated and summed in the listed order.
+CENTRAL = (1, ((1, 1), (-1, -1)), 2)
+FORWARD = (1, ((0, -3), (1, 4), (2, -1)), 2)
+SECOND = (2, ((1, 1), (0, -2), (-1, 1)), 1)
+# 5-point rules for Y' to Y'''', each with its step relative to max(|x|, 1).
+FIVE_POINT = (
+    ((1, ((-2, 1), (-1, -8), (1, 8), (2, -1)), 12), 1e-4),
+    ((2, ((-2, -1), (-1, 16), (0, -30), (1, 16), (2, -1)), 12), 1e-4),
+    ((3, ((-2, -1), (-1, 2), (1, -2), (2, 1)), 2), 2e-3),
+    ((4, ((-2, 1), (-1, -4), (0, 6), (1, -4), (2, 1)), 1), 1e-2),
 )
+
+
+def difference(f: Callable, x: float, h: float, rule: tuple):
+    """The derivative of ``rule`` at x with step h; f returns a float or an array."""
+    n, ((k0, w0), *terms), c = rule
+    total = w0 * f(x + k0 * h)
+    for k, w in terms:
+        total = total + w * f(x + k * h)
+    return total / (c * h**n)
 
 
 @dataclass(frozen=True)
@@ -107,8 +120,8 @@ class OdeState:
 class RadialPotential:
     """A generic radial potential: psi(r), or Y(x) = x psi(sqrt(x/2)).
 
-    ``dpsi`` may be omitted, in which case a central finite difference is
-    used (adequate for negative controls, not for tight-tolerance work).
+    ``dpsi`` may be omitted; psi' is then the central rule of :func:`difference`
+    (adequate for negative controls, not for tight-tolerance work).
     ``r_bounds`` is the open interval on which psi is defined.  The
     turning-point scan and the ODE energy drift call ``psi`` once on a
     float64 array, or point by point where ``psi`` takes floats only.
@@ -122,8 +135,7 @@ class RadialPotential:
     def force_term(self, r: float) -> float:
         if self.dpsi is not None:
             return self.dpsi(r)
-        h = 1e-6 * max(abs(r), 1.0)
-        return (self.psi(r + h) - self.psi(r - h)) / (2.0 * h)
+        return difference(self.psi, r, 1e-6 * max(abs(r), 1.0), CENTRAL)
 
     def y_value(self, x: float) -> float:
         """Y(x) = x psi(sqrt(x/2)) on the open interval (2 r_lo^2, 2 r_hi^2)."""
@@ -137,14 +149,8 @@ class RadialPotential:
         when a stencil [x - 2h, x + 2h] leaves the domain."""
         if not 1 <= order <= 4:
             raise InvalidParams(f"order must be between 1 and 4, got {order!r}")
-        scale = max(abs(x), 1.0)
-        out = []
-        for n, (weights, c, step) in enumerate(_STENCILS[:order], start=1):
-            h = step * scale
-            total = sum(w * self.y_value(x + k * h)
-                        for k, w in zip(range(-2, 3), weights) if w)
-            out.append(total / (c * h**n))
-        return out
+        return [difference(self.y_value, x, step * max(abs(x), 1.0), rule)
+                for rule, step in FIVE_POINT[:order]]
 
     def circular_radius(self, lam: float) -> float:
         """Circular radius: Lambda^2 / r^3 = psi'(r), i.e. x Y' - Y = Lambda^2
@@ -305,12 +311,11 @@ def _epicyclic(p: RadialPotential, oc: OrbitConstants,
                r_c: float) -> tuple[QuadratureResult, QuadratureResult]:
     """(T, Theta) of a near-circular orbit from the effective-potential curvature."""
     lam2 = oc.lam**2
-    h = 1e-5 * r_c
 
     def veff(r: float) -> float:
         return p.psi(r) + 0.5 * lam2 / (r * r)
 
-    curv = (veff(r_c + h) - 2.0 * veff(r_c) + veff(r_c - h)) / (h * h)
+    curv = difference(veff, r_c, 1e-5 * r_c, SECOND)
     if curv <= 0.0:
         raise NoBoundOrbit("effective potential not convex at the circular radius")
     T = 2.0 * math.pi / math.sqrt(curv)
