@@ -326,12 +326,17 @@ def radial_action(params: ParabolaParams, oc: OrbitConstants) -> float:
     return j
 
 
+def _check_actions(J: float, lam: float) -> None:
+    """InvalidParams unless J is finite and >= 0 and Lambda is finite and > 0."""
+    if not 0.0 <= J < math.inf:
+        raise InvalidParams(f"radial action must be finite and >= 0, got {J!r}")
+    if not 0.0 < lam < math.inf:
+        raise InvalidParams(f"Lambda must be finite and > 0, got {lam!r}")
+
+
 def hamiltonian(params: ParabolaParams, J: float, lam: float) -> float:
     """Energy xi = H(J, Lambda) in action-angle variables."""
-    if J < 0.0 or not math.isfinite(J):
-        raise InvalidParams(f"radial action must be >= 0, got {J!r}")
-    if lam <= 0.0:
-        raise InvalidParams("hamiltonian requires Lambda > 0")
+    _check_actions(J, lam)
     if params.b == 0.0:
         sd, aa = math.sqrt(-params.d), abs(params.a)
         return (params._a1 + 4.0 * aa * J / sd
@@ -343,8 +348,7 @@ def hamiltonian(params: ParabolaParams, J: float, lam: float) -> float:
 
 def frequencies(params: ParabolaParams, J: float, lam: float) -> tuple[float, float]:
     """Hamiltonian frequencies (omega_J, omega_Lambda) = grad H."""
-    if lam <= 0.0:
-        raise InvalidParams("frequencies require Lambda > 0")
+    _check_actions(J, lam)
     if params.b == 0.0:
         sd, aa = math.sqrt(-params.d), abs(params.a)
         return (4.0 * aa / sd,

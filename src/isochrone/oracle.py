@@ -20,6 +20,12 @@ quantity's smooth integrand in u by QUADPACK's adaptive Gauss-Kronrod rule.
 A parabola's turning points are solved once per orbit: the three
 quadratures and the ODE of the same (params, oc) share the last solve.
 
+Every numerical derivative, here and in the Birkhoff checks, is a call of
+the one difference routine, :func:`difference`, with a rule from its table:
+Y' to Y'''' of a generic potential, psi' where ``dpsi`` is omitted (the
+central rule), the epicyclic curvature as the slope of the force balance,
+and the Lambda- and J-slopes of the invariants and the frequencies.
+
 scipy is imported inside the four functions that call it, on the first
 oracle call, not with this module: the closed-form commands (``classify``,
 ``elements``, ``table``, ``orbit``) never load it.  It stays a runtime
@@ -73,7 +79,6 @@ _CIRCULAR_SPAN = 1e-9
 # sum_k w_k f(x + k h) / (c h^n), evaluated and summed in the listed order.
 CENTRAL = (1, ((1, 1), (-1, -1)), 2)
 FORWARD = (1, ((0, -3), (1, 4), (2, -1)), 2)
-SECOND = (2, ((1, 1), (0, -2), (-1, 1)), 1)
 # 5-point rules for Y' to Y'''', each with its step relative to max(|x|, 1).
 FIVE_POINT = (
     ((1, ((-2, 1), (-1, -8), (1, 8), (2, -1)), 12), 1e-4),
@@ -222,14 +227,20 @@ def _search_window(p: RadialPotential) -> tuple[float, float]:
     return lo, hi
 
 
+def _force_balance(p: RadialPotential, lam: float) -> Callable[[float], float]:
+    """r -> Lambda^2 / r^3 - psi'(r), whose root is the circular radius."""
+    def bal(r: float) -> float:
+        return lam**2 / r**3 - p.force_term(r)
+
+    return bal
+
+
 def _force_balance_radius(p: RadialPotential, lam: float, lo: float,
                           hi: float) -> Optional[float]:
     """Circular radius from Lambda^2 / r^3 = psi'(r); sharp, unlike the kinetic max."""
     from scipy.optimize import brentq
 
-    def bal(r: float) -> float:
-        return lam**2 / r**3 - p.force_term(r)
-
+    bal = _force_balance(p, lam)
     for _ in range(60):
         if bal(lo) > 0.0 > bal(hi):
             return float(brentq(bal, lo, hi, xtol=1e-300, rtol=8.9e-16))
@@ -309,13 +320,9 @@ def _solve_radii(p: RadialPotential, oc: OrbitConstants) -> tuple[float, float]:
 
 def _epicyclic(p: RadialPotential, oc: OrbitConstants,
                r_c: float) -> tuple[QuadratureResult, QuadratureResult]:
-    """(T, Theta) of a near-circular orbit from the effective-potential curvature."""
-    lam2 = oc.lam**2
-
-    def veff(r: float) -> float:
-        return p.psi(r) + 0.5 * lam2 / (r * r)
-
-    curv = difference(veff, r_c, 1e-5 * r_c, SECOND)
+    """(T, Theta) of a near-circular orbit from the effective-potential curvature,
+    minus the slope of the force balance by the central rule."""
+    curv = -difference(_force_balance(p, oc.lam), r_c, 1e-6 * r_c, CENTRAL)
     if curv <= 0.0:
         raise NoBoundOrbit("effective potential not convex at the circular radius")
     T = 2.0 * math.pi / math.sqrt(curv)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isochrone import analytic, oracle
+from isochrone import analytic, birkhoff, oracle
 from isochrone.analytic import (
     CIRCULAR_ECC,
     OrbitConstants,
@@ -150,6 +150,21 @@ def test_orbits_into_the_centre_are_refused(harmonic, kepler):
             fn(harm, 1.0, 0.5)
         with pytest.raises(InvalidParams):
             fn(kep, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("fn", [hamiltonian, frequencies,
+                                birkhoff.frequency_invariants])
+@pytest.mark.parametrize("J, lam", [
+    (-1.0, 1.0), (-0.1, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (0.1, math.nan), (0.1, math.inf),
+], ids=["J=-R/2b", "J<0", "J=nan", "J=inf", "lam=nan", "lam=inf"])
+def test_impossible_actions_are_refused(kepler, harmonic, fn, J, lam):
+    # Kepler at Lambda = 1 has R = 2 and b = 1: at J = -R/(2b) frequencies
+    # divided by zero, at J = -0.1 it returned (1.37, 1.37) and at J = inf
+    # (0, 0).  The harmonic frequencies do not depend on J at all.
+    for params in (kepler, harmonic):
+        with pytest.raises(InvalidParams):
+            fn(params, J, lam)
 
 
 # ---------------------------------------------------------------------------

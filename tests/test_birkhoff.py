@@ -225,9 +225,43 @@ def test_invariants_from_potential_refuses_at_the_wall(bounded):
 
 
 def test_frequency_invariants_isochrony(all_classes):
+    # J = 0 takes the forward difference in J.
     for name, params, _ in all_classes:
-        fi = frequency_invariants(params, 0.1, 1.0)
-        assert abs(fi.j_inv) <= 1e-6, name
+        for J in (0.0, 0.1):
+            fi = frequency_invariants(params, J, 1.0)
+            assert abs(fi.j_inv) <= 1e-6, (name, J)
+
+
+def test_birkhoff_derivatives_keep_the_hand_written_formulas(henon):
+    # oracle.difference against the formulas it replaced, to the bit.
+    for obj in (henon, plummer_potential()):
+        lam = 0.8
+        h = 1e-4 * lam
+        hi = invariants_from_potential(obj, lam + h)
+        lo = invariants_from_potential(obj, lam - h)
+        assert birkhoff._slopes(obj, lam) == (
+            (hi.l - lo.l) / (2.0 * h), (hi.b_inv - lo.b_inv) / (2.0 * h))
+
+    def omega(j, L):
+        return analytic.frequencies(henon, j, L)
+
+    lam, h_l = 1.0, 1e-5
+    for J in (0.0, 0.1):
+        h_j = 1e-5
+        w = omega(J, lam)
+        if J == 0.0:
+            w1, w2 = omega(J + h_j, lam), omega(J + 2 * h_j, lam)
+            d_j = [(-3 * w[i] + 4 * w1[i] - w2[i]) / (2 * h_j) for i in (0, 1)]
+        else:
+            lo, hi = omega(J - h_j, lam), omega(J + h_j, lam)
+            d_j = [(hi[i] - lo[i]) / (2 * h_j) for i in (0, 1)]
+        lo, hi = omega(J, lam - h_l), omega(J, lam + h_l)
+        d_l = [(hi[i] - lo[i]) / (2 * h_l) for i in (0, 1)]
+        fi = frequency_invariants(henon, J, lam)
+        assert (fi.j_inv, fi.g_inv, fi.t_inv) == (
+            d_j[0] * w[1] - d_j[1] * w[0], w[0] * d_l[1] - w[1] * d_l[0],
+            d_j[0] * d_l[1] - d_j[1] * d_l[0]), J
+        assert all(type(v) is float for v in (fi.j_inv, fi.g_inv, fi.t_inv))
 
 
 def test_frequency_invariants_bertrand(kepler, harmonic):
