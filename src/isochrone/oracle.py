@@ -89,7 +89,7 @@ FIVE_POINT = (
 
 
 def difference(f: Callable, x: float, h: float, rule: tuple):
-    """The derivative of ``rule`` at x with step h; f returns a float or an array."""
+    """The derivative of f at x by ``rule``, step h; f may return an array."""
     n, ((k0, w0), *terms), c = rule
     total = w0 * f(x + k0 * h)
     for k, w in terms:
