@@ -334,27 +334,60 @@ def _check_actions(J: float, lam: float) -> None:
         raise InvalidParams(f"Lambda must be finite and > 0, got {lam!r}")
 
 
+def _action_denominator(params: ParabolaParams, J: float, lam: float,
+                        r_big: float) -> float:
+    """2 b J + R(Lambda) of a family with b != 0, which a bound orbit has
+    equal to sqrt(-delta / (a + b xi)); InvalidParams unless it is positive."""
+    den = 2.0 * params.b * J + r_big
+    if not den > 0.0:
+        raise InvalidParams(f"2 b J + R(Lambda) = {den:g} must be positive "
+                            f"(J = {J:g}, Lambda = {lam:g})")
+    return den
+
+
 def hamiltonian(params: ParabolaParams, J: float, lam: float) -> float:
-    """Energy xi = H(J, Lambda) in action-angle variables."""
+    """Energy xi = H(J, Lambda) in action-angle variables.
+
+    InvalidParams where no bound orbit has the actions: besides those of
+    ``_check_actions``, where 2 b J + R(Lambda) <= 0, and for b < 0 where the
+    energy reaches the wall's (see ``feasible_energy``).
+    """
     _check_actions(J, lam)
     if params.b == 0.0:
         sd, aa = math.sqrt(-params.d), abs(params.a)
         return (params._a1 + 4.0 * aa * J / sd
                 + 2.0 * aa * _harmonic_root(params, lam) / sd)
     b = params.b
-    den = 2.0 * b * J + _r_value(params, lam)
-    return -params.a / b - params.delta / (b * den * den)
+    den = _action_denominator(params, J, lam, _r_value(params, lam))
+    xi = -params.a / b - params.delta / (b * den * den)
+    if b < 0.0:
+        xi_wall = _wall_energy(params, lam)
+        if xi >= xi_wall:
+            raise InvalidParams(
+                f"J = {J:g} beyond the wall's radial action at Lambda = {lam:g}: "
+                f"energy {xi:g} >= the wall's {xi_wall:g}")
+    return xi
 
 
 def frequencies(params: ParabolaParams, J: float, lam: float) -> tuple[float, float]:
-    """Hamiltonian frequencies (omega_J, omega_Lambda) = grad H."""
+    """Hamiltonian frequencies (omega_J, omega_Lambda) = grad H of the orbit
+    with actions (J, Lambda); InvalidParams where :func:`hamiltonian` refuses
+    them."""
+    hamiltonian(params, J, lam)
+    return _frequency_map(params, J, lam)
+
+
+def _frequency_map(params: ParabolaParams, J: float,
+                   lam: float) -> tuple[float, float]:
+    """grad H wherever its formula is defined, 2 b J + R(Lambda) > 0: also
+    past the wall of a b < 0 family, where no orbit has the actions."""
     _check_actions(J, lam)
     if params.b == 0.0:
         sd, aa = math.sqrt(-params.d), abs(params.a)
         return (4.0 * aa / sd,
                 2.0 * aa * lam / (sd * _harmonic_root(params, lam, divisor=True)))
     r_big = _r_value(params, lam)
-    den3 = (2.0 * params.b * J + r_big) ** 3
+    den3 = _action_denominator(params, J, lam, r_big) ** 3
     # omega_Lambda = 2 delta R' / (b den^3) with R' = dR/dLambda = b Lambda R / S.
     return (4.0 * params.delta / den3,
             2.0 * params.delta * lam * r_big / (_s_value(params, lam) * den3))
@@ -681,10 +714,12 @@ def feasible_energy(params: ParabolaParams, lam: float, frac: float = 0.5) -> fl
     xi_c = circular_energy(params, lam)
     if params.b == 0.0:
         return xi_c + 2.0 * frac * max(1.0, abs(xi_c))
-    if params.b > 0.0:
-        xi_hi = -params.a / params.b
-    else:
-        pcoef, qcoef = _ecc_coeffs(params, lam)
-        bh_wall = -2.0 * pcoef / qcoef
-        xi_hi = (bh_wall - params.a) / params.b
+    xi_hi = -params.a / params.b if params.b > 0.0 else _wall_energy(params, lam)
     return xi_c + frac * (xi_hi - xi_c)
+
+
+def _wall_energy(params: ParabolaParams, lam: float) -> float:
+    """The energy, for b < 0, at which the apoastron reaches the wall x_v:
+    eccentricity 1, at a + b xi = -2 P / Q."""
+    pcoef, qcoef = _ecc_coeffs(params, lam)
+    return (-2.0 * pcoef / qcoef - params.a) / params.b

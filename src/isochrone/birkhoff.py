@@ -245,12 +245,17 @@ def third_law(params: ParabolaParams, xi: float) -> float:
 
 def frequency_invariants(params: ParabolaParams, J: float,
                          lam: float) -> FrequencyInvariants:
-    """Wedge scalars of the frequency map, by finite differences in (J, Lambda)."""
-    w = analytic.frequencies(params, J, lam)
+    """Wedge scalars of the frequency map, by finite differences in (J, Lambda).
+
+    They judge the algebraic form of H(J, Lambda), so the map is taken
+    wherever its formula is defined, also at actions past a wall that no
+    orbit has.
+    """
+    w = analytic._frequency_map(params, J, lam)
     h_j = 1e-5 * max(1.0, abs(J))
-    d_j = difference(lambda j: np.array(analytic.frequencies(params, j, lam)), J,
+    d_j = difference(lambda j: np.array(analytic._frequency_map(params, j, lam)), J,
                      h_j, CENTRAL if J - h_j >= 0.0 else FORWARD).tolist()
-    d_l = difference(lambda L: np.array(analytic.frequencies(params, J, L)), lam,
+    d_l = difference(lambda L: np.array(analytic._frequency_map(params, J, L)), lam,
                      1e-5 * lam, CENTRAL).tolist()
 
     def wedge(u: Sequence[float], v: Sequence[float]) -> float:

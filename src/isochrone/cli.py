@@ -365,6 +365,27 @@ def _columns_to_csv(cols: Sequence[str],
         yield from _g17.csv_rows(columns)
 
 
+def _columns_to_json(head: dict, cols: Sequence[str],
+                     blocks: Iterable[Sequence[np.ndarray]]) -> Iterator[bytes]:
+    """The bytes of _emit(_json_text({**head, "samples": rows})), in chunks:
+    ``rows`` holds one dict of ``cols`` per row of the blocks, fmt cells.
+
+    Each row fills one bytes template from its CSV row, whose cells are the
+    same ``%.17g``; blocks are read as in _columns_to_csv.
+    """
+    # The head's text ends in "\n}", where the samples go in.
+    yield (_json_text(head)[:-2] + ',\n  "samples": [\n').encode()
+    row = ("    {\n" + ",\n".join(f'      "{c}": %s' for c in cols)
+           + "\n    }").encode()
+    sep = b""
+    for columns in blocks:
+        for chunk in _g17.csv_rows(columns):
+            yield sep + b",\n".join(row % tuple(line.split(b","))
+                                    for line in chunk.splitlines())
+            sep = b",\n"
+    yield b"\n  ]\n}\n"
+
+
 def _rows_to_table(rows: list[dict], cols: Sequence[str]) -> str:
     def cell(v) -> str:
         if v is None:
@@ -419,21 +440,18 @@ def cmd_orbit(args: argparse.Namespace) -> int:
             else np.zeros(1)
         return analytic.trajectory(params, oc, times)
 
-    if (args.format or "csv") == "json":
-        rows = [{"t": s.t, "E": s.E, "x": s.x, "r": s.r, "theta": s.theta,
-                 "zJ": s.z_j, "zLambda": s.z_lam} for s in block(0, n)]
-        _emit(_json_text({"potential": desc,
-                          "constants": {"xi": oc.xi, "lambda": oc.lam},
-                          "samples": rows}), args.output)
-        return 0
     # Times rise with the row, so the last block holds the largest anomaly
     # and any time that is not finite: computed first, it raises every
     # refusal before a byte is written.
     starts = range(0, n, _BLOCK)
     last = block(starts[-1], n)
     blocks = itertools.chain((block(s, s + _BLOCK) for s in starts[:-1]), [last])
-    _emit_bytes(_columns_to_csv(_ORBIT_COLS, (b.columns() for b in blocks)),
-                args.output)
+    columns = (b.columns() for b in blocks)
+    if (args.format or "csv") == "json":
+        head = {"potential": desc, "constants": {"xi": oc.xi, "lambda": oc.lam}}
+        _emit_bytes(_columns_to_json(head, _ORBIT_COLS, columns), args.output)
+    else:
+        _emit_bytes(_columns_to_csv(_ORBIT_COLS, columns), args.output)
     return 0
 
 

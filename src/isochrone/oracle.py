@@ -26,6 +26,12 @@ Y' to Y'''' of a generic potential, psi' where ``dpsi`` is omitted (the
 central rule), the epicyclic curvature as the slope of the force balance,
 and the Lambda- and J-slopes of the invariants and the frequencies.
 
+The equations of motion are stepped by DOP853 (Hairer, Norsett & Wanner)
+on Python floats: scipy's tableau, read once, and its controller and dense
+output.  That is ``solve_ivp``'s step sequence without the per-step array
+overhead, and with sums in a fixed order, so the states have the same bits
+whatever BLAS library numpy uses.
+
 scipy is imported inside the four functions that call it, on the first
 oracle call, not with this module: the closed-form commands (``classify``,
 ``elements``, ``table``, ``orbit``) never load it.  It stays a runtime
@@ -36,6 +42,7 @@ generic :class:`RadialPotential` load it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -138,9 +145,16 @@ class RadialPotential:
     name: str = "generic"
 
     def force_term(self, r: float) -> float:
+        """psi'(r); without ``dpsi``, the central rule with step 1e-6 max(|r|, 1),
+        capped at half the distance to the nearer end of ``r_bounds`` so that
+        the stencil stays inside.  OutOfDomain outside the open interval."""
         if self.dpsi is not None:
             return self.dpsi(r)
-        return difference(self.psi, r, 1e-6 * max(abs(r), 1.0), CENTRAL)
+        rlo, rhi = self.r_bounds
+        if not rlo < r < rhi:
+            raise OutOfDomain(f"r = {r:g} outside the domain of {self.name}")
+        h = min(1e-6 * max(abs(r), 1.0), 0.5 * (r - rlo), 0.5 * (rhi - r))
+        return difference(self.psi, r, h, CENTRAL)
 
     def y_value(self, x: float) -> float:
         """Y(x) = x psi(sqrt(x/2)) on the open interval (2 r_lo^2, 2 r_hi^2)."""
@@ -415,6 +429,168 @@ _MAX_STEPS = 2000
 # DOP853 silently raises a smaller rtol to 100 eps.
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
+# DOP853's step-size controller (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.4), with scipy's constants; the error estimator has order 7.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EXPONENT = -1.0 / 8.0
+_SQRT3 = math.sqrt(3.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _dop853_tableau() -> tuple:
+    """scipy's DOP853 tableau as float tuples without its zero weights.
+
+    Read on first use from the class attributes of ``scipy.integrate.DOP853``:
+    ``stages[s - 1]`` holds the (j, a_sj) of stage s = 1 .. 11 and ``extra``
+    those of the dense-output stages 13 .. 15; ``final`` holds (j, b_j, e5_j,
+    e3_j) wherever one of the three weights is nonzero, and ``dense`` the
+    (j, d_ij) of each row of D.  The nodes C and C_EXTRA go unused: the
+    equations of motion are autonomous.
+    """
+    from scipy.integrate import DOP853
+
+    def pairs(row) -> tuple:
+        return tuple((j, float(w)) for j, w in enumerate(row) if w != 0.0)
+
+    n = DOP853.n_stages
+    stages = tuple(pairs(a[:s]) for s, a in enumerate(DOP853.A[1:n], 1))
+    extra = tuple(pairs(a[:s]) for s, a in enumerate(DOP853.A_EXTRA, n + 1))
+    final = tuple((j, float(b), float(e5), float(e3)) for j, (b, e5, e3) in
+                  enumerate(itertools.zip_longest(DOP853.B, DOP853.E5, DOP853.E3,
+                                                  fillvalue=0.0))
+                  if b or e5 or e3)
+    return stages, extra, final, tuple(pairs(d) for d in DOP853.D)
+
+
+def _rms(x: list[float]) -> float:
+    """Root mean square of three floats, summed in order."""
+    return math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2]) / _SQRT3
+
+
+def _dop853(rhs: Callable[[float, float], tuple[float, float, float]],
+            y0: tuple[float, float, float], t_end: float, t_eval: list[float],
+            rtol: float, atol: float,
+            walls: tuple[float, float]) -> list[tuple[float, float, float]]:
+    """The states (r, rdot, theta) at ``t_eval`` of DOP853 stepped from t = 0.
+
+    scipy's DOP853 on Python floats: the same tableau, automatic first step
+    (HNW II.4), controller, error norm and dense output, built only on the
+    steps that reach an output time, as ``solve_ivp`` does.  ``rhs(r, rdot)``
+    is the derivative of the state, which does not depend on theta.  Sums
+    run in a fixed order, so the bits do not depend on the BLAS library.
+
+    DomainExit when a step ends outside the open interval ``walls``;
+    StepSizeUnderflow when the step falls below 10 ulp of t, or after
+    _MAX_STEPS accepted steps without reaching the next output time.
+    """
+    stages, extra, final, dense = _dop853_tableau()
+    # The stages of one step, by component; [0] is the derivative at its
+    # start, [12] the one at its end, [13:] the dense-output stages.
+    kr, kv, kt = ([0.0] * 16 for _ in range(3))
+
+    def fill(rows: tuple, first: int, r: float, v: float, h: float) -> None:
+        """Stages first, first + 1, .. from the weights (j, a_sj) in rows."""
+        for s, row in enumerate(rows, first):
+            sr = sv = 0.0
+            for j, a in row:
+                sr += a * kr[j]
+                sv += a * kv[j]
+            kr[s], kv[s], kt[s] = rhs(r + sr * h, v + sv * h)
+    t, (r, v, th) = 0.0, y0
+    kr[0], kv[0], kt[0] = f0 = rhs(r, v)
+
+    sc = [atol + abs(y) * rtol for y in y0]
+    d0 = _rms([y / s for y, s in zip(y0, sc)])
+    d1 = _rms([f / s for f, s in zip(f0, sc)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    f1 = rhs(r + h0 * f0[0], v + h0 * f0[1])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, sc)]) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1.0 / 8.0))
+    h_abs = min(100.0 * h0, h1, t_end)
+
+    out: list[tuple[float, float, float]] = []
+    done = steps = 0
+    while done < len(t_eval):
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflow(
+                    f"ODE integration failed: step {h_abs:g} below 10 ulp of "
+                    f"t = {t:.10g}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            fill(stages, 1, r, v, h)
+            br = bv = bt = 0.0
+            e5r = e5v = e5t = e3r = e3v = e3t = 0.0
+            for j, b, e5, e3 in final:
+                br += b * kr[j]
+                bv += b * kv[j]
+                bt += b * kt[j]
+                e5r += e5 * kr[j]
+                e5v += e5 * kv[j]
+                e5t += e5 * kt[j]
+                e3r += e3 * kr[j]
+                e3v += e3 * kv[j]
+                e3t += e3 * kt[j]
+            r_new, v_new, th_new = r + h * br, v + h * bv, th + h * bt
+            kr[12], kv[12], kt[12] = rhs(r_new, v_new)
+            sc_r = atol + max(abs(r), abs(r_new)) * rtol
+            sc_v = atol + max(abs(v), abs(v_new)) * rtol
+            sc_t = atol + max(abs(th), abs(th_new)) * rtol
+            e5n = (e5r / sc_r) ** 2 + (e5v / sc_v) ** 2 + (e5t / sc_t) ** 2
+            e3n = (e3r / sc_r) ** 2 + (e3v / sc_v) ** 2 + (e3t / sc_t) ** 2
+            error = (abs(h) * e5n / math.sqrt((e5n + 0.01 * e3n) * 3.0)
+                     if e5n or e3n else 0.0)
+            if error < 1.0:
+                factor = (_MAX_FACTOR if error == 0.0
+                          else min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # Also for a NaN error: max keeps _MIN_FACTOR.
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
+            rejected = True
+
+        if not walls[0] < r_new < walls[1]:
+            raise DomainExit(f"trajectory reached the domain boundary at t = {t_new:g}")
+        steps += 1
+        reached = done
+        while reached < len(t_eval) and t_eval[reached] <= t_new:
+            reached += 1
+        if reached > done:
+            fill(extra, 13, r, v, h)
+            # Per component, y plus a polynomial in x and 1 - x by turns:
+            # Horner's rule on h D K, highest first, then 2 dy - h (f + f_old),
+            # h f_old - dy and dy.
+            polys = []
+            for y, y_new, k in ((r, r_new, kr), (v, v_new, kv), (th, th_new, kt)):
+                dy = y_new - y
+                high = []
+                for row in reversed(dense):
+                    acc = 0.0
+                    for j, d in row:
+                        acc += d * k[j]
+                    high.append(h * acc)
+                polys.append((y, *high, 2.0 * dy - h * (k[12] + k[0]), h * k[0] - dy,
+                              dy))
+            for te in t_eval[done:reached]:
+                x = (te - t) / h
+                u = 1.0 - x
+                out.append(tuple(
+                    y + ((((((c0 * x + c1) * u + c2) * x + c3) * u + c4) * x + c5) * u
+                         + c6) * x
+                    for y, c0, c1, c2, c3, c4, c5, c6 in polys))
+            done, steps = reached, 0
+        elif steps >= _MAX_STEPS:
+            raise StepSizeUnderflow(
+                f"{steps} steps to t = {t_new:.10g} without reaching the "
+                f"output time {t_eval[done]:.10g}")
+        t, r, v, th = t_new, r_new, v_new, th_new
+        kr[0], kv[0], kt[0] = kr[12], kv[12], kt[12]
+    return out
+
 
 def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,
                     reltol: float = 1e-10,
@@ -422,21 +598,21 @@ def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,
     """Integrate (r, rdot, theta) from periastron with an embedded RK pair.
 
     Starts exactly at (r_p, 0, 0); the right-hand side is smooth at turning
-    points in these variables.  Steps scipy's DOP853 from t = 0 (automatic
-    first step, rtol ``reltol``, no step ceiling) and reads each output time
-    of ``t_eval``, or else of 200 evenly spaced times in [0, t_end], from the
-    dense output of the step that reaches it, as ``solve_ivp`` does: the
-    same states to the bit.  It stops at the last output time.
+    points in these variables.  Steps DOP853 on Python floats from t = 0
+    (automatic first step, rtol ``reltol``, no step ceiling) and reads each
+    output time of ``t_eval``, or else of 200 evenly spaced times in
+    [0, t_end], from the dense output of the step that reaches it.  That is
+    the step sequence and the right-hand-side calls of ``solve_ivp``'s
+    DOP853, with the states equal to its own within rounding, and the same
+    bits on every host.  It stops at the last output time.
 
     Raises InvalidParams unless t_end is finite and > 0, reltol is finite and
     at least 100 eps (DOP853's floor), and t_eval is non-empty, strictly
     increasing and inside [0, t_end]; DomainExit when a step ends within a
-    relative 1e-12 of a wall of ``r_bounds``; StepSizeUnderflow when DOP853
-    fails, or after _MAX_STEPS accepted steps without reaching the next
-    output time.
+    relative 1e-12 of a wall of ``r_bounds``; StepSizeUnderflow when the step
+    falls below 10 ulp of t, or after _MAX_STEPS accepted steps without
+    reaching the next output time.
     """
-    from scipy.integrate import DOP853
-
     t_end = float(t_end)
     if not 0.0 < t_end < math.inf:
         raise InvalidParams(f"t_end must be finite and > 0, got {t_end!r}")
@@ -458,36 +634,15 @@ def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,
     lam = oc.lam
     lam2 = lam * lam
 
-    def rhs(t: float, y: np.ndarray) -> list[float]:
-        r = float(y[0])  # a float: numpy scalar arithmetic is slower, same bits
-        return [y[1], lam2 / r**3 - p.force_term(r), lam / (r * r)]
+    def rhs(r: float, rdot: float) -> tuple[float, float, float]:
+        return rdot, lam2 / r**3 - p.force_term(r), lam / (r * r)
 
     rlo, rhi = p.r_bounds
-    wall_lo, wall_hi = rlo * (1.0 + 1e-12), rhi * (1.0 - 1e-12)
     vmax = math.sqrt(max(2.0 * (oc.xi - p.psi(r_a) - 0.5 * lam2 / r_a**2), 1e-12))
-    scale = max(r_a, vmax, 1.0)
-    solver = DOP853(rhs, 0.0, [r_p, 0.0, 0.0], t_end, rtol=reltol,
-                    atol=1e-2 * reltol * scale, max_step=np.inf)
-    ys = []
-    done = steps = 0
-    while done < t_eval.size:
-        message = solver.step()
-        if solver.status == "failed":
-            raise StepSizeUnderflow(f"ODE integration failed: {message}")
-        if not wall_lo < solver.y[0] < wall_hi:
-            raise DomainExit(
-                f"trajectory reached the domain boundary at t = {solver.t:g}")
-        steps += 1
-        reached = int(np.searchsorted(t_eval, solver.t, side="right"))
-        if reached > done:
-            ys.append(solver.dense_output()(t_eval[done:reached]))
-            done, steps = reached, 0
-        elif steps >= _MAX_STEPS:
-            raise StepSizeUnderflow(
-                f"{steps} steps to t = {solver.t:.10g} without reaching the "
-                f"output time {t_eval[done]:.10g}")
-
-    r, rdot, theta = np.hstack(ys)
+    states = _dop853(rhs, (r_p, 0.0, 0.0), t_end, t_eval.tolist(), reltol,
+                     1e-2 * reltol * max(r_a, vmax, 1.0),
+                     (rlo * (1.0 + 1e-12), rhi * (1.0 - 1e-12)))
+    r, rdot, theta = np.array(states).T
     e_t = 0.5 * rdot * rdot + 0.5 * lam2 / (r * r) + _psi_array(p, r)
     drift = np.abs(e_t - oc.xi) / max(abs(oc.xi), 1.0)
     return [OdeState(t=float(t), r=float(r_k), rdot=float(v_k), theta=float(th_k),

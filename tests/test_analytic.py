@@ -167,6 +167,21 @@ def test_impossible_actions_are_refused(kepler, harmonic, fn, J, lam):
             fn(params, J, lam)
 
 
+def test_bounded_actions_beyond_the_wall_are_refused(bounded):
+    # from_bounded(1, 1) at Lambda = 1: the wall's energy is 1.5 and its
+    # radial action about 0.041.  At J = 0.3 hamiltonian returned xi = 4.94,
+    # and at J = R / (2|b|) both functions divided by zero.
+    wall = analytic.radial_action(
+        bounded, OrbitConstants(analytic.feasible_energy(bounded, 1.0, 1 - 1e-6), 1.0))
+    assert 0.04 < wall < 0.041
+    assert hamiltonian(bounded, wall, 1.0) < 1.5
+    frequencies(bounded, wall, 1.0)
+    for J in (0.041, 0.3, analytic._r_value(bounded, 1.0) / 2.0, 1.0):
+        for fn in (hamiltonian, frequencies):
+            with pytest.raises(InvalidParams):
+                fn(bounded, J, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # periods, angles, actions
 
@@ -243,8 +258,10 @@ def test_frequencies_values(kepler, harmonic):
 def test_frequencies_match_mpmath_where_r_cancels(bounded):
     # bounded gauged by (-0.3, 0.2) at Lambda = 20 has b p < 0, where
     # 2 b^2 Lambda^2 - d + 2 b S(Lambda) cancels; omega_Lambda = dH/dLambda.
+    # The orbit's J is 7.7e-8: there R = 0.0997, so no orbit has J = 0.5.
     params = apply_gauge(bounded, GaugeTerm(-0.3, 0.2))
-    lam, J = 20.0, 0.5
+    lam = 20.0
+    J = radial_action(params, OrbitConstants(feasible_energy(params, lam, 0.5), lam))
     with mpmath.workdps(50):
         a, b, c, d, e = (mpmath.mpf(v) for v in params.as_tuple())
         delta = a * d - b * c

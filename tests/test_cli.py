@@ -13,7 +13,13 @@ import pytest
 import isochrone
 from isochrone import _g17, analytic, cli, oracle, potential
 from isochrone.analytic import OrbitConstants
-from isochrone.cli import _columns_to_csv, _rows_to_csv, main
+from isochrone.cli import (
+    _columns_to_csv,
+    _columns_to_json,
+    _json_text,
+    _rows_to_csv,
+    main,
+)
 from isochrone.errors import DomainExit, StepSizeUnderflow
 
 
@@ -143,6 +149,24 @@ def test_column_writer_matches_row_writer():
         rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in columns))]
         csv = b"".join(_columns_to_csv(cols, [columns])).decode("ascii")
         assert csv == _rows_to_csv(rows, cols)
+
+
+def test_json_column_writer_matches_json_text():
+    # The orbit's JSON, row templates filled from CSV rows, against the dict
+    # per sample that _json_text formats, over and across chunk edges.
+    cols = cli._ORBIT_COLS
+    head = {"potential": {"family": "kepler", "mu": 1.0, "name": "a,b"},
+            "constants": {"xi": -0.5, "lambda": 0.8}}
+    edge = [0.0, -0.0, 1e-300, 5e-324, math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(7)
+    for n in (1, len(edge), _g17.CHUNK, _g17.CHUNK + 1, 2 * _g17.CHUNK + 3):
+        columns = [rng.normal(size=n) * 10.0 ** rng.integers(-10, 20, n)
+                   for _ in cols]
+        columns[n % len(cols)][:len(edge)] = edge[:n]
+        blocks = [[c[:n // 2] for c in columns], [c[n // 2:] for c in columns]]
+        rows = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in columns))]
+        text = _json_text({**head, "samples": rows}) + "\n"
+        assert b"".join(_columns_to_json(head, cols, blocks)).decode() == text, n
 
 
 def test_orbit_stdout_bytes_equal_file_bytes(tmp_path, capsysbinary):

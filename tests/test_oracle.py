@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from isochrone import analytic, oracle, potential
+from isochrone import analytic, birkhoff, oracle, potential
 from isochrone.analytic import OrbitConstants, orbit_elements
 from isochrone.birkhoff import bertrand_check
 from isochrone.errors import (
     DomainExit,
     InvalidParams,
     NoBoundOrbit,
+    OutOfDomain,
     StepSizeUnderflow,
     ToleranceNotMet,
 )
@@ -423,6 +424,24 @@ def test_generic_derivatives_keep_the_hand_written_formulas():
             (plummer.psi(r + h) - plummer.psi(r - h)) / (2.0 * h)), r
 
 
+@pytest.mark.parametrize("psi, r_c", [
+    (math.sqrt, 2.0 ** 0.4),  # Lambda^2 / r^3 = 1 / (2 sqrt r)
+    (math.log, 1.0),          # Lambda^2 / r^3 = 1 / r
+], ids=["sqrt", "log"])
+def test_psi_only_stencil_stays_inside_the_domain(psi, r_c):
+    # The central rule's step 1e-6 max(|r|, 1) crossed r = 0 below r = 1e-6,
+    # where the circular-radius scan starts: both leaked a bare ValueError.
+    bare = RadialPotential(psi=psi)
+    assert bare.circular_radius(1.0) == pytest.approx(r_c, rel=1e-9)
+    assert birkhoff.circular_abscissa(bare, 1.0) == pytest.approx(
+        2.0 * r_c * r_c, rel=1e-9)
+    # Half the distance to r = 0 is a coarse step, but a defined one.
+    assert bare.force_term(1e-8) == pytest.approx(
+        0.5 / math.sqrt(1e-8) if psi is math.sqrt else 1e8, rel=0.1)
+    with pytest.raises(OutOfDomain):
+        bare.force_term(0.0)
+
+
 @pytest.mark.parametrize("t_end, reltol, t_eval", [
     (5.0, 1e-10, [0.0, 6.0]),
     (5.0, 1e-10, [-1.0, 1.0]),
@@ -448,8 +467,8 @@ def test_integrate_orbit_refuses_bad_inputs(henon, t_end, reltol, t_eval):
                         t_eval=t_eval)
 
 
-def _solve_ivp_states(pot, oc, t_end, reltol, t_eval):
-    """(t, r, rdot, theta) from scipy's solve_ivp on the oracle's equations."""
+def _solve_ivp(pot, oc, t_end, reltol, t_eval):
+    """scipy's solve_ivp with DOP853 on the oracle's equations and tolerances."""
     from scipy.integrate import solve_ivp
 
     p = as_potential(pot)
@@ -465,11 +484,14 @@ def _solve_ivp_states(pot, oc, t_end, reltol, t_eval):
                     rtol=reltol, atol=1e-2 * reltol * max(r_a, vmax, 1.0),
                     t_eval=t_eval)
     assert sol.success
-    return list(zip(sol.t, *sol.y))
+    return sol
 
 
 @pytest.mark.parametrize("outputs", [None, 101], ids=["default", "101"])
-def test_integrate_orbit_is_solve_ivp_to_the_bit(all_classes, outputs):
+def test_integrate_orbit_steps_as_solve_ivp(all_classes, outputs):
+    # The float stepper takes solve_ivp's DOP853 steps: the same number of
+    # right-hand-side calls, and the same states up to the order of its sums,
+    # which in scipy depends on the BLAS library.
     henon_gauged = potential.apply_gauge(potential.from_henon(1.0, 1.0),
                                          potential.GaugeTerm(0.1, 0.2))
     orbits = [(pot, oc, orbit_elements(pot, oc).T) for _, pot, oc in all_classes]
@@ -477,11 +499,26 @@ def test_integrate_orbit_is_solve_ivp_to_the_bit(all_classes, outputs):
     orbits.append((henon_gauged, oc, orbit_elements(henon_gauged, oc).T))
     orbits.append((plummer_potential(), OrbitConstants(-0.4, 0.5), 10.0))
     for pot, oc, t_end in orbits:
+        base = as_potential(pot)
+        calls = []
+
+        def dpsi(r, base=base):
+            calls.append(r)
+            return base.dpsi(r)
+
+        counted = RadialPotential(psi=base.psi, dpsi=dpsi, r_bounds=base.r_bounds)
         t_eval = None if outputs is None else np.linspace(0.0, t_end, outputs)
-        states = integrate_orbit(pot, oc, t_end, reltol=1e-11, t_eval=t_eval)
-        ref = _solve_ivp_states(pot, oc, t_end, 1e-11, np.linspace(
-            0.0, t_end, outputs or 200))
-        assert [(s.t, s.r, s.rdot, s.theta) for s in states] == ref, pot
+        states = integrate_orbit(counted, oc, t_end, reltol=1e-11, t_eval=t_eval)
+        ref = _solve_ivp(pot, oc, t_end, 1e-11,
+                         np.linspace(0.0, t_end, outputs or 200))
+        assert len(calls) == ref.nfev, pot
+        assert [s.t for s in states] == ref.t.tolist(), pot
+        got = np.array([(s.r, s.rdot, s.theta) for s in states])
+        r_a = turning_radii(pot, oc)[1]
+        scale = [r_a, *np.abs(ref.y[1:]).max(axis=1)]
+        assert np.all(np.abs(got - ref.y.T) <= 1e-12 * np.array(scale)), pot
+        again = integrate_orbit(pot, oc, t_end, reltol=1e-11, t_eval=t_eval)
+        assert again == states, pot
 
 
 @pytest.mark.parametrize("params, lam, xi", [
