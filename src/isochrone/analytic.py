@@ -326,39 +326,27 @@ def radial_action(params: ParabolaParams, oc: OrbitConstants) -> float:
     return j
 
 
-def _check_actions(J: float, lam: float) -> None:
-    """InvalidParams unless J is finite and >= 0 and Lambda is finite and > 0."""
+def hamiltonian(params: ParabolaParams, J: float, lam: float) -> float:
+    """Energy xi = H(J, Lambda) in action-angle variables.
+
+    InvalidParams where no bound orbit has the actions: J not finite and
+    >= 0, Lambda not finite and > 0, 2 b J + R(Lambda) <= 0 (a bound orbit
+    has it equal to sqrt(-delta / (a + b xi))), or, for b < 0, an energy at
+    or past the wall's (see ``feasible_energy``).
+    """
     if not 0.0 <= J < math.inf:
         raise InvalidParams(f"radial action must be finite and >= 0, got {J!r}")
     if not 0.0 < lam < math.inf:
         raise InvalidParams(f"Lambda must be finite and > 0, got {lam!r}")
-
-
-def _action_denominator(params: ParabolaParams, J: float, lam: float,
-                        r_big: float) -> float:
-    """2 b J + R(Lambda) of a family with b != 0, which a bound orbit has
-    equal to sqrt(-delta / (a + b xi)); InvalidParams unless it is positive."""
-    den = 2.0 * params.b * J + r_big
-    if not den > 0.0:
-        raise InvalidParams(f"2 b J + R(Lambda) = {den:g} must be positive "
-                            f"(J = {J:g}, Lambda = {lam:g})")
-    return den
-
-
-def hamiltonian(params: ParabolaParams, J: float, lam: float) -> float:
-    """Energy xi = H(J, Lambda) in action-angle variables.
-
-    InvalidParams where no bound orbit has the actions: besides those of
-    ``_check_actions``, where 2 b J + R(Lambda) <= 0, and for b < 0 where the
-    energy reaches the wall's (see ``feasible_energy``).
-    """
-    _check_actions(J, lam)
     if params.b == 0.0:
         sd, aa = math.sqrt(-params.d), abs(params.a)
         return (params._a1 + 4.0 * aa * J / sd
                 + 2.0 * aa * _harmonic_root(params, lam) / sd)
     b = params.b
-    den = _action_denominator(params, J, lam, _r_value(params, lam))
+    den = 2.0 * b * J + _r_value(params, lam)
+    if not den > 0.0:
+        raise InvalidParams(f"2 b J + R(Lambda) = {den:g} must be positive "
+                            f"(J = {J:g}, Lambda = {lam:g})")
     xi = -params.a / b - params.delta / (b * den * den)
     if b < 0.0:
         xi_wall = _wall_energy(params, lam)
@@ -374,20 +362,12 @@ def frequencies(params: ParabolaParams, J: float, lam: float) -> tuple[float, fl
     with actions (J, Lambda); InvalidParams where :func:`hamiltonian` refuses
     them."""
     hamiltonian(params, J, lam)
-    return _frequency_map(params, J, lam)
-
-
-def _frequency_map(params: ParabolaParams, J: float,
-                   lam: float) -> tuple[float, float]:
-    """grad H wherever its formula is defined, 2 b J + R(Lambda) > 0: also
-    past the wall of a b < 0 family, where no orbit has the actions."""
-    _check_actions(J, lam)
     if params.b == 0.0:
         sd, aa = math.sqrt(-params.d), abs(params.a)
         return (4.0 * aa / sd,
                 2.0 * aa * lam / (sd * _harmonic_root(params, lam, divisor=True)))
     r_big = _r_value(params, lam)
-    den3 = _action_denominator(params, J, lam, r_big) ** 3
+    den3 = (2.0 * params.b * J + r_big) ** 3
     # omega_Lambda = 2 delta R' / (b den^3) with R' = dR/dLambda = b Lambda R / S.
     return (4.0 * params.delta / den3,
             2.0 * params.delta * lam * r_big / (_s_value(params, lam) * den3))

@@ -17,6 +17,9 @@ isochrony (the universal parabola ODE 3 Y'' Y'''' = 5 Y'''^2), the Bertrand
 theorem (d l/d Lambda = Q b with constant Q only for the inverse-distance and
 harmonic potentials), the generalized third law T = pi / sqrt(2 Y''(x_c)),
 and the SL(2,Z)-invariant frequency scalars of the action-angle frequency map.
+The Lambda-slopes of l and b those theorems need are exact: along the
+circular family x Y' - Y = Lambda^2, dx_c/dLambda = 2 Lambda / (x_c Y''),
+so each Lambda solves one circular orbit and takes no difference in Lambda.
 """
 
 from __future__ import annotations
@@ -104,9 +107,15 @@ def _near_vertical_tangent(params: ParabolaParams, x_c: float) -> bool:
     return params.b != 0.0 and abs(x_c) > 1e6 * abs(x_c - params.x_v)
 
 
-def _circular_orbit(obj: PotentialLike,
-                    lam: float) -> tuple[BirkhoffInvariants, list[float]]:
-    """The FromPotential invariants at Lambda, and [Y', .., Y4] at x_c."""
+def _circular_orbit(obj: PotentialLike, lam: float) -> tuple[
+        BirkhoffInvariants, tuple[float, float], list[float]]:
+    """The FromPotential invariants at Lambda, their Lambda-slopes (l', b')
+    and [Y', .., Y4] at x_c.
+
+    Along the circular family x Y' - Y = Lambda^2, dx_c/dLambda
+    = 2 Lambda / (x_c Y''), so l' = 2 Lambda / x_c and
+    b' = 8 Lambda Y''' / (b x_c Y''), exactly and for any potential.
+    """
     x_c = circular_abscissa(obj, lam)
     if isinstance(obj, ParabolaParams):
         if _near_vertical_tangent(obj, x_c):
@@ -118,9 +127,11 @@ def _circular_orbit(obj: PotentialLike,
     y1, y2, y3, y4 = ys
     if y2 <= 0.0:
         raise SingularPoint(f"Y''(x_c) = {y2:g} must be positive")
+    b_inv = math.sqrt(8.0 * y2)
     big_b = 4.0 * y3 / y2 + x_c * (3.0 * y2 * y4 - 5.0 * y3 * y3) / (3.0 * y2 * y2)
-    return (BirkhoffInvariants(l=y1, b_inv=math.sqrt(8.0 * y2), B_inv=big_b,
-                               route=Route.FROM_POTENTIAL), ys)
+    slopes = (2.0 * lam / x_c, 8.0 * lam * y3 / (b_inv * x_c * y2))
+    return (BirkhoffInvariants(l=y1, b_inv=b_inv, B_inv=big_b,
+                               route=Route.FROM_POTENTIAL), slopes, ys)
 
 
 def invariants_from_potential(obj: PotentialLike, lam: float) -> BirkhoffInvariants:
@@ -150,15 +161,6 @@ def invariants_from_period(params: ParabolaParams, lam: float) -> BirkhoffInvari
     )
 
 
-def _slopes(obj: PotentialLike, lam: float) -> tuple[float, float]:
-    """(dl/dLambda, db/dLambda) by the central rule of step 1e-4 Lambda."""
-    def l_and_b(L: float) -> np.ndarray:
-        inv = invariants_from_potential(obj, L)
-        return np.array([inv.l, inv.b_inv])
-
-    return tuple(difference(l_and_b, lam, 1e-4 * lam, CENTRAL).tolist())
-
-
 def _rel_residual(lhs: float, rhs: float) -> float:
     denom = max(abs(lhs), abs(rhs))
     if denom < 1e-300:
@@ -171,14 +173,17 @@ def isochrone_theorem_check(obj: PotentialLike,
     """Residuals of the two equivalent isochrony identities on a Lambda grid.
 
     (i) B dl/dLambda = b db/dLambda between the Lambda-dependent invariants,
-    with central differences of step 1e-4 Lambda; (ii) the universal parabola
-    ODE 3 Y2 Y4 = 5 Y3^2 at x_c(Lambda).  Both vanish iff Y is isochrone; a
-    Lambda passes when both are at most 1e-6.
+    with the exact slopes of the circular family (see ``_circular_orbit``);
+    (ii) the universal parabola ODE 3 Y2 Y4 = 5 Y3^2 at x_c(Lambda).  With
+    those slopes B l' - b b' = 2 Lambda (3 Y2 Y4 - 5 Y3^2) / (3 Y2^2), which
+    is the paper's equivalence of (i) and (ii): one identity, computed two
+    ways from one set of Y derivatives at one circular orbit per Lambda.
+    Both vanish iff Y is isochrone; a Lambda passes when both are at most
+    1e-6.
     """
     out = []
     for lam in lam_grid:
-        inv, (_, y2, y3, y4) = _circular_orbit(obj, lam)
-        l_prime, b_prime = _slopes(obj, lam)
+        inv, (l_prime, b_prime), (_, y2, y3, y4) = _circular_orbit(obj, lam)
         res_i = _rel_residual(inv.B_inv * l_prime, inv.b_inv * b_prime)
         res_ii = _rel_residual(3.0 * y2 * y4, 5.0 * y3 * y3)
         out.append(TheoremCheck(lam=lam, invariant_ode_residual=res_i,
@@ -191,18 +196,21 @@ def bertrand_check(obj: PotentialLike,
                    lam_grid: Sequence[float]) -> tuple[float, float]:
     """Fit dl/dLambda = Q b over the grid; return (Q_fit, max relative deviation).
 
-    A constant Q (tiny residual) holds exactly for Bertrand potentials:
-    Q = 1 for the inverse-distance class and Q = 1/2 for the harmonic class.
-    Non-Bertrand isochrones such as the Henon family show Q drifting with
-    Lambda and a residual orders of magnitude above the fit noise.  One
-    Lambda would fit any Q exactly, so the grid needs two or more.
+    The slope dl/dLambda = 2 Lambda / x_c is exact (see ``_circular_orbit``),
+    so each Lambda solves one circular orbit.  A constant Q (tiny residual)
+    holds exactly for Bertrand potentials: Q = 1 for the inverse-distance
+    class and Q = 1/2 for the harmonic class.  Non-Bertrand isochrones such
+    as the Henon family show Q drifting with Lambda and a residual orders of
+    magnitude above the fit noise.  One Lambda would fit any Q exactly, so
+    the grid needs two or more.
     """
     if len(lam_grid) < 2:
         raise InvalidParams("lam_grid needs at least two Lambda values")
     lps, bs = [], []
     for lam in lam_grid:
-        lps.append(_slopes(obj, lam)[0])
-        bs.append(invariants_from_potential(obj, lam).b_inv)
+        inv, (l_prime, _), _ = _circular_orbit(obj, lam)
+        lps.append(l_prime)
+        bs.append(inv.b_inv)
     q_fit = sum(lp * b for lp, b in zip(lps, bs)) / sum(b * b for b in bs)
     if abs(q_fit) < 1e-300:
         raise InvalidParams("degenerate Bertrand fit: Q = 0")
@@ -247,15 +255,15 @@ def frequency_invariants(params: ParabolaParams, J: float,
                          lam: float) -> FrequencyInvariants:
     """Wedge scalars of the frequency map, by finite differences in (J, Lambda).
 
-    They judge the algebraic form of H(J, Lambda), so the map is taken
-    wherever its formula is defined, also at actions past a wall that no
-    orbit has.
+    They judge the algebraic form of H(J, Lambda) at an orbit's actions:
+    InvalidParams where :func:`analytic.frequencies` refuses the actions or
+    a difference's neighbours (no orbit has them).
     """
-    w = analytic._frequency_map(params, J, lam)
+    w = analytic.frequencies(params, J, lam)
     h_j = 1e-5 * max(1.0, abs(J))
-    d_j = difference(lambda j: np.array(analytic._frequency_map(params, j, lam)), J,
+    d_j = difference(lambda j: np.array(analytic.frequencies(params, j, lam)), J,
                      h_j, CENTRAL if J - h_j >= 0.0 else FORWARD).tolist()
-    d_l = difference(lambda L: np.array(analytic._frequency_map(params, J, L)), lam,
+    d_l = difference(lambda L: np.array(analytic.frequencies(params, J, L)), lam,
                      1e-5 * lam, CENTRAL).tolist()
 
     def wedge(u: Sequence[float], v: Sequence[float]) -> float:

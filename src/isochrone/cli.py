@@ -559,8 +559,9 @@ def _verify_parabola(params: ParabolaParams, lams: Sequence[float],
     _check(checks, "isochrone_theorem_parabola_ode",
            (c.potential_ode_residual for c in thm), 1e-6)
 
-    # Frequency-map wedge invariants.
-    fi = birkhoff.frequency_invariants(params, 0.1, lam_mid)
+    # Frequency-map wedge invariants at the actions of the orbit at xi_fix.
+    j_fix = analytic.radial_action(params, OrbitConstants(xi_fix, lam_mid))
+    fi = birkhoff.frequency_invariants(params, j_fix, lam_mid)
     _check(checks, "frequency_invariant_isochrony", [abs(fi.j_inv)], 1e-6,
            g_inv=fi.g_inv, t_inv=fi.t_inv)
 

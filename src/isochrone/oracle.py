@@ -24,7 +24,8 @@ Every numerical derivative, here and in the Birkhoff checks, is a call of
 the one difference routine, :func:`difference`, with a rule from its table:
 Y' to Y'''' of a generic potential, psi' where ``dpsi`` is omitted (the
 central rule), the epicyclic curvature as the slope of the force balance,
-and the Lambda- and J-slopes of the invariants and the frequencies.
+and the Lambda- and J-slopes of the frequencies in the frequency wedges.
+The Lambda-slopes of the Birkhoff invariants are exact and take none.
 
 The equations of motion are stepped by DOP853 (Hairer, Norsett & Wanner)
 on Python floats: scipy's tableau, read once, and its controller and dense

@@ -70,6 +70,12 @@ def grid_orbits(params, lams, fracs=(0.35, 0.7)):
     return out
 
 
+def half_action(params, lam):
+    """Radial action of the orbit at ``feasible_energy`` fraction 0.5."""
+    xi = analytic.feasible_energy(params, lam, 0.5)
+    return analytic.radial_action(params, OrbitConstants(xi, lam))
+
+
 BASE_POTENTIALS = {
     "kepler": from_kepler(1.0),
     "harmonic": from_harmonic(2.0),

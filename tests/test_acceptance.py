@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ACCEPTANCE_LINES, grid_orbits
+from conftest import ACCEPTANCE_LINES, grid_orbits, half_action
 import isochrone
 from isochrone import analytic, birkhoff, oracle
 from isochrone.analytic import OrbitConstants, orbit_elements
@@ -209,7 +209,7 @@ def test_criterion_09_bertrand_suite(all_classes, kepler, harmonic, henon):
     iso_ok = True
     tg_ok = True
     for name, params, _ in all_classes:
-        fi = birkhoff.frequency_invariants(params, 0.1, 1.0)
+        fi = birkhoff.frequency_invariants(params, half_action(params, 1.0), 1.0)
         iso_ok = iso_ok and abs(fi.j_inv) <= 1e-6
         if name in ("kepler", "harmonic"):
             tg_ok = tg_ok and abs(fi.t_inv) <= 1e-6 and abs(fi.g_inv) <= 1e-6

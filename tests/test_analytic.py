@@ -170,14 +170,15 @@ def test_impossible_actions_are_refused(kepler, harmonic, fn, J, lam):
 def test_bounded_actions_beyond_the_wall_are_refused(bounded):
     # from_bounded(1, 1) at Lambda = 1: the wall's energy is 1.5 and its
     # radial action about 0.041.  At J = 0.3 hamiltonian returned xi = 4.94,
-    # and at J = R / (2|b|) both functions divided by zero.
+    # and at J = R / (2|b|) both functions divided by zero.  The frequency
+    # wedges judged the formula at J = 0.1, where no orbit is.
     wall = analytic.radial_action(
         bounded, OrbitConstants(analytic.feasible_energy(bounded, 1.0, 1 - 1e-6), 1.0))
     assert 0.04 < wall < 0.041
     assert hamiltonian(bounded, wall, 1.0) < 1.5
     frequencies(bounded, wall, 1.0)
-    for J in (0.041, 0.3, analytic._r_value(bounded, 1.0) / 2.0, 1.0):
-        for fn in (hamiltonian, frequencies):
+    for J in (0.041, 0.1, 0.3, analytic._r_value(bounded, 1.0) / 2.0, 1.0):
+        for fn in (hamiltonian, frequencies, birkhoff.frequency_invariants):
             with pytest.raises(InvalidParams):
                 fn(bounded, J, 1.0)
 
