@@ -611,14 +611,15 @@ class Trajectory(abc.Sequence):
             yield TrajectorySample(*row)
 
 
-def trajectory(params: ParabolaParams, oc: OrbitConstants,
+def trajectory(params: ParabolaParams, oc: OrbitConstants | OrbitElements,
                times: Sequence[float] | np.ndarray) -> Trajectory:
     """Sample the analytic orbit at the given times (a 1-D sequence or array).
 
     Periastron with theta = 0 at t = 0.  E solves the Kepler equation at the
     mean anomaly z_J = M = 2 pi t / T (= Omega t); z_Lambda = (Theta / 2 pi) M.
+    ``oc`` may be the orbit's ``orbit_elements``, for a caller that has them.
     """
-    el = orbit_elements(params, oc)
+    el = oc if isinstance(oc, OrbitElements) else orbit_elements(params, oc)
     if np.ndim(times) != 1:
         raise InvalidParams("sample times must be a 1-D sequence")
     t = _as_array(times, "sample time")

@@ -438,7 +438,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         """The trajectory at rows start .. stop - 1 of the n sample times."""
         times = periods * el.T * np.arange(start, stop) / (n - 1) if n > 1 \
             else np.zeros(1)
-        return analytic.trajectory(params, oc, times)
+        return analytic.trajectory(params, el, times)
 
     # Times rise with the row, so the last block holds the largest anomaly
     # and any time that is not finite: computed first, it raises every

@@ -15,10 +15,10 @@ controls such as the Plummer sphere.
 
 The three defining integrals share their turning points and the
 inverse-square-root singularities there.  One substitution,
-r = r_p + (r_a - r_p) sin(u)^2, removes them, and one core integrates each
-quantity's smooth integrand in u by QUADPACK's adaptive Gauss-Kronrod rule.
-A parabola's turning points are solved once per orbit: the three
-quadratures and the ODE of the same (params, oc) share the last solve.
+r = r_p + (r_a - r_p) sin(u)^2, removes them, and one periodic midpoint rule
+on one node set sums all three (Trefethen & Weideman 2014).  A parabola's
+turning points and node set are kept per orbit: its three quadratures and
+ODE share the last turning points, and the quadratures the last node set.
 
 Every numerical derivative, here and in the Birkhoff checks, is a call of
 the one difference routine, :func:`difference`, with a rule from its table:
@@ -33,7 +33,7 @@ output.  That is ``solve_ivp``'s step sequence without the per-step array
 overhead, and with sums in a fixed order, so the states have the same bits
 whatever BLAS library numpy uses.
 
-scipy is imported inside the four functions that call it, on the first
+scipy is imported inside the three functions that call it, on the first
 oracle call, not with this module: the closed-form commands (``classify``,
 ``elements``, ``table``, ``orbit``) never load it.  It stays a runtime
 dependency: ``verify``, the oracle's functions and the Birkhoff checks of a
@@ -107,6 +107,9 @@ def difference(f: Callable, x: float, h: float, rule: tuple):
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """``evaluations`` counts psi evaluations through the returned level of
+    the midpoint rule; ``error_estimate`` is its change from the level before."""
+
     value: float
     error_estimate: float
     evaluations: int
@@ -136,8 +139,8 @@ class RadialPotential:
     ``dpsi`` may be omitted; psi' is then the central rule of :func:`difference`
     (adequate for negative controls, not for tight-tolerance work).
     ``r_bounds`` is the open interval on which psi is defined.  The
-    turning-point scan and the ODE energy drift call ``psi`` once on a
-    float64 array, or point by point where ``psi`` takes floats only.
+    turning-point scan, each quadrature level and the ODE energy drift call
+    ``psi`` once on a float64 array, or point by point where it takes floats.
     """
 
     psi: Callable[[float], float]
@@ -226,15 +229,6 @@ def _psi_array(p: RadialPotential, r: np.ndarray) -> np.ndarray:
         return np.array([p.psi(x) for x in r])
 
 
-def _radial_kinetic(p: RadialPotential, oc: OrbitConstants) -> Callable[[float], float]:
-    lam2 = oc.lam**2
-
-    def kin(r: float) -> float:
-        return oc.xi - 0.5 * lam2 / (r * r) - p.psi(r)
-
-    return kin
-
-
 def _search_window(p: RadialPotential) -> tuple[float, float]:
     rlo, rhi = p.r_bounds
     lo = max(rlo, 1e-8) * (1.0 + 1e-12) if rlo > 0.0 else 1e-8
@@ -288,13 +282,27 @@ def _parabola_radii(params: ParabolaParams, oc: OrbitConstants) -> tuple[float, 
     return _solve_radii(as_potential(params), oc)
 
 
+@functools.lru_cache(maxsize=16)
+def _scan_grid(lo: float, hi: float) -> np.ndarray:
+    """np.geomspace(lo, hi, 600) by libm's pow: numpy's rounds apart on AVX512.
+    Read-only, since every solve shares it and hands it to psi."""
+    exponents = np.linspace(math.log10(lo), math.log10(hi), 600)[1:-1].tolist()
+    grid = np.array([lo, *(10.0**y for y in exponents), hi])
+    grid.flags.writeable = False
+    return grid
+
+
 def _solve_radii(p: RadialPotential, oc: OrbitConstants) -> tuple[float, float]:
     from scipy.optimize import brentq, minimize_scalar
 
-    kin = _radial_kinetic(p, oc)
+    lam2 = oc.lam**2
+
+    def kin(r: float) -> float:
+        return oc.xi - 0.5 * lam2 / (r * r) - p.psi(r)
+
     lo, hi = _search_window(p)
-    grid = np.geomspace(lo, hi, 600)
-    vals = oc.xi - 0.5 * oc.lam**2 / (grid * grid) - _psi_array(p, grid)
+    grid = _scan_grid(lo, hi)
+    vals = oc.xi - 0.5 * lam2 / (grid * grid) - _psi_array(p, grid)
     imax = int(np.argmax(vals))
     bl = grid[max(imax - 1, 0)]
     bh = grid[min(imax + 1, len(grid) - 1)]
@@ -334,87 +342,97 @@ def _solve_radii(p: RadialPotential, oc: OrbitConstants) -> tuple[float, float]:
 
 
 def _epicyclic(p: RadialPotential, oc: OrbitConstants,
-               r_c: float) -> tuple[QuadratureResult, QuadratureResult]:
-    """(T, Theta) of a near-circular orbit from the effective-potential curvature,
-    minus the slope of the force balance by the central rule."""
+               r_c: float) -> tuple[QuadratureResult, ...]:
+    """(T, Theta, J) of a near-circular orbit from the effective-potential
+    curvature, minus the slope of the force balance by the central rule."""
     curv = -difference(_force_balance(p, oc.lam), r_c, 1e-6 * r_c, CENTRAL)
     if curv <= 0.0:
         raise NoBoundOrbit("effective potential not convex at the circular radius")
     T = 2.0 * math.pi / math.sqrt(curv)
-    return tuple(QuadratureResult(value=v, error_estimate=1e-10 * v, evaluations=5)
-                 for v in (T, T * oc.lam / r_c**2))
+    return (*(QuadratureResult(value=v, error_estimate=1e-10 * v, evaluations=5)
+              for v in (T, T * oc.lam / r_c**2)), QuadratureResult(0.0, 0.0, 0))
+
+
+_MAX_NODES = 4096  # doubling from 8 nodes: at most 8184 psi evaluations an orbit
+
+
+@functools.lru_cache(maxsize=None)
+def _tangents(n: int) -> np.ndarray:
+    """tan(v) at the n midpoints v of [0, pi/2], by libm on every host."""
+    return np.array([math.tan((k + 0.5) * (0.5 * math.pi / n)) for k in range(n)])
+
+
+def _orbit_integrals(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
+                     r_p: float, r_a: float) -> tuple:
+    """(T, Theta, J), each a QuadratureResult or the reason it is refused.
+
+    With r = r_p + span sin(u)^2 and u = atan(c tan v), c = (r_p / r_a)^(1/4),
+    each integrand is smooth, even and pi-periodic in v.  A part takes the
+    first level of the midpoint rule in v that agrees with the one before to
+    ``epsrel``, unless kin <= 0 at a node first; a span below _CIRCULAR_SPAN
+    r_a, where kin cancels to noise, takes the near-circular limit instead.
+    """
+    p = as_potential(pot)
+    span = r_a - r_p
+    if span <= _CIRCULAR_SPAN * r_a:
+        return _epicyclic(p, oc, 0.5 * (r_p + r_a))
+    c = (r_p / r_a) ** 0.25
+    out, prev, evaluations, n = [None] * 3, None, 0, 8
+    reason = f"no two levels of the midpoint rule up to {_MAX_NODES} nodes agree"
+    while None in out and n <= _MAX_NODES:
+        t = _tangents(n)
+        ct2 = (c * t) * (c * t)
+        cos2 = 1.0 / (1.0 + ct2)
+        sin2 = ct2 * cos2
+        r = r_p + span * sin2
+        kin = oc.xi - 0.5 * (oc.lam * oc.lam) / (r * r) - _psi_array(p, r)
+        evaluations += n
+        if not np.all(kin > 0.0):  # also for a NaN
+            reason = f"radial kinetic term <= 0 at a node of the {n}-point midpoint rule"
+            break
+        root = np.sqrt(kin / ((span * sin2) * (span * cos2)))
+        w = (_SQRT2 * math.pi * c / n) * (1.0 + t * t) * cos2
+        values = [float(np.sum(w / root)), oc.lam * float(np.sum(w / (r * r * root))),
+                  span * span / math.pi * float(np.sum(w * sin2 * cos2 * root))]
+        for k, v in enumerate(values):
+            if out[k] is None and prev and abs(v - prev[k]) <= epsrel * abs(v):
+                out[k] = QuadratureResult(value=v, error_estimate=abs(v - prev[k]),
+                                          evaluations=evaluations)
+        prev, n = values, 2 * n
+    return tuple(reason if v is None else v for v in out)
+
+
+# Kept like _parabola_radii: the three quadratures of an orbit share its nodes.
+_parabola_integrals = functools.lru_cache(maxsize=1)(_orbit_integrals)
 
 
 def _orbit_integral(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
-                    weight: Callable[..., float],
-                    circular: Callable[..., QuadratureResult]) -> QuadratureResult:
-    """Integral over [r_p, r_a] under r = r_p + span sin(u)^2, u in [0, pi/2].
-
-    There kin(r) = (r - r_p)(r_a - r) g(u) with g smooth, and the integrand
-    is ``weight(u, r, span, sqrt(g))``.  An orbit whose span is below
-    _CIRCULAR_SPAN r_a, where g cancels to noise, gets the quantity's
-    near-circular limit ``circular(p, oc, r_c)`` at the mean radius instead.
-    """
-    from scipy.integrate import quad
-
-    p = as_potential(pot)
-    kin = _radial_kinetic(p, oc)
-    r_p, r_a = turning_radii(pot, oc)
-    span = r_a - r_p
-    if span <= _CIRCULAR_SPAN * r_a:
-        return circular(p, oc, 0.5 * (r_p + r_a))
-
-    def f(u: float) -> float:
-        s = math.sin(u)
-        r = r_p + span * s * s
-        denom = (r - r_p) * (r_a - r)
-        g = kin(r) / denom if denom > 0.0 else 0.0
-        return weight(u, r, span, math.sqrt(1e-300 if g < 1e-300 else g))
-
-    # QUADPACK appends a warning message to the result when it gives up.
-    val, abserr, info, *warning = quad(f, 0.0, 0.5 * math.pi, epsabs=0.0,
-                                       epsrel=epsrel, limit=200, full_output=1)
-    if warning:
-        raise ToleranceNotMet(
-            "quadrature did not converge: " + " ".join(warning[0].split()))
-    result = QuadratureResult(value=float(val), error_estimate=float(abserr),
-                              evaluations=int(info["neval"]))
-    # A non-finite or negative estimate bounds nothing.
-    bound = 100.0 * epsrel * max(abs(val), 1e-30)
-    if not (math.isfinite(val) and 0.0 <= abserr <= bound):
-        raise ToleranceNotMet(
-            f"quadrature error estimate {abserr:g} not a bound within tolerance "
-            f"for value {val:g}")
+                    part: int) -> QuadratureResult:
+    """Part 0, 1 or 2 of (T, Theta, J); ToleranceNotMet where it is refused."""
+    integrals = (_parabola_integrals if isinstance(pot, ParabolaParams)
+                 else _orbit_integrals)
+    result = integrals(pot, oc, epsrel, *turning_radii(pot, oc))[part]
+    if isinstance(result, str):
+        raise ToleranceNotMet(result)
     return result
 
 
 def quad_radial_period(pot: PotentialLike, oc: OrbitConstants,
                        epsrel: float = 1e-11) -> QuadratureResult:
     """T = sqrt(2) * integral dr / sqrt(xi - Lambda^2/2r^2 - psi) over [r_p, r_a]."""
-    return _orbit_integral(pot, oc, epsrel,
-                           lambda u, r, span, root: 2.0 * _SQRT2 / root,
-                           lambda p, oc, r_c: _epicyclic(p, oc, r_c)[0])
+    return _orbit_integral(pot, oc, epsrel, 0)
 
 
 def quad_apsidal_angle(pot: PotentialLike, oc: OrbitConstants,
                        epsrel: float = 1e-11) -> QuadratureResult:
     """Theta = sqrt(2) * Lambda * integral dr / (r^2 sqrt(...)) over [r_p, r_a]."""
-    return _orbit_integral(
-        pot, oc, epsrel,
-        lambda u, r, span, root: 2.0 * _SQRT2 * oc.lam / (r * r * root),
-        lambda p, oc, r_c: _epicyclic(p, oc, r_c)[1])
+    return _orbit_integral(pot, oc, epsrel, 1)
 
 
 def quad_radial_action(pot: PotentialLike, oc: OrbitConstants,
                        epsrel: float = 1e-11) -> QuadratureResult:
     """J = (sqrt(2)/pi) * integral sqrt(xi - Lambda^2/2r^2 - psi) dr."""
-    def weight(u: float, r: float, span: float, root: float) -> float:
-        sc = math.sin(u) * math.cos(u)
-        return (2.0 * _SQRT2 / math.pi) * span**2 * sc * sc * root
-
-    return _orbit_integral(
-        pot, oc, epsrel, weight,
-        lambda *_: QuadratureResult(value=0.0, error_estimate=1e-16, evaluations=0))
+    return _orbit_integral(pot, oc, epsrel, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -180,9 +180,8 @@ def radial_domain(params: ParabolaParams) -> tuple[float, float]:
     return (rlo, rhi)
 
 
-# y_value, psi_value and psi_derivative each check the domain and evaluate
-# the branch at a float in their own frame: they are the oracle's innermost
-# calls.
+# y_value and psi_derivative check the domain and evaluate the branch at a
+# float in their own frame (psi_value is y_value / x): the oracle's innermost.
 
 
 def _out_of_domain(params: ParabolaParams, x: float) -> OutOfDomain:
@@ -271,8 +270,8 @@ def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarr
     2 r^2 underflows to 0, or psi does not come out finite, it raises
     OutOfDomain.
     """
-    # The plain test adds nothing to QUADPACK's scalar calls; an array's
-    # truth value is ambiguous (ValueError), so an array takes np.any.
+    # The plain test keeps the root finders' float calls free of numpy; an
+    # array's truth value is ambiguous (ValueError), so an array takes np.any.
     try:
         if r <= 0.0:
             raise OutOfDomain("psi_value requires r > 0")
@@ -283,17 +282,8 @@ def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarr
                 raise OutOfDomain("psi_value requires r > 0 and 2 r^2 > 0") from None
             return _finite(y_value(params, x) / x, "psi", "r", r)
     x = 2.0 * r * r
-    if params.b == 0.0:
-        y = y_value(params, x)
-    elif x < params._xlo or x > params._xhi:
-        raise _out_of_domain(params, x)
-    else:
-        w = params._bdelta * (x - params._x_v)
-        if w < 0.0:
-            w = 0.0
-        y = params._slope * x - params._offset - math.sqrt(w) / params._b2
     try:
-        psi = y / x
+        psi = y_value(params, x) / x
     except ZeroDivisionError:  # x underflows to 0 below r ~ 1e-162
         raise OutOfDomain("psi_value requires 2 r^2 > 0") from None
     if psi - psi == 0.0:  # finite: inf - inf and nan - nan are nan

@@ -219,6 +219,22 @@ def test_orbit_blocks_give_the_whole_array_bytes(flag, spec, params, xi, lam,
         assert path.read_bytes() == whole, n
 
 
+def test_orbit_computes_its_elements_once(monkeypatch, tmp_path):
+    # 10000 rows are three blocks of the streamed CSV, all from one orbit's elements.
+    calls = []
+    orbit_elements = analytic.orbit_elements
+
+    def counted(params, oc):
+        calls.append(oc)
+        return orbit_elements(params, oc)
+
+    monkeypatch.setattr(analytic, "orbit_elements", counted)
+    argv = ["orbit", "--kepler", "mu=1", "--xi", "-0.5", "--lambda", "0.8",
+            "--samples", "10000", "-o", str(tmp_path / "orbit.csv")]
+    assert main(argv) == 0
+    assert calls == [OrbitConstants(-0.5, 0.8)]
+
+
 @pytest.mark.parametrize("periods", ["1e20", "2e9"])
 def test_orbit_refusal_comes_before_the_first_byte(periods, tmp_path, capsysbinary):
     # At 2e9 periods only the last block's anomalies exceed the phase
