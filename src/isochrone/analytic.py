@@ -33,7 +33,12 @@ Conventions used throughout (all validated against the ODE oracle):
   each element of a float64 array independently: ``trajectory`` runs them
   once over all its times, and the scalar functions wrap the same code.
 
-The harmonic class (b = 0) keeps its own elementary solution with E = M and
+The harmonic class (b = 0) runs through the general closed forms of T,
+Theta, Omega, the frequencies and x_c: none divides by b, and at b = 0
+(delta = a d with a < 0, R = sqrt(-d), s_c = -d/2) each is the harmonic
+class's elementary value.  It keeps its own formula wherever the general one
+divides by b or uses alpha2 ~ 1/b: the turning points, J, H, xi_c,
+``feasible_energy``, and the radius and angle maps, with E = M and
 ``x(E) = x_a + (x_p - x_a) cos(E/2)**2``.
 """
 
@@ -192,11 +197,10 @@ def _r_value(p: ParabolaParams, lam: float) -> float:
     return math.sqrt(2.0 * s_c)
 
 
-def _harmonic_root(p: ParabolaParams, lam: float, divisor: bool = False) -> float:
-    """sqrt(Lambda^2 + A0) of the harmonic class; InvalidParams where it is
-    imaginary, or zero and the caller divides by it."""
+def _harmonic_root(p: ParabolaParams, lam: float) -> float:
+    """sqrt(Lambda^2 + A0) of the harmonic class; InvalidParams where imaginary."""
     arg = lam**2 + p._a0
-    if arg < 0.0 or divisor and arg == 0.0:
+    if arg < 0.0:
         raise InvalidParams(f"Lambda^2 - e/d = {arg:g} must be positive "
                             f"for the harmonic class (Lambda = {lam:g})")
     return math.sqrt(arg)
@@ -290,11 +294,9 @@ def turning_points(params: ParabolaParams, oc: OrbitConstants) -> tuple[float, f
 def radial_period(params: ParabolaParams, xi: float) -> float:
     """Radial period T(xi); independent of Lambda by isochrony.
 
-    For b != 0, T^2 = -(pi^2/4) delta / (a + b xi)^3; the harmonic class has
-    the constant period pi sqrt(-d) / (2|a|).
+    T^2 = -(pi^2/4) delta / (a + b xi)^3 for every class; at b = 0, where
+    delta = a d and a < 0, it is the harmonic constant pi sqrt(-d) / (2|a|).
     """
-    if params.b == 0.0:
-        return math.pi * math.sqrt(-params.d) / (2.0 * abs(params.a))
     bh = _require_bound_slope(params, xi)
     return 0.5 * math.pi * math.sqrt(params.delta / abs(bh) ** 3)
 
@@ -303,8 +305,6 @@ def apsidal_angle(params: ParabolaParams, lam: float) -> float:
     """Apsidal angle Theta(Lambda); independent of xi by isochrony."""
     if lam <= 0.0:
         raise InvalidParams("apsidal angle requires Lambda > 0")
-    if params.b == 0.0:
-        return math.pi * lam / _harmonic_root(params, lam, divisor=True)
     return math.pi * lam * _r_value(params, lam) / _s_value(params, lam)
 
 
@@ -362,10 +362,6 @@ def frequencies(params: ParabolaParams, J: float, lam: float) -> tuple[float, fl
     with actions (J, Lambda); InvalidParams where :func:`hamiltonian` refuses
     them."""
     hamiltonian(params, J, lam)
-    if params.b == 0.0:
-        sd, aa = math.sqrt(-params.d), abs(params.a)
-        return (4.0 * aa / sd,
-                2.0 * aa * lam / (sd * _harmonic_root(params, lam, divisor=True)))
     r_big = _r_value(params, lam)
     den3 = (2.0 * params.b * J + r_big) ** 3
     # omega_Lambda = 2 delta R' / (b den^3) with R' = dR/dLambda = b Lambda R / S.
@@ -386,13 +382,10 @@ def orbit_elements(params: ParabolaParams, oc: OrbitConstants) -> OrbitElements:
     T = radial_period(params, xi)
     theta_tot = apsidal_angle(params, lam)
     J = radial_action(params, oc)
+    omega = math.sqrt(-16.0 * _beta_hat(params, xi) ** 3 / params.delta)
     harmonic = params.b == 0.0
-    if harmonic:
-        omega, x_v, zeta2 = TWO_PI / T, None, None
-    else:
-        omega = math.sqrt(-16.0 * _beta_hat(params, xi) ** 3 / params.delta)
-        x_v = params.x_v
-        zeta2 = -x_v / (2.0 * alpha2)
+    x_v = None if harmonic else params.x_v
+    zeta2 = None if harmonic else -x_v / (2.0 * alpha2)
     return OrbitElements(
         xi=xi, lam=lam, omega_r=omega, ecc=ecc, T=T, Theta=theta_tot, J=J,
         x_p=x_p, x_a=x_a, alpha2=alpha2, x_v=x_v, zeta2=zeta2,
@@ -644,6 +637,7 @@ def circular_abscissa(params: ParabolaParams, lam: float) -> float:
     whose roots are p +- |b| S(Lambda).  The circular orbit is the root
     s_c = p + b S = R(Lambda)^2 / 2, taken from the product q of the roots
     when the sum cancels, and then x_c = 2 S s_c / delta without cancellation.
+    At b = 0 the product gives s_c = -d/2, so x_c = S / |a|.
     Raises NoCircularOrbit when s_c is not positive (Lambda^2 outside the
     range of x Y' - Y on the domain).
     """
@@ -663,13 +657,6 @@ def _circular_orbit(params: ParabolaParams, lam: float) -> tuple[float, float]:
     """(x_c, xi_c) of the circular orbit; see circular_abscissa."""
     if lam <= 0.0:
         raise InvalidParams("circular orbit requires Lambda > 0")
-    lam2 = lam * lam
-    if params.b == 0.0:
-        arg = (lam2 + params._a0) / params._a2
-        if arg <= 0.0:
-            raise NoCircularOrbit("Lambda^2 below the harmonic minimum")
-        x_c = math.sqrt(arg)
-        return (x_c, params._a1 + 2.0 * params._a2 * x_c)
     s2 = _s_squared(params, lam)
     if s2 <= 0.0:
         raise NoCircularOrbit(f"no circular orbit at Lambda = {lam:g}: S^2 = {s2:g}")
@@ -679,7 +666,9 @@ def _circular_orbit(params: ParabolaParams, lam: float) -> tuple[float, float]:
     xlo, xhi = pot.domain(params)
     if not (s_c > 0.0 and xlo < x_c < xhi):
         raise NoCircularOrbit(
-            f"Lambda^2 = {lam2:g} outside the range of x Y' - Y on the domain")
+            f"Lambda^2 = {lam * lam:g} outside the range of x Y' - Y on the domain")
+    if params.b == 0.0:
+        return (x_c, params._a1 + 2.0 * params._a2 * x_c)
     return (x_c, -params.a / params.b - params.delta / (2.0 * params.b * s_c))
 
 

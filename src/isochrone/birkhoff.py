@@ -143,16 +143,13 @@ def invariants_from_period(params: ParabolaParams, lam: float) -> BirkhoffInvari
     """Normal-form coefficients from the closed-form period of a parabola.
 
     T(xi_c) is the limit value of T(xi) at the circular energy, and
-    T'(xi_c) = -(3/2) b T / (a + b xi_c) for b != 0 (zero for harmonic).
+    T'(xi_c) = -(3/2) b T / (a + b xi_c), zero for the harmonic class.
     """
     if not isinstance(params, ParabolaParams):
         raise InvalidParams("the FromPeriod route needs parabola parameters")
     xi_c = analytic.circular_energy(params, lam)
     T = analytic.radial_period(params, xi_c)
-    if params.b == 0.0:
-        t_prime = 0.0
-    else:
-        t_prime = -1.5 * params.b * T / (params.a + params.b * xi_c)
+    t_prime = -1.5 * params.b * T / (params.a + params.b * xi_c)
     return BirkhoffInvariants(
         l=xi_c,
         b_inv=2.0 * math.pi / T,

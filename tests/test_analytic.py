@@ -277,6 +277,48 @@ def test_frequencies_match_mpmath_where_r_cancels(bounded):
     assert abs(om_lam - ref) <= 1e-15 * abs(ref)
 
 
+@pytest.mark.parametrize("omega", [0.01, 0.37, 2.0, 100.0])
+def test_harmonic_closed_forms_match_mpmath(omega):
+    # The harmonic class (b = 0) runs through the general closed forms of
+    # x_c, Theta, T, Omega and the frequencies; each is within 2 ulp of its
+    # elementary harmonic value at 40 digits.  Where Lambda^2 + A0 <= 0 no
+    # circular orbit exists: x_c is refused with NoCircularOrbit, Theta and
+    # the frequencies with InvalidParams.
+    def ulps(got, ref):
+        return float(abs(mpmath.mpf(got) - ref)) / math.ulp(float(ref))
+
+    worst = 0.0
+    for eps in (-0.3, 0.0, 0.1):
+        for gauge_lam in (-0.5, -0.1, 0.0, 0.2):
+            params = apply_gauge(from_harmonic(omega), GaugeTerm(eps, gauge_lam))
+            with mpmath.workdps(40):
+                a, _, c, d, e = (mpmath.mpf(v) for v in params.as_tuple())
+                T = mpmath.pi * mpmath.sqrt(-d) / (2 * abs(a))
+                omega_j = 2 * mpmath.pi / T
+            for lam in (1e-3, 0.05, 0.7, 1.0, 3.0, 20.0):
+                worst = max(worst, ulps(radial_period(params, 1.0), T))
+                with mpmath.workdps(40):
+                    root2 = mpmath.mpf(lam) ** 2 - e / d
+                if root2 <= 0:
+                    with pytest.raises(NoCircularOrbit):
+                        circular_abscissa(params, lam)
+                    for fn in (apsidal_angle, lambda p, L: frequencies(p, 0.3, L)):
+                        with pytest.raises(InvalidParams):
+                            fn(params, lam)
+                    continue
+                with mpmath.workdps(40):
+                    x_c = mpmath.sqrt(root2 / (-a * a / d))
+                    theta = mpmath.pi * lam / mpmath.sqrt(root2)
+                    omega_lam = omega_j * theta / (2 * mpmath.pi)
+                oc = OrbitConstants(feasible_energy(params, lam, 0.5), lam)
+                pairs = [(circular_abscissa(params, lam), x_c),
+                         (apsidal_angle(params, lam), theta),
+                         (orbit_elements(params, oc).omega_r, omega_j),
+                         *zip(frequencies(params, 0.3, lam), (omega_j, omega_lam))]
+                worst = max(worst, *(ulps(got, ref) for got, ref in pairs))
+    assert worst <= 2.0
+
+
 def test_frequency_ratio_equals_theta(all_classes):
     for _, params, _ in all_classes:
         for oc, el in grid_orbits(params, LAM_GRID):
