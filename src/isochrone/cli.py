@@ -569,7 +569,7 @@ def _verify_parabola(params: ParabolaParams, lams: Sequence[float],
     oc = OrbitConstants(analytic.feasible_energy(params, lam_mid, 0.6), lam_mid)
     el = analytic.orbit_elements(params, oc)
     times = np.linspace(0.0, el.T, 101)
-    traj = analytic.trajectory(params, oc, times)
+    traj = analytic.trajectory(params, el, times)
     states = oracle.integrate_orbit(params, oc, el.T, reltol=1e-11, t_eval=times)
     _check(checks, "trajectory_vs_ode_radius",
            (abs(s.r - st.r) / el.r_a for s, st in zip(traj, states)), 1e-6)
@@ -582,8 +582,13 @@ def _verify_parabola(params: ParabolaParams, lams: Sequence[float],
 
     if with_bertrand:
         q_fit, q_res = birkhoff.bertrand_check(params, lams)
-        if cls.family is PotentialFamily.HARMONIC or cls.kepler_degenerate:
-            q_expect = 0.5 if cls.family is PotentialFamily.HARMONIC else 1.0
+        # A gauge term lam / (2 r^2) keeps a potential isochrone but not
+        # Bertrand: Q is constant only where no 1/r^2 term is left.
+        harmonic = cls.family is PotentialFamily.HARMONIC
+        bertrand = (params.e == 0.0 if harmonic
+                    else cls.kepler_degenerate and params.d == 0.0)
+        if bertrand:
+            q_expect = 0.5 if harmonic else 1.0
             _check(checks, "bertrand_constant_Q", [abs(q_fit - q_expect), q_res], 1e-6,
                    q_fit=q_fit)
         else:

@@ -361,13 +361,26 @@ def test_verify_one_lambda_grid_exit_2(argv, capsys):
     assert "at least two Lambda values" in err
 
 
-def test_verify_kepler_bertrand_q(tmp_path):
+@pytest.mark.parametrize("gauge", [None, "eps=-0.3,lam=0", "eps=0,lam=0.2",
+                                   "eps=0.1,lam=-0.1"],
+                         ids=["none", "eps", "lam", "eps-lam"])
+@pytest.mark.parametrize("family, q", [(["--kepler", "mu=1"], 1.0),
+                                       (["--harmonic", "omega=2"], 0.5)],
+                         ids=["kepler", "harmonic"])
+def test_verify_kepler_bertrand_q(tmp_path, family, q, gauge):
+    # A gauge term lam / (2 r^2) keeps the potential isochrone but makes
+    # Theta depend on Lambda: Q is constant only without it.
     out = tmp_path / "report.json"
-    assert main(["verify", "--kepler", "mu=1", "--bertrand",
-                 "-o", str(out)]) == 0
+    argv = ["verify", *family, "--bertrand", "-o", str(out)]
+    assert main(argv + (["--gauge", gauge] if gauge else [])) == 0
     rep = json.loads(out.read_text())
     bert = next(c for c in rep["checks"] if c["name"].startswith("bertrand"))
-    assert bert["q_fit"] == pytest.approx(1.0, abs=1e-6)
+    if gauge is None or gauge.endswith("lam=0"):
+        assert bert["name"] == "bertrand_constant_Q"
+        assert bert["q_fit"] == pytest.approx(q, abs=1e-6)
+    else:
+        assert bert["name"] == "bertrand_non_constant_Q"
+        assert bert["residual"] > 1e-3
 
 
 def test_verify_byte_determinism(tmp_path):
