@@ -246,19 +246,14 @@ def _force_balance(p: RadialPotential, lam: float) -> Callable[[float], float]:
 
 def _force_balance_radius(p: RadialPotential, lam: float, lo: float,
                           hi: float) -> Optional[float]:
-    """Circular radius from Lambda^2 / r^3 = psi'(r); sharp, unlike the kinetic max."""
+    """Circular radius from Lambda^2 / r^3 = psi'(r); sharp, unlike the kinetic
+    max.  None where the force balance does not change sign on [lo, hi]."""
     from scipy.optimize import brentq
 
     bal = _force_balance(p, lam)
-    for _ in range(60):
-        if bal(lo) > 0.0 > bal(hi):
-            return float(brentq(bal, lo, hi, xtol=1e-300, rtol=8.9e-16))
-        lo *= 0.9
-        hi *= 1.1
-        wlo, whi = _search_window(p)
-        if lo < wlo or hi > whi:
-            return None
-    return None
+    if not bal(lo) > 0.0 > bal(hi):
+        return None
+    return float(brentq(bal, lo, hi, xtol=1e-300, rtol=8.9e-16))
 
 
 def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]:
