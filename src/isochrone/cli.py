@@ -184,7 +184,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--periods", type=float)
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--config", metavar="PATH")
-    p.add_argument("--tol", type=float)
     p.add_argument("--output", "-o", metavar="PATH")
 
 
@@ -593,8 +592,8 @@ def _verify_parabola(params: ParabolaParams, lams: Sequence[float],
                    q_fit=q_fit)
         else:
             # Non-Bertrand isochrones must fail the constant-Q fit.
-            rec = _check(checks, "bertrand_non_constant_Q", [q_res], 1e-3, q_fit=q_fit)
-            rec["pass"] = bool(q_res > 1e-3)
+            rec = _check(checks, "bertrand_non_constant_Q", [q_res], 1e-6, q_fit=q_fit)
+            rec["pass"] = bool(q_res > 1e-6)
     return checks
 
 
@@ -611,7 +610,7 @@ def _verify_generic(gen: oracle.RadialPotential, xi: float,
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params, generic, desc = _resolve_potential(args, allow_generic=True)
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = 1e-8
     default_grid = "0.3:0.75:10" if generic is not None else "0.6:1.4:5"
     lams = _parse_grid(args.lambda_grid if args.lambda_grid is not None else default_grid)
     if generic is not None:

@@ -16,9 +16,10 @@ controls such as the Plummer sphere.
 The three defining integrals share their turning points and the
 inverse-square-root singularities there.  One substitution,
 r = r_p + (r_a - r_p) sin(u)^2, removes them, and one periodic midpoint rule
-on one node set sums all three (Trefethen & Weideman 2014).  A parabola's
-turning points and node set are kept per orbit: its three quadratures and
-ODE share the last turning points, and the quadratures the last node set.
+on one node set sums all three (Trefethen & Weideman 2014).  Every
+potential's turning points and node set are kept per orbit: its three
+quadratures and ODE share the last turning points, and the quadratures the
+last node set.
 
 Every numerical derivative, here and in the Birkhoff checks, is a call of
 the one difference routine, :func:`difference`, with a rule from its table:
@@ -132,7 +133,7 @@ class OdeState:
     lam_drift: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialPotential:
     """A generic radial potential: psi(r), or Y(x) = x psi(sqrt(x/2)).
 
@@ -141,6 +142,10 @@ class RadialPotential:
     ``r_bounds`` is the open interval on which psi is defined.  The
     turning-point scan, each quadrature level and the ODE energy drift call
     ``psi`` once on a float64 array, or point by point where it takes floats.
+
+    Equality and hash are by identity, so any potential keys the oracle's
+    caches whatever its ``psi``.  The oracle keeps the last orbit of a
+    potential object, so ``psi`` and ``dpsi`` must be pure functions of r.
     """
 
     psi: Callable[[float], float]
@@ -261,20 +266,18 @@ def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]
 
     Scans the radial kinetic term on a log grid to seed the maximum, refines
     it, then brackets and solves the two zero crossings with Brent's method.
-    A parabola's last solve is kept, so the quadratures and the ODE of one
-    orbit share it; a generic potential is solved on every call.
+    The last solve is kept, so the quadratures and the ODE of one orbit
+    share it.
     """
-    if isinstance(pot, ParabolaParams):
-        return _parabola_radii(pot, oc)
-    return _solve_radii(as_potential(pot), oc)
+    return _kept_radii(pot, oc)
 
 
-# Keyed by value on the caller's (params, oc): the three quadratures and the
-# ODE of one orbit ask in a row, and successive orbits differ.  A generic
-# psi may be any callable, hashable or not, so only parabolae are kept.
+# Keyed on the caller's (pot, oc): a parabola by value, a RadialPotential by
+# identity.  The three quadratures and the ODE of one orbit ask in a row, and
+# successive orbits differ.
 @functools.lru_cache(maxsize=1)
-def _parabola_radii(params: ParabolaParams, oc: OrbitConstants) -> tuple[float, float]:
-    return _solve_radii(as_potential(params), oc)
+def _kept_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]:
+    return _solve_radii(as_potential(pot), oc)
 
 
 @functools.lru_cache(maxsize=16)
@@ -357,6 +360,8 @@ def _tangents(n: int) -> np.ndarray:
     return np.array([math.tan((k + 0.5) * (0.5 * math.pi / n)) for k in range(n)])
 
 
+# Kept like _kept_radii: the three quadratures of an orbit share its nodes.
+@functools.lru_cache(maxsize=1)
 def _orbit_integrals(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
                      r_p: float, r_a: float) -> tuple:
     """(T, Theta, J), each a QuadratureResult or the reason it is refused.
@@ -397,16 +402,10 @@ def _orbit_integrals(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
     return tuple(reason if v is None else v for v in out)
 
 
-# Kept like _parabola_radii: the three quadratures of an orbit share its nodes.
-_parabola_integrals = functools.lru_cache(maxsize=1)(_orbit_integrals)
-
-
 def _orbit_integral(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
                     part: int) -> QuadratureResult:
     """Part 0, 1 or 2 of (T, Theta, J); ToleranceNotMet where it is refused."""
-    integrals = (_parabola_integrals if isinstance(pot, ParabolaParams)
-                 else _orbit_integrals)
-    result = integrals(pot, oc, epsrel, *turning_radii(pot, oc))[part]
+    result = _orbit_integrals(pot, oc, epsrel, *turning_radii(pot, oc))[part]
     if isinstance(result, str):
         raise ToleranceNotMet(result)
     return result

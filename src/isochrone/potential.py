@@ -99,7 +99,7 @@ class ParabolaParams:
                 "bounded-type parabola (b < 0) needs x_v > 0 to intersect x > 0"
             )
         # The branch Y = _slope x - _offset - sqrt(W) / _b2 with
-        # W = _bdelta (x - x_v), and its domain [_xlo, _xhi].
+        # W = _bdelta (x - x_v) >= 0 on its domain [_xlo, _xhi].
         for name, v in (("_x_v", x_v), ("_slope", -(a / b)),
                         ("_offset", d / (2.0 * b * b)), ("_b2", b * b),
                         ("_bdelta", b * delta), ("_2b", 2.0 * b),
@@ -205,7 +205,7 @@ def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray
             if params.b == 0.0:
                 y = params._a1 * x + params._a0 + params._a2 * x * x
             else:
-                w = np.maximum(params._bdelta * (x - params._x_v), 0.0)
+                w = params._bdelta * (x - params._x_v)
                 y = params._slope * x - params._offset - np.sqrt(w) / params._b2
         return _finite(y, "Y", "x", x)
     if x < params._xlo or x > params._xhi:
@@ -214,8 +214,6 @@ def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray
         y = params._a1 * x + params._a0 + params._a2 * x * x
     else:
         w = params._bdelta * (x - params._x_v)
-        if w < 0.0:  # max(w, 0.0) without the builtin call
-            w = 0.0
         y = params._slope * x - params._offset - math.sqrt(w) / params._b2
     if y - y == 0.0:  # finite: inf - inf and nan - nan are nan
         return y

@@ -362,8 +362,8 @@ def test_verify_one_lambda_grid_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize("gauge", [None, "eps=-0.3,lam=0", "eps=0,lam=0.2",
-                                   "eps=0.1,lam=-0.1"],
-                         ids=["none", "eps", "lam", "eps-lam"])
+                                   "eps=0.1,lam=-0.1", "eps=0,lam=0.001"],
+                         ids=["none", "eps", "lam", "eps-lam", "small-lam"])
 @pytest.mark.parametrize("family, q", [(["--kepler", "mu=1"], 1.0),
                                        (["--harmonic", "omega=2"], 0.5)],
                          ids=["kepler", "harmonic"])
@@ -380,7 +380,18 @@ def test_verify_kepler_bertrand_q(tmp_path, family, q, gauge):
         assert bert["q_fit"] == pytest.approx(q, abs=1e-6)
     else:
         assert bert["name"] == "bertrand_non_constant_Q"
-        assert bert["residual"] > 1e-3
+        assert bert["pass"]
+        # The Q residual drifts about as much as lam: under 1e-3 at lam 1e-3.
+        assert bert["residual"] > (1e-4 if gauge.endswith("lam=0.001") else 1e-3)
+
+
+def test_verify_has_no_tolerance_option(tmp_path):
+    # The oracle checks' tolerance is fixed: no option loosens it to inf.
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--kepler", "mu=1", "--tol", "inf", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_verify_byte_determinism(tmp_path):
@@ -580,8 +591,8 @@ def test_verify_battery_solves_each_orbit_once(battery, monkeypatch, tmp_path):
     # The three quadratures of one orbit ask in a row, so the oracle's kept
     # turning points serve them all: one solve per distinct parabola orbit.
     # Harmonic's fixed-energy orbit (xi 2, Lambda 0.6) is also a grid orbit,
-    # asked for again by the isochrony check, so it is solved twice; the
-    # generic Plummer potential is solved on every call.
+    # asked for again by the isochrony check, so it is solved twice.  So is
+    # Plummer's first orbit, asked for again by the ODE check.
     calls, solves = [], []
     turning_radii, solve = oracle.turning_radii, oracle._solve_radii
 
@@ -595,16 +606,13 @@ def test_verify_battery_solves_each_orbit_once(battery, monkeypatch, tmp_path):
 
     monkeypatch.setattr(oracle, "turning_radii", counted_call)
     monkeypatch.setattr(oracle, "_solve_radii", counted_solve)
-    oracle._parabola_radii.cache_clear()
+    oracle._kept_radii.cache_clear()
     main(["verify", *REFERENCE[battery]["argv"], "-o", str(tmp_path / "r.json")])
-    if battery == "plummer":
-        assert len(solves) == len(calls) == 12
-    else:
-        assert len(solves) == len(set(calls)) + (battery == "harmonic")
+    assert len(solves) == len(set(calls)) + (battery in ("harmonic", "plummer"))
     assert (len(calls), len(solves)) == {
         "henon": (36, 16), "kepler": (36, 16), "bounded": (31, 11),
         "hollowed": (36, 16), "harmonic": (36, 16), "henon-gauged": (36, 16),
-        "plummer": (12, 12)}[battery]
+        "plummer": (12, 11)}[battery]
 
 
 def test_oracle_refusal_exits_1(capsys):

@@ -135,8 +135,8 @@ def test_one_node_set_serves_the_three_integrals(henon, monkeypatch):
         return psi_value(params, r)
 
     oc = OrbitConstants(-0.12, 1.0)
-    oracle._parabola_radii.cache_clear()
-    oracle._parabola_integrals.cache_clear()
+    oracle._kept_radii.cache_clear()
+    oracle._orbit_integrals.cache_clear()
     turning_radii(henon, oc)
     monkeypatch.setattr(potential, "psi_value", counted)
     results = [quad_radial_period(henon, oc)]
@@ -186,7 +186,7 @@ def test_turning_radii_scan_is_one_array_call(henon, monkeypatch):
         return psi_value(params, r)
 
     monkeypatch.setattr(potential, "psi_value", counted)
-    oracle._parabola_radii.cache_clear()
+    oracle._kept_radii.cache_clear()
     turning_radii(henon, OrbitConstants(-0.12, 1.0))
     # Scanned point by point, the 600-point grid alone took 600 float calls.
     assert calls["array"] == 1
@@ -238,7 +238,7 @@ def test_energy_drift_is_one_array_call(henon, monkeypatch):
         return psi_value(params, r)
 
     monkeypatch.setattr(potential, "psi_value", counted)
-    oracle._parabola_radii.cache_clear()
+    oracle._kept_radii.cache_clear()
     assert integrate_orbit(henon, oc, 5.0, reltol=1e-10) == states
     # One array call for the turning-point scan, one for the 200 samples.
     assert ndims.count(1) == 2
@@ -254,7 +254,7 @@ def test_one_orbit_solves_its_turning_points_once(henon, monkeypatch):
         return solve(p, oc)
 
     monkeypatch.setattr(oracle, "_solve_radii", counted)
-    oracle._parabola_radii.cache_clear()
+    oracle._kept_radii.cache_clear()
     oc = OrbitConstants(-0.12, 1.0)
     for quad in (quad_radial_period, quad_apsidal_angle, quad_radial_action):
         quad(henon, oc)
@@ -267,11 +267,41 @@ def test_one_orbit_solves_its_turning_points_once(henon, monkeypatch):
     assert len(solves) == 2
     turning_radii(BASE_POTENTIALS["henon(2,0.25)"], OrbitConstants(-0.12, 0.9))
     assert len(solves) == 3
-    # A generic potential is solved on every call.
+    # A RadialPotential is kept by identity: one wrapper is solved once, and
+    # another wrapper of the same parabola afresh.
     wrapped = as_potential(henon)
     turning_radii(wrapped, oc)
     quad_radial_period(wrapped, oc)
+    assert len(solves) == 4
+    turning_radii(as_potential(henon), oc)
     assert len(solves) == 5
+
+
+def test_a_generic_orbit_is_solved_and_summed_once(monkeypatch):
+    plummer = plummer_potential()
+    sizes, solves = [], []
+    solve = oracle._solve_radii
+
+    def psi(r):
+        if isinstance(r, np.ndarray):
+            sizes.append(r.size)
+        return plummer.psi(r)
+
+    def counted(p, oc):
+        solves.append(oc)
+        return solve(p, oc)
+
+    monkeypatch.setattr(oracle, "_solve_radii", counted)
+    pot = RadialPotential(psi=psi, dpsi=plummer.dpsi)
+    oc = OrbitConstants(-0.4, 0.5)
+    for quad in (quad_radial_period, quad_apsidal_angle, quad_radial_action):
+        quad(pot, oc)
+    integrate_orbit(pot, oc, 5.0)
+    assert solves == [oc]
+    # The scan's 600 points, one doubling run of the midpoint rule from 8
+    # nodes, and the ODE's 200 samples.
+    assert sizes[0] == 600 and sizes[-1] == 200
+    assert sizes[1:-1] == [8 * 2**k for k in range(len(sizes) - 2)]
 
 
 EDGE_LAMBDAS = [0.05 * 100.0 ** (i / 3) for i in range(4)]
@@ -283,7 +313,7 @@ def _oracle_outcomes(params, oc, fresh):
     for call in (turning_radii, quad_radial_period, quad_apsidal_angle,
                  quad_radial_action):
         if fresh:
-            oracle._parabola_radii.cache_clear()
+            oracle._kept_radii.cache_clear()
         try:
             out.append(call(params, oc))
         except Exception as exc:  # compared by class below
@@ -323,7 +353,7 @@ def test_generic_potential_with_unhashable_psi(henon):
                           dpsi=lambda r: potential.psi_derivative(henon, r),
                           r_bounds=potential.radial_domain(henon))
     with pytest.raises(TypeError):
-        hash(pot)
+        hash(pot.psi)
     oc = OrbitConstants(-0.12, 1.0)
     assert turning_radii(pot, oc) == turning_radii(henon, oc)
     assert quad_radial_period(pot, oc) == quad_radial_period(henon, oc)
