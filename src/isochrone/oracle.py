@@ -29,14 +29,17 @@ and the Lambda- and J-slopes of the frequencies in the frequency wedges.
 The Lambda-slopes of the Birkhoff invariants are exact and take none.
 
 The equations of motion are stepped by DOP853 (Hairer, Norsett & Wanner)
-on Python floats: scipy's tableau, read once, and its controller and dense
-output.  That is ``solve_ivp``'s step sequence without the per-step array
-overhead, and with sums in a fixed order, so the states have the same bits
-whatever BLAS library numpy uses.
+on Python floats: its tableau as float literals, scipy's float64 values, each
+stage written out as in dop853.f, and scipy's controller and dense output.
+That is ``solve_ivp``'s step sequence without the per-step array overhead,
+and with sums in a fixed order, so the states have the same bits whatever
+BLAS library numpy uses.
 
-scipy is imported inside the three functions that call it, on the first
-oracle call, not with this module: the closed-form commands (``classify``,
-``elements``, ``table``, ``orbit``) never load it.  It stays a runtime
+scipy is imported only by the two ``scipy.optimize`` sites, ``brentq`` and
+``minimize_scalar`` of the turning points and the circular radius, inside the
+functions that call them, on the first oracle call, not with this module: the
+closed-form commands (``classify``, ``elements``, ``table``, ``orbit``) never
+load it, and the ODE imports nothing from scipy.  It stays a runtime
 dependency: ``verify``, the oracle's functions and the Birkhoff checks of a
 generic :class:`RadialPotential` load it.
 """
@@ -44,7 +47,6 @@ generic :class:`RadialPotential` load it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -448,31 +450,88 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0
 _SQRT3 = math.sqrt(3.0)
 
-
-@functools.lru_cache(maxsize=1)
-def _dop853_tableau() -> tuple:
-    """scipy's DOP853 tableau as float tuples without its zero weights.
-
-    Read on first use from the class attributes of ``scipy.integrate.DOP853``:
-    ``stages[s - 1]`` holds the (j, a_sj) of stage s = 1 .. 11 and ``extra``
-    those of the dense-output stages 13 .. 15; ``final`` holds (j, b_j, e5_j,
-    e3_j) wherever one of the three weights is nonzero, and ``dense`` the
-    (j, d_ij) of each row of D.  The nodes C and C_EXTRA go unused: the
-    equations of motion are autonomous.
-    """
-    from scipy.integrate import DOP853
-
-    def pairs(row) -> tuple:
-        return tuple((j, float(w)) for j, w in enumerate(row) if w != 0.0)
-
-    n = DOP853.n_stages
-    stages = tuple(pairs(a[:s]) for s, a in enumerate(DOP853.A[1:n], 1))
-    extra = tuple(pairs(a[:s]) for s, a in enumerate(DOP853.A_EXTRA, n + 1))
-    final = tuple((j, float(b), float(e5), float(e3)) for j, (b, e5, e3) in
-                  enumerate(itertools.zip_longest(DOP853.B, DOP853.E5, DOP853.E3,
-                                                  fillvalue=0.0))
-                  if b or e5 or e3)
-    return stages, extra, final, tuple(pairs(d) for d in DOP853.D)
+# DOP853's tableau (HNW II.5 and their dop853.f) as the float64 values of
+# scipy's DOP853 class, whose e3 is b minus Hairer's bhh: its nonzero entries,
+# row by row.  Stage 0 is the derivative at the start of a step, 12 the one at
+# its end.  The nodes c go unused: the equations of motion are autonomous.
+_A = {  # a_ij of stages i = 1 .. 11
+    (1, 0): 0.05260015195876773,
+    (2, 0): 0.0197250569845379, (2, 1): 0.0591751709536137,
+    (3, 0): 0.02958758547680685, (3, 2): 0.08876275643042054,
+    (4, 0): 0.2413651341592667, (4, 2): -0.8845494793282861, (4, 3): 0.924834003261792,
+    (5, 0): 0.037037037037037035, (5, 3): 0.17082860872947386,
+    (5, 4): 0.12546768756682242,
+    (6, 0): 0.037109375, (6, 3): 0.17025221101954405, (6, 4): 0.06021653898045596,
+    (6, 5): -0.017578125,
+    (7, 0): 0.03709200011850479, (7, 3): 0.17038392571223998,
+    (7, 4): 0.10726203044637328, (7, 5): -0.015319437748624402,
+    (7, 6): 0.008273789163814023,
+    (8, 0): 0.6241109587160757, (8, 3): -3.3608926294469414, (8, 4): -0.868219346841726,
+    (8, 5): 27.59209969944671, (8, 6): 20.154067550477894, (8, 7): -43.48988418106996,
+    (9, 0): 0.47766253643826434, (9, 3): -2.4881146199716677,
+    (9, 4): -0.590290826836843, (9, 5): 21.230051448181193, (9, 6): 15.279233632882423,
+    (9, 7): -33.28821096898486, (9, 8): -0.020331201708508627,
+    (10, 0): -0.9371424300859873, (10, 3): 5.186372428844064,
+    (10, 4): 1.0914373489967295, (10, 5): -8.149787010746927,
+    (10, 6): -18.52006565999696, (10, 7): 22.739487099350505,
+    (10, 8): 2.4936055526796523, (10, 9): -3.0467644718982196,
+    (11, 0): 2.273310147516538, (11, 3): -10.53449546673725,
+    (11, 4): -2.0008720582248625, (11, 5): -17.9589318631188,
+    (11, 6): 27.94888452941996, (11, 7): -2.8589982771350235,
+    (11, 8): -8.87285693353063, (11, 9): 12.360567175794303,
+    (11, 10): 0.6433927460157636,
+}
+_A_EXTRA = {  # a_ij of the dense-output stages i = 13 .. 15
+    (13, 0): 0.056167502283047954, (13, 6): 0.25350021021662483,
+    (13, 7): -0.2462390374708025, (13, 8): -0.12419142326381637,
+    (13, 9): 0.15329179827876568, (13, 10): 0.00820105229563469,
+    (13, 11): 0.007567897660545699, (13, 12): -0.008298,
+    (14, 0): 0.03183464816350214, (14, 5): 0.028300909672366776,
+    (14, 6): 0.053541988307438566, (14, 7): -0.05492374857139099,
+    (14, 10): -0.00010834732869724932, (14, 11): 0.0003825710908356584,
+    (14, 12): -0.00034046500868740456, (14, 13): 0.1413124436746325,
+    (15, 0): -0.42889630158379194, (15, 5): -4.697621415361164,
+    (15, 6): 7.683421196062599, (15, 7): 4.06898981839711, (15, 8): 0.3567271874552811,
+    (15, 12): -0.0013990241651590145, (15, 13): 2.9475147891527724,
+    (15, 14): -9.15095847217987,
+}
+_B = {  # b_j
+    0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+    7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+    10: 0.20136540080403034, 11: 0.04471061572777259,
+}
+_E5 = {  # e5_j
+    0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+    7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+    10: 0.08192320648511571, 11: -0.022355307863886294,
+}
+_E3 = {  # e3_j
+    0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
+    7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
+    10: 0.20136540080403034, 11: 0.02265179219836082,
+}
+_D = {  # d_ij, rows i = 0 .. 3
+    (0, 0): -8.428938276109013, (0, 5): 0.5667149535193777, (0, 6): -3.0689499459498917,
+    (0, 7): 2.38466765651207, (0, 8): 2.117034582445028, (0, 9): -0.871391583777973,
+    (0, 10): 2.2404374302607883, (0, 11): 0.6315787787694688,
+    (0, 12): -0.08899033645133331, (0, 13): 18.148505520854727,
+    (0, 14): -9.194632392478356, (0, 15): -4.436036387594894,
+    (1, 0): 10.427508642579134, (1, 5): 242.28349177525817, (1, 6): 165.20045171727028,
+    (1, 7): -374.5467547226902, (1, 8): -22.113666853125306, (1, 9): 7.733432668472264,
+    (1, 10): -30.674084731089398, (1, 11): -9.332130526430229,
+    (1, 12): 15.697238121770845, (1, 13): -31.139403219565178,
+    (1, 14): -9.35292435884448, (1, 15): 35.81684148639408,
+    (2, 0): 19.985053242002433, (2, 5): -387.0373087493518, (2, 6): -189.17813819516758,
+    (2, 7): 527.8081592054236, (2, 8): -11.57390253995963, (2, 9): 6.8812326946963,
+    (2, 10): -1.0006050966910838, (2, 11): 0.7777137798053443,
+    (2, 12): -2.778205752353508, (2, 13): -60.19669523126412,
+    (2, 14): 84.32040550667716, (2, 15): 11.99229113618279,
+    (3, 0): -25.69393346270375, (3, 5): -154.18974869023643, (3, 6): -231.5293791760455,
+    (3, 7): 357.6391179106141, (3, 8): 93.40532418362432, (3, 9): -37.45832313645163,
+    (3, 10): 104.0996495089623, (3, 11): 29.8402934266605, (3, 12): -43.53345659001114,
+    (3, 13): 96.32455395918828, (3, 14): -39.17726167561544,
+    (3, 15): -149.72683625798564,
+}
 
 
 def _rms(x: list[float]) -> float:
@@ -480,43 +539,78 @@ def _rms(x: list[float]) -> float:
     return math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2]) / _SQRT3
 
 
-def _dop853(rhs: Callable[[float, float], tuple[float, float, float]],
-            y0: tuple[float, float, float], t_end: float, t_eval: list[float],
-            rtol: float, atol: float,
+def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
+            t_eval: list[float], rtol: float, atol: float,
             walls: tuple[float, float]) -> list[tuple[float, float, float]]:
-    """The states (r, rdot, theta) at ``t_eval`` of DOP853 stepped from t = 0.
+    """The states (r, rdot, theta) at ``t_eval`` of the orbit of ``p`` with
+    angular momentum ``lam``, stepped by DOP853 from (r_p, 0, 0) at t = 0.
 
     scipy's DOP853 on Python floats: the same tableau, automatic first step
     (HNW II.4), controller, error norm and dense output, built only on the
-    steps that reach an output time, as ``solve_ivp`` does.  ``rhs(r, rdot)``
-    is the derivative of the state, which does not depend on theta.  Sums
-    run in a fixed order, so the bits do not depend on the BLAS library.
+    steps that reach an output time, as ``solve_ivp`` does.  Each stage is
+    written out, as in dop853.f, on the equations of motion: its weighted sums
+    run left to right over ascending stages from 0.0, so the bits depend
+    neither on the BLAS library nor on the Python version (3.12's ``sum``
+    compensates).
 
     DomainExit when a step ends outside the open interval ``walls``;
     StepSizeUnderflow when the step falls below 10 ulp of t, or after
     _MAX_STEPS accepted steps without reaching the next output time.
     """
-    stages, extra, final, dense = _dop853_tableau()
-    # The stages of one step, by component; [0] is the derivative at its
-    # start, [12] the one at its end, [13:] the dense-output stages.
-    kr, kv, kt = ([0.0] * 16 for _ in range(3))
+    force = p.dpsi if p.dpsi is not None else p.force_term
+    lam2 = lam * lam
+    (a1_0, a2_0, a2_1, a3_0, a3_2, a4_0, a4_2, a4_3, a5_0, a5_3, a5_4,
+     a6_0, a6_3, a6_4, a6_5, a7_0, a7_3, a7_4, a7_5, a7_6,
+     a8_0, a8_3, a8_4, a8_5, a8_6, a8_7, a9_0, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8,
+     a10_0, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9,
+     a11_0, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10) = _A.values()
+    (a13_0, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12,
+     a14_0, a14_5, a14_6, a14_7, a14_10, a14_11, a14_12, a14_13,
+     a15_0, a15_5, a15_6, a15_7, a15_8, a15_12, a15_13, a15_14) = _A_EXTRA.values()
+    b0, b5, b6, b7, b8, b9, b10, b11 = _B.values()
+    e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = _E5.values()
+    e3_0, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = _E3.values()
+    (d0_0, d0_5, d0_6, d0_7, d0_8, d0_9, d0_10, d0_11, d0_12, d0_13, d0_14, d0_15,
+     d1_0, d1_5, d1_6, d1_7, d1_8, d1_9, d1_10, d1_11, d1_12, d1_13, d1_14, d1_15,
+     d2_0, d2_5, d2_6, d2_7, d2_8, d2_9, d2_10, d2_11, d2_12, d2_13, d2_14, d2_15,
+     d3_0, d3_5, d3_6, d3_7, d3_8, d3_9, d3_10, d3_11, d3_12, d3_13, d3_14,
+     d3_15) = _D.values()
 
-    def fill(rows: tuple, first: int, r: float, v: float, h: float) -> None:
-        """Stages first, first + 1, .. from the weights (j, a_sj) in rows."""
-        for s, row in enumerate(rows, first):
-            sr = sv = 0.0
-            for j, a in row:
-                sr += a * kr[j]
-                sv += a * kv[j]
-            kr[s], kv[s], kt[s] = rhs(r + sr * h, v + sv * h)
-    t, (r, v, th) = 0.0, y0
-    kr[0], kv[0], kt[0] = f0 = rhs(r, v)
+    def poly(h: float, y: float, y_new: float, k0: float, k5: float, k6: float,
+             k7: float, k8: float, k9: float, k10: float, k11: float, k12: float,
+             k13: float, k14: float, k15: float) -> tuple:
+        """y and the coefficients of one component's dense output, a
+        polynomial in x and 1 - x by turns: Horner's rule on h D K, highest
+        row first, then 2 dy - h (f + f_old), h f_old - dy and dy."""
+        dy = y_new - y
+        return (y,
+                h * (0.0 + d3_0 * k0 + d3_5 * k5 + d3_6 * k6 + d3_7 * k7 + d3_8 * k8
+                     + d3_9 * k9 + d3_10 * k10 + d3_11 * k11 + d3_12 * k12
+                     + d3_13 * k13 + d3_14 * k14 + d3_15 * k15),
+                h * (0.0 + d2_0 * k0 + d2_5 * k5 + d2_6 * k6 + d2_7 * k7 + d2_8 * k8
+                     + d2_9 * k9 + d2_10 * k10 + d2_11 * k11 + d2_12 * k12
+                     + d2_13 * k13 + d2_14 * k14 + d2_15 * k15),
+                h * (0.0 + d1_0 * k0 + d1_5 * k5 + d1_6 * k6 + d1_7 * k7 + d1_8 * k8
+                     + d1_9 * k9 + d1_10 * k10 + d1_11 * k11 + d1_12 * k12
+                     + d1_13 * k13 + d1_14 * k14 + d1_15 * k15),
+                h * (0.0 + d0_0 * k0 + d0_5 * k5 + d0_6 * k6 + d0_7 * k7 + d0_8 * k8
+                     + d0_9 * k9 + d0_10 * k10 + d0_11 * k11 + d0_12 * k12
+                     + d0_13 * k13 + d0_14 * k14 + d0_15 * k15),
+                2.0 * dy - h * (k12 + k0), h * k0 - dy, dy)
 
+    # Stage s at radius r<s> has the derivatives kr<s> = rdot, kv<s> = rdot'
+    # and kt<s> = theta'.
+    t, r, v, th = 0.0, r_p, 0.0, 0.0
+    kr0, kv0, kt0 = v, lam2 / r**3 - force(r), lam / (r * r)
+
+    y0 = (r, v, th)
+    f0 = (kr0, kv0, kt0)
     sc = [atol + abs(y) * rtol for y in y0]
     d0 = _rms([y / s for y, s in zip(y0, sc)])
     d1 = _rms([f / s for f, s in zip(f0, sc)])
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
-    f1 = rhs(r + h0 * f0[0], v + h0 * f0[1])
+    r1, kr1 = r + h0 * kr0, v + h0 * kv0
+    f1 = (kr1, lam2 / r1**3 - force(r1), lam / (r1 * r1))
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, sc)]) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** (1.0 / 8.0))
@@ -535,21 +629,82 @@ def _dop853(rhs: Callable[[float, float], tuple[float, float, float]],
                     f"t = {t:.10g}")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            fill(stages, 1, r, v, h)
-            br = bv = bt = 0.0
-            e5r = e5v = e5t = e3r = e3v = e3t = 0.0
-            for j, b, e5, e3 in final:
-                br += b * kr[j]
-                bv += b * kv[j]
-                bt += b * kt[j]
-                e5r += e5 * kr[j]
-                e5v += e5 * kv[j]
-                e5t += e5 * kt[j]
-                e3r += e3 * kr[j]
-                e3v += e3 * kv[j]
-                e3t += e3 * kt[j]
+            # Theta feeds no stage, and the weights of stages 1 .. 4 are zero:
+            # their theta derivatives go unused.
+            r1 = r + (0.0 + a1_0 * kr0) * h
+            kr1 = v + (0.0 + a1_0 * kv0) * h
+            kv1 = lam2 / r1**3 - force(r1)
+            r2 = r + (0.0 + a2_0 * kr0 + a2_1 * kr1) * h
+            kr2 = v + (0.0 + a2_0 * kv0 + a2_1 * kv1) * h
+            kv2 = lam2 / r2**3 - force(r2)
+            r3 = r + (0.0 + a3_0 * kr0 + a3_2 * kr2) * h
+            kr3 = v + (0.0 + a3_0 * kv0 + a3_2 * kv2) * h
+            kv3 = lam2 / r3**3 - force(r3)
+            r4 = r + (0.0 + a4_0 * kr0 + a4_2 * kr2 + a4_3 * kr3) * h
+            kr4 = v + (0.0 + a4_0 * kv0 + a4_2 * kv2 + a4_3 * kv3) * h
+            kv4 = lam2 / r4**3 - force(r4)
+            r5 = r + (0.0 + a5_0 * kr0 + a5_3 * kr3 + a5_4 * kr4) * h
+            kr5 = v + (0.0 + a5_0 * kv0 + a5_3 * kv3 + a5_4 * kv4) * h
+            kv5 = lam2 / r5**3 - force(r5)
+            kt5 = lam / (r5 * r5)
+            r6 = r + (0.0 + a6_0 * kr0 + a6_3 * kr3 + a6_4 * kr4 + a6_5 * kr5) * h
+            kr6 = v + (0.0 + a6_0 * kv0 + a6_3 * kv3 + a6_4 * kv4 + a6_5 * kv5) * h
+            kv6 = lam2 / r6**3 - force(r6)
+            kt6 = lam / (r6 * r6)
+            r7 = r + (0.0 + a7_0 * kr0 + a7_3 * kr3 + a7_4 * kr4 + a7_5 * kr5
+                      + a7_6 * kr6) * h
+            kr7 = v + (0.0 + a7_0 * kv0 + a7_3 * kv3 + a7_4 * kv4 + a7_5 * kv5
+                       + a7_6 * kv6) * h
+            kv7 = lam2 / r7**3 - force(r7)
+            kt7 = lam / (r7 * r7)
+            r8 = r + (0.0 + a8_0 * kr0 + a8_3 * kr3 + a8_4 * kr4 + a8_5 * kr5
+                      + a8_6 * kr6 + a8_7 * kr7) * h
+            kr8 = v + (0.0 + a8_0 * kv0 + a8_3 * kv3 + a8_4 * kv4 + a8_5 * kv5
+                       + a8_6 * kv6 + a8_7 * kv7) * h
+            kv8 = lam2 / r8**3 - force(r8)
+            kt8 = lam / (r8 * r8)
+            r9 = r + (0.0 + a9_0 * kr0 + a9_3 * kr3 + a9_4 * kr4 + a9_5 * kr5
+                      + a9_6 * kr6 + a9_7 * kr7 + a9_8 * kr8) * h
+            kr9 = v + (0.0 + a9_0 * kv0 + a9_3 * kv3 + a9_4 * kv4 + a9_5 * kv5
+                       + a9_6 * kv6 + a9_7 * kv7 + a9_8 * kv8) * h
+            kv9 = lam2 / r9**3 - force(r9)
+            kt9 = lam / (r9 * r9)
+            r10 = r + (0.0 + a10_0 * kr0 + a10_3 * kr3 + a10_4 * kr4 + a10_5 * kr5
+                       + a10_6 * kr6 + a10_7 * kr7 + a10_8 * kr8 + a10_9 * kr9) * h
+            kr10 = v + (0.0 + a10_0 * kv0 + a10_3 * kv3 + a10_4 * kv4 + a10_5 * kv5
+                        + a10_6 * kv6 + a10_7 * kv7 + a10_8 * kv8 + a10_9 * kv9) * h
+            kv10 = lam2 / r10**3 - force(r10)
+            kt10 = lam / (r10 * r10)
+            r11 = r + (0.0 + a11_0 * kr0 + a11_3 * kr3 + a11_4 * kr4 + a11_5 * kr5
+                       + a11_6 * kr6 + a11_7 * kr7 + a11_8 * kr8 + a11_9 * kr9
+                       + a11_10 * kr10) * h
+            kr11 = v + (0.0 + a11_0 * kv0 + a11_3 * kv3 + a11_4 * kv4 + a11_5 * kv5
+                        + a11_6 * kv6 + a11_7 * kv7 + a11_8 * kv8 + a11_9 * kv9
+                        + a11_10 * kv10) * h
+            kv11 = lam2 / r11**3 - force(r11)
+            kt11 = lam / (r11 * r11)
+            br = (0.0 + b0 * kr0 + b5 * kr5 + b6 * kr6 + b7 * kr7 + b8 * kr8
+                  + b9 * kr9 + b10 * kr10 + b11 * kr11)
+            bv = (0.0 + b0 * kv0 + b5 * kv5 + b6 * kv6 + b7 * kv7 + b8 * kv8
+                  + b9 * kv9 + b10 * kv10 + b11 * kv11)
+            bt = (0.0 + b0 * kt0 + b5 * kt5 + b6 * kt6 + b7 * kt7 + b8 * kt8
+                  + b9 * kt9 + b10 * kt10 + b11 * kt11)
+            e5r = (0.0 + e5_0 * kr0 + e5_5 * kr5 + e5_6 * kr6 + e5_7 * kr7
+                   + e5_8 * kr8 + e5_9 * kr9 + e5_10 * kr10 + e5_11 * kr11)
+            e5v = (0.0 + e5_0 * kv0 + e5_5 * kv5 + e5_6 * kv6 + e5_7 * kv7
+                   + e5_8 * kv8 + e5_9 * kv9 + e5_10 * kv10 + e5_11 * kv11)
+            e5t = (0.0 + e5_0 * kt0 + e5_5 * kt5 + e5_6 * kt6 + e5_7 * kt7
+                   + e5_8 * kt8 + e5_9 * kt9 + e5_10 * kt10 + e5_11 * kt11)
+            e3r = (0.0 + e3_0 * kr0 + e3_5 * kr5 + e3_6 * kr6 + e3_7 * kr7
+                   + e3_8 * kr8 + e3_9 * kr9 + e3_10 * kr10 + e3_11 * kr11)
+            e3v = (0.0 + e3_0 * kv0 + e3_5 * kv5 + e3_6 * kv6 + e3_7 * kv7
+                   + e3_8 * kv8 + e3_9 * kv9 + e3_10 * kv10 + e3_11 * kv11)
+            e3t = (0.0 + e3_0 * kt0 + e3_5 * kt5 + e3_6 * kt6 + e3_7 * kt7
+                   + e3_8 * kt8 + e3_9 * kt9 + e3_10 * kt10 + e3_11 * kt11)
             r_new, v_new, th_new = r + h * br, v + h * bv, th + h * bt
-            kr[12], kv[12], kt[12] = rhs(r_new, v_new)
+            kr12 = v_new
+            kv12 = lam2 / r_new**3 - force(r_new)
+            kt12 = lam / (r_new * r_new)
             sc_r = atol + max(abs(r), abs(r_new)) * rtol
             sc_v = atol + max(abs(v), abs(v_new)) * rtol
             sc_t = atol + max(abs(th), abs(th_new)) * rtol
@@ -573,21 +728,36 @@ def _dop853(rhs: Callable[[float, float], tuple[float, float, float]],
         while reached < len(t_eval) and t_eval[reached] <= t_new:
             reached += 1
         if reached > done:
-            fill(extra, 13, r, v, h)
-            # Per component, y plus a polynomial in x and 1 - x by turns:
-            # Horner's rule on h D K, highest first, then 2 dy - h (f + f_old),
-            # h f_old - dy and dy.
-            polys = []
-            for y, y_new, k in ((r, r_new, kr), (v, v_new, kv), (th, th_new, kt)):
-                dy = y_new - y
-                high = []
-                for row in reversed(dense):
-                    acc = 0.0
-                    for j, d in row:
-                        acc += d * k[j]
-                    high.append(h * acc)
-                polys.append((y, *high, 2.0 * dy - h * (k[12] + k[0]), h * k[0] - dy,
-                              dy))
+            r13 = r + (0.0 + a13_0 * kr0 + a13_6 * kr6 + a13_7 * kr7 + a13_8 * kr8
+                       + a13_9 * kr9 + a13_10 * kr10 + a13_11 * kr11
+                       + a13_12 * kr12) * h
+            kr13 = v + (0.0 + a13_0 * kv0 + a13_6 * kv6 + a13_7 * kv7 + a13_8 * kv8
+                        + a13_9 * kv9 + a13_10 * kv10 + a13_11 * kv11
+                        + a13_12 * kv12) * h
+            kv13 = lam2 / r13**3 - force(r13)
+            kt13 = lam / (r13 * r13)
+            r14 = r + (0.0 + a14_0 * kr0 + a14_5 * kr5 + a14_6 * kr6 + a14_7 * kr7
+                       + a14_10 * kr10 + a14_11 * kr11 + a14_12 * kr12
+                       + a14_13 * kr13) * h
+            kr14 = v + (0.0 + a14_0 * kv0 + a14_5 * kv5 + a14_6 * kv6 + a14_7 * kv7
+                        + a14_10 * kv10 + a14_11 * kv11 + a14_12 * kv12
+                        + a14_13 * kv13) * h
+            kv14 = lam2 / r14**3 - force(r14)
+            kt14 = lam / (r14 * r14)
+            r15 = r + (0.0 + a15_0 * kr0 + a15_5 * kr5 + a15_6 * kr6 + a15_7 * kr7
+                       + a15_8 * kr8 + a15_12 * kr12 + a15_13 * kr13
+                       + a15_14 * kr14) * h
+            kr15 = v + (0.0 + a15_0 * kv0 + a15_5 * kv5 + a15_6 * kv6 + a15_7 * kv7
+                        + a15_8 * kv8 + a15_12 * kv12 + a15_13 * kv13
+                        + a15_14 * kv14) * h
+            kv15 = lam2 / r15**3 - force(r15)
+            kt15 = lam / (r15 * r15)
+            polys = (poly(h, r, r_new, kr0, kr5, kr6, kr7, kr8, kr9, kr10, kr11,
+                          kr12, kr13, kr14, kr15),
+                     poly(h, v, v_new, kv0, kv5, kv6, kv7, kv8, kv9, kv10, kv11,
+                          kv12, kv13, kv14, kv15),
+                     poly(h, th, th_new, kt0, kt5, kt6, kt7, kt8, kt9, kt10, kt11,
+                          kt12, kt13, kt14, kt15))
             for te in t_eval[done:reached]:
                 x = (te - t) / h
                 u = 1.0 - x
@@ -601,7 +771,7 @@ def _dop853(rhs: Callable[[float, float], tuple[float, float, float]],
                 f"{steps} steps to t = {t_new:.10g} without reaching the "
                 f"output time {t_eval[done]:.10g}")
         t, r, v, th = t_new, r_new, v_new, th_new
-        kr[0], kv[0], kt[0] = kr[12], kv[12], kt[12]
+        kr0, kv0, kt0 = kr12, kv12, kt12
     return out
 
 
@@ -644,15 +814,10 @@ def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,
 
     p = as_potential(pot)
     r_p, r_a = turning_radii(pot, oc)
-    lam = oc.lam
-    lam2 = lam * lam
-
-    def rhs(r: float, rdot: float) -> tuple[float, float, float]:
-        return rdot, lam2 / r**3 - p.force_term(r), lam / (r * r)
-
+    lam2 = oc.lam * oc.lam
     rlo, rhi = p.r_bounds
     vmax = math.sqrt(max(2.0 * (oc.xi - p.psi(r_a) - 0.5 * lam2 / r_a**2), 1e-12))
-    states = _dop853(rhs, (r_p, 0.0, 0.0), t_end, t_eval.tolist(), reltol,
+    states = _dop853(p, oc.lam, r_p, t_end, t_eval.tolist(), reltol,
                      1e-2 * reltol * max(r_a, vmax, 1.0),
                      (rlo * (1.0 + 1e-12), rhi * (1.0 - 1e-12)))
     r, rdot, theta = np.array(states).T

@@ -426,6 +426,7 @@ assert "scipy" not in sys.modules, "an analytic command loaded scipy"
 assert tables().currsize == 1
 assert main(["verify", "--kepler", "mu=1", "-o", out + "/verify.json"]) == 0
 assert "scipy" in sys.modules
+assert "scipy.integrate" not in sys.modules, "verify loaded scipy.integrate"
 """
 
 

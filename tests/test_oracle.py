@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -314,6 +315,7 @@ def _oracle_outcomes(params, oc, fresh):
                  quad_radial_action):
         if fresh:
             oracle._kept_radii.cache_clear()
+            oracle._orbit_integrals.cache_clear()
         try:
             out.append(call(params, oc))
         except Exception as exc:  # compared by class below
@@ -598,6 +600,77 @@ def test_integrate_orbit_steps_as_solve_ivp(all_classes, outputs):
         assert np.all(np.abs(got - ref.y.T) <= 1e-12 * np.array(scale)), pot
         again = integrate_orbit(pot, oc, t_end, reltol=1e-11, t_eval=t_eval)
         assert again == states, pot
+
+
+def test_literal_tableau_is_scipys():
+    # Every nonzero entry of scipy's DOP853 tableau, bit for bit, and no more,
+    # row by row: the stepper unpacks each table in that order.
+    from scipy.integrate import DOP853
+
+    def nonzero(rows, first=0):
+        return {(i, j): float(a) for i, row in enumerate(rows, first)
+                for j, a in enumerate(row) if a != 0.0}
+
+    assert oracle._A == nonzero(DOP853.A)
+    assert oracle._A_EXTRA == nonzero(DOP853.A_EXTRA, DOP853.n_stages + 1)
+    assert oracle._D == nonzero(DOP853.D)
+    for literal, weights in ((oracle._B, DOP853.B), (oracle._E5, DOP853.E5),
+                             (oracle._E3, DOP853.E3)):
+        assert literal == {j: float(w) for j, w in enumerate(weights) if w != 0.0}
+    for table in (oracle._A, oracle._A_EXTRA, oracle._B, oracle._E5, oracle._E3,
+                  oracle._D):
+        assert list(table) == sorted(table)
+
+
+# float.hex of (r, rdot, theta) at t_eval = [T], and the sha256 of the float.hex
+# of the 101 states at np.linspace(0, T, 101), rtol 1e-11.  The stepper's sums
+# run in a fixed order on Python floats, so these hold on every host and
+# Python version; a reordered sum or a wrong coefficient moves them.
+ODE_BITS = {
+    "kepler": (("0x1.9999999999cc5p-2", "0x1.1432ca0000000p-34",
+                "0x1.921fb5445c01bp+2"),
+               "f4a5a8aec6c6cdca29da3ba200f477c230151f6e7cb7a66fc6c7aec51387bdcf"),
+    "henon": (("0x1.6e4ecc1f267fep+0", "0x1.ed1a700000000p-36",
+               "0x1.22fac456b6c0fp+2"),
+              "5df4cb798559937da864962fe480a1deb0e7da06c740ed771700fb2be1d666a2"),
+    "bounded": (("0x1.1cdae1f8a5095p-1", "-0x1.c107000000000p-40",
+                 "0x1.309831059b45fp+1"),
+                "3d423877715275f2ad5b888c857ab260c2a83a141f094a6f73a56fde8a4ed417"),
+    "hollowed": (("0x1.4e9c4a79d647ap+0", "0x1.e8c8b00000000p-37",
+                  "0x1.c98209c304d72p+1"),
+                 "37b816ac86a5f243046aa5510986546d9dac368c49fa5389eae533e4fce8d94c"),
+    "harmonic": (("0x1.d3d08d69abe96p-2", "-0x1.bf79400000000p-36",
+                  "0x1.921fb5443da78p+1"),
+                 "25366143591d3645f6b3f16654074e629d1cfefc597e826094d74f9b49ef16c2"),
+    "henon-gauged": (("0x1.6d7ee72b0b65fp+0", "0x1.8805810000000p-33",
+                      "0x1.0fb70f7672544p+2"),
+                     "f6642c8261c4ab72cac86cf6bbeffe26027393845edb5aad6f4dd3264996dfcd"),
+    "plummer": (("0x1.166966f4ace74p-1", "0x1.560141f895e34p-2",
+                 "0x1.13fe0884bf829p+2"),
+                "cb3bfbbc9502411a3379b6563afb31ca146892514597bfb751abcbe32a7cd1fe"),
+}
+
+
+def test_ode_states_keep_their_bits(all_classes):
+    henon_gauged = potential.apply_gauge(potential.from_henon(1.0, 1.0),
+                                         potential.GaugeTerm(0.1, 0.2))
+    orbits = [(name, pot, oc, orbit_elements(pot, oc).T)
+              for name, pot, oc in all_classes]
+    oc = OrbitConstants(analytic.feasible_energy(henon_gauged, 1.0, 0.6), 1.0)
+    orbits.append(("henon-gauged", henon_gauged, oc,
+                   orbit_elements(henon_gauged, oc).T))
+    orbits.append(("plummer", plummer_potential(), OrbitConstants(-0.4, 0.5), 10.0))
+    assert [name for name, *_ in orbits] == list(ODE_BITS)
+
+    def bits(states):
+        return [(s.r.hex(), s.rdot.hex(), s.theta.hex()) for s in states]
+
+    for name, pot, oc, T in orbits:
+        end, digest = ODE_BITS[name]
+        assert bits(integrate_orbit(pot, oc, T, reltol=1e-11, t_eval=[T])) == [end]
+        states = integrate_orbit(pot, oc, T, reltol=1e-11,
+                                 t_eval=np.linspace(0.0, T, 101))
+        assert hashlib.sha256(repr(bits(states)).encode()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("params, lam, xi", [
