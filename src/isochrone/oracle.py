@@ -35,13 +35,10 @@ That is ``solve_ivp``'s step sequence without the per-step array overhead,
 and with sums in a fixed order, so the states have the same bits whatever
 BLAS library numpy uses.
 
-scipy is imported only by the two ``scipy.optimize`` sites, ``brentq`` and
-``minimize_scalar`` of the turning points and the circular radius, inside the
-functions that call them, on the first oracle call, not with this module: the
-closed-form commands (``classify``, ``elements``, ``table``, ``orbit``) never
-load it, and the ODE imports nothing from scipy.  It stays a runtime
-dependency: ``verify``, the oracle's functions and the Birkhoff checks of a
-generic :class:`RadialPotential` load it.
+Nothing here imports scipy.  The turning points and the circular radius are
+found by Brent's root finder and bounded minimiser in ``_brent``, ports of
+scipy's that keep its arithmetic order, so the oracle's values keep the bits
+they had under scipy.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import potential as potmod
+from . import _brent, potential as potmod
 from .analytic import OrbitConstants
 from .errors import (
     DomainExit,
@@ -255,21 +252,21 @@ def _force_balance_radius(p: RadialPotential, lam: float, lo: float,
                           hi: float) -> Optional[float]:
     """Circular radius from Lambda^2 / r^3 = psi'(r); sharp, unlike the kinetic
     max.  None where the force balance does not change sign on [lo, hi]."""
-    from scipy.optimize import brentq
-
     bal = _force_balance(p, lam)
     if not bal(lo) > 0.0 > bal(hi):
         return None
-    return float(brentq(bal, lo, hi, xtol=1e-300, rtol=8.9e-16))
+    return _brent.brentq(bal, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=100)
 
 
 def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]:
     """Periastron and apoastron radii found purely numerically.
 
     Scans the radial kinetic term on a log grid to seed the maximum, refines
-    it, then brackets and solves the two zero crossings with Brent's method.
+    it by Brent's bounded minimiser, then brackets and solves the two zero
+    crossings by Brent's root finder (``_brent.fminbound``, ``_brent.brentq``).
     The last solve is kept, so the quadratures and the ODE of one orbit
-    share it.
+    share it.  A NaN of psi on the way raises OutOfDomain, a crossing that
+    does not converge ToleranceNotMet.
     """
     return _kept_radii(pot, oc)
 
@@ -293,8 +290,6 @@ def _scan_grid(lo: float, hi: float) -> np.ndarray:
 
 
 def _solve_radii(p: RadialPotential, oc: OrbitConstants) -> tuple[float, float]:
-    from scipy.optimize import brentq, minimize_scalar
-
     lam2 = oc.lam**2
 
     def kin(r: float) -> float:
@@ -306,9 +301,8 @@ def _solve_radii(p: RadialPotential, oc: OrbitConstants) -> tuple[float, float]:
     imax = int(np.argmax(vals))
     bl = grid[max(imax - 1, 0)]
     bh = grid[min(imax + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda r: -kin(r), bounds=(bl, bh), method="bounded",
-                          options={"xatol": 1e-14 * grid[imax]})
-    r_ref = float(res.x)
+    r_ref = float(_brent.fminbound(lambda r: -kin(r), bl, bh,
+                                   xatol=1e-14 * grid[imax]))
     k_ref = kin(r_ref)
     scale = max(abs(oc.xi), oc.lam**2, 1.0)
     if k_ref <= 0.0:
@@ -320,8 +314,7 @@ def _solve_radii(p: RadialPotential, oc: OrbitConstants) -> tuple[float, float]:
     r_star = r_ref if k_ref > vals[imax] else float(grid[imax])
 
     def root(inner: float, outer: float) -> float:
-        return float(brentq(kin, inner, outer, xtol=1e-300, rtol=8.9e-16,
-                            maxiter=300))
+        return _brent.brentq(kin, inner, outer, xtol=1e-300, rtol=8.9e-16, maxiter=300)
 
     # The grid points next to r_star where kin < 0 bracket the turning points;
     # the grid ends at the window's ends, so a side without one has none inside.

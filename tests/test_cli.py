@@ -402,9 +402,11 @@ def test_verify_byte_determinism(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-# The closed-form commands never load scipy; the oracle imports it on its
-# first call.  Importing the CLI builds none of the formatter's tables.  One
-# fresh process, since this suite has scipy loaded already.
+# No command loads scipy: the closed-form commands, nor verify, whose oracle
+# runs its own Brent methods and DOP853, on a parabola and on the generic
+# Plummer sphere with its Birkhoff differences.  Importing the CLI builds none
+# of the formatter's tables.  One fresh process, since this suite has scipy
+# loaded already.
 _NO_SCIPY_CHILD = """
 import sys
 import isochrone, isochrone.cli
@@ -425,8 +427,8 @@ for argv in (
 assert "scipy" not in sys.modules, "an analytic command loaded scipy"
 assert tables().currsize == 1
 assert main(["verify", "--kepler", "mu=1", "-o", out + "/verify.json"]) == 0
-assert "scipy" in sys.modules
-assert "scipy.integrate" not in sys.modules, "verify loaded scipy.integrate"
+assert main(["verify", "--plummer", "b=1", "-o", out + "/plummer.json"]) == 1
+assert "scipy" not in sys.modules, "verify loaded scipy"
 """
 
 

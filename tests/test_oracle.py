@@ -222,6 +222,20 @@ def test_turning_radii_float_only_psi_agrees_with_array_psi():
     assert compared >= 100
 
 
+def test_a_nan_of_psi_is_out_of_domain():
+    # A NaN band inside the orbit once leaked scipy's ValueError from brentq.
+    base = plummer_potential()
+
+    def psi(r):
+        if isinstance(r, np.ndarray):
+            return np.where((r > 0.9) & (r < 0.95), np.nan, base.psi(r))
+        return math.nan if 0.9 < r < 0.95 else base.psi(r)
+
+    p = RadialPotential(psi=psi, dpsi=base.dpsi, name="nan band")
+    with pytest.raises(OutOfDomain, match="NaN"):
+        turning_radii(p, OrbitConstants(-0.5, 0.5))
+
+
 def test_energy_drift_is_one_array_call(henon, monkeypatch):
     oc = OrbitConstants(-0.12, 1.0)
     float_only = RadialPotential(
