@@ -107,8 +107,9 @@ def difference(f: Callable, x: float, h: float, rule: tuple):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """``evaluations`` counts psi evaluations through the returned level of
-    the midpoint rule; ``error_estimate`` is its change from the level before."""
+    """``evaluations`` counts the nodes of the midpoint rule through the
+    returned level, though psi may have been called on the rest of that
+    level's group; ``error_estimate`` is its change from the level before."""
 
     value: float
     error_estimate: float
@@ -139,8 +140,9 @@ class RadialPotential:
     ``dpsi`` may be omitted; psi' is then the central rule of :func:`difference`
     (adequate for negative controls, not for tight-tolerance work).
     ``r_bounds`` is the open interval on which psi is defined.  The
-    turning-point scan, each quadrature level and the ODE energy drift call
-    ``psi`` once on a float64 array, or point by point where it takes floats.
+    turning-point scan, each group of quadrature levels and the ODE energy
+    drift call ``psi`` once on a float64 array, or point by point where it
+    takes floats.
 
     Equality and hash are by identity, so any potential keys the oracle's
     caches whatever its ``psi``.  The oracle keeps the last orbit of a
@@ -265,8 +267,10 @@ def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]
     it by Brent's bounded minimiser, then brackets and solves the two zero
     crossings by Brent's root finder (``_brent.fminbound``, ``_brent.brentq``).
     The last solve is kept, so the quadratures and the ODE of one orbit
-    share it.  A NaN of psi on the way raises OutOfDomain, a crossing that
-    does not converge ToleranceNotMet.
+    share it.  A NaN of psi met inside the orbit, by the scan or a root
+    finder, or at every scanned point raises OutOfDomain; the scan's NaNs
+    outside the orbit are passed over.  A crossing that does not converge
+    raises ToleranceNotMet.
     """
     return _kept_radii(pot, oc)
 
@@ -299,6 +303,11 @@ def _solve_radii(p: RadialPotential, oc: OrbitConstants) -> tuple[float, float]:
     grid = _scan_grid(lo, hi)
     vals = oc.xi - 0.5 * lam2 / (grid * grid) - _psi_array(p, grid)
     imax = int(np.argmax(vals))
+    scan_nan = vals[imax] != vals[imax]  # argmax stops at the first NaN
+    if scan_nan:
+        if np.isnan(vals).all():
+            raise OutOfDomain("psi is NaN at every point of the turning-point scan")
+        imax = int(np.nanargmax(vals))
     bl = grid[max(imax - 1, 0)]
     bh = grid[min(imax + 1, len(grid) - 1)]
     r_ref = float(_brent.fminbound(lambda r: -kin(r), bl, bh,
@@ -321,6 +330,11 @@ def _solve_radii(p: RadialPotential, oc: OrbitConstants) -> tuple[float, float]:
     neg = vals < 0.0
     below = np.flatnonzero(neg[:imax + 1] & (grid[:imax + 1] < r_star))
     above = imax + np.flatnonzero(neg[imax:] & (grid[imax:] > r_star))
+    # A NaN of psi outside the orbit changes nothing; one inside it refuses.
+    if scan_nan and np.isnan(vals[below[-1] if below.size else 0:
+                                  above[0] if above.size else len(vals)]).any():
+        raise OutOfDomain("psi is NaN at a point of the turning-point scan "
+                          "inside the orbit")
     if not below.size:
         raise NoBoundOrbit("no inner turning point above the domain floor")
     r_p = root(grid[below[-1]], r_star)
@@ -348,11 +362,73 @@ def _epicyclic(p: RadialPotential, oc: OrbitConstants,
 
 _MAX_NODES = 4096  # doubling from 8 nodes: at most 8184 psi evaluations an orbit
 
+# The levels of the midpoint rule evaluated together: one psi call and one
+# pass of array operations per group, then each level summed on its own slice.
+# Most orbits settle at 16-128 nodes, where a level alone is mostly call cost.
+_GROUPS = ((8, 16, 32, 64), (128, 256), (512,), (1024,), (2048,), (4096,))
+
 
 @functools.lru_cache(maxsize=None)
-def _tangents(n: int) -> np.ndarray:
-    """tan(v) at the n midpoints v of [0, pi/2], by libm on every host."""
-    return np.array([math.tan((k + 0.5) * (0.5 * math.pi / n)) for k in range(n)])
+def _group_nodes(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """tan(v) at the n midpoints v of [0, pi/2] of each level n in turn, by libm
+    on every host, and (1 + tan(v)^2) / n beside them.  Read-only."""
+    t = np.array([math.tan((k + 0.5) * (0.5 * math.pi / n))
+                  for n in levels for k in range(n)])
+    # n is a power of two, so dividing by it is exact, and K (1 + t^2) / n
+    # has the bits of (K / n) (1 + t^2) for any factor K.
+    scaled = (1.0 + t * t) / np.repeat(np.array(levels, dtype=float), levels)
+    for a in (t, scaled):
+        a.flags.writeable = False
+    return t, scaled
+
+
+def _node_terms(p: RadialPotential, oc: OrbitConstants, r_p: float, span: float,
+                c: float, levels: tuple[int, ...]) -> tuple:
+    """kin > 0 at the nodes of ``levels``, and the terms of the sums of T,
+    Theta and J there, from one psi call on all of them.
+
+    Each term is an elementwise IEEE operation, so a level's slice of it has
+    the bits of that level computed alone.  A level refused, or past the one
+    that settles, may hold kin <= 0: the sqrt and divisions ignore the
+    warnings it raises.
+    """
+    t, scaled = _group_nodes(levels)
+    ct = c * t
+    ct2 = ct * ct
+    cos2 = 1.0 / (1.0 + ct2)
+    sin2 = ct2 * cos2
+    r = r_p + span * sin2
+    rr = r * r
+    kin = oc.xi - 0.5 * (oc.lam * oc.lam) / rr - _psi_array(p, r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = np.sqrt(kin / ((span * sin2) * (span * cos2)))
+        w = (_SQRT2 * math.pi * c) * scaled * cos2
+        terms = (w / root, w / (rr * root), w * sin2 * cos2 * root)
+    return kin > 0.0, terms  # kin > 0 is also false for a NaN
+
+
+def _levels(p: RadialPotential, oc: OrbitConstants, r_p: float, span: float,
+            c: float):
+    """(n, sums) of each level of the midpoint rule in turn: the sums of T,
+    Theta and J, or None where kin <= 0 (or NaN) at one of its nodes.
+
+    Each sum runs on its level's contiguous slice, the same pairwise sum as
+    on the level alone.  A group whose psi call raises is redone one level
+    at a time, so that an error surfaces only at the first level reached
+    whose nodes raise it.
+    """
+    for group in _GROUPS:
+        try:
+            passes = [(group, _node_terms(p, oc, r_p, span, c, group))]
+        except Exception:
+            passes = (((n,), _node_terms(p, oc, r_p, span, c, (n,))) for n in group)
+        for levels, (positive, terms) in passes:
+            lo = 0
+            for n in levels:
+                hi = lo + n
+                yield n, (None if not positive[lo:hi].all()
+                          else [a[lo:hi].sum() for a in terms])
+                lo = hi
 
 
 # Kept like _kept_radii: the three quadratures of an orbit share its nodes.
@@ -366,34 +442,30 @@ def _orbit_integrals(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
     first level of the midpoint rule in v that agrees with the one before to
     ``epsrel``, unless kin <= 0 at a node first; a span below _CIRCULAR_SPAN
     r_a, where kin cancels to noise, takes the near-circular limit instead.
+    The levels are evaluated in the groups of _GROUPS, so a psi may be called
+    on the nodes of up to one group beyond the level returned.
     """
     p = as_potential(pot)
     span = r_a - r_p
     if span <= _CIRCULAR_SPAN * r_a:
         return _epicyclic(p, oc, 0.5 * (r_p + r_a))
     c = (r_p / r_a) ** 0.25
-    out, prev, evaluations, n = [None] * 3, None, 0, 8
+    out, prev, evaluations = [None] * 3, None, 0
     reason = f"no two levels of the midpoint rule up to {_MAX_NODES} nodes agree"
-    while None in out and n <= _MAX_NODES:
-        t = _tangents(n)
-        ct2 = (c * t) * (c * t)
-        cos2 = 1.0 / (1.0 + ct2)
-        sin2 = ct2 * cos2
-        r = r_p + span * sin2
-        kin = oc.xi - 0.5 * (oc.lam * oc.lam) / (r * r) - _psi_array(p, r)
+    for n, sums in _levels(p, oc, r_p, span, c):
         evaluations += n
-        if not np.all(kin > 0.0):  # also for a NaN
+        if sums is None:
             reason = f"radial kinetic term <= 0 at a node of the {n}-point midpoint rule"
             break
-        root = np.sqrt(kin / ((span * sin2) * (span * cos2)))
-        w = (_SQRT2 * math.pi * c / n) * (1.0 + t * t) * cos2
-        values = [float(np.sum(w / root)), oc.lam * float(np.sum(w / (r * r * root))),
-                  span * span / math.pi * float(np.sum(w * sin2 * cos2 * root))]
+        values = [float(sums[0]), oc.lam * float(sums[1]),
+                  span * span / math.pi * float(sums[2])]
         for k, v in enumerate(values):
             if out[k] is None and prev and abs(v - prev[k]) <= epsrel * abs(v):
                 out[k] = QuadratureResult(value=v, error_estimate=abs(v - prev[k]),
                                           evaluations=evaluations)
-        prev, n = values, 2 * n
+        if None not in out:
+            break
+        prev = values
     return tuple(reason if v is None else v for v in out)
 
 

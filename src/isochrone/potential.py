@@ -198,15 +198,15 @@ def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray
     out finite (x = inf, or an overflow) it raises OutOfDomain.
     """
     if isinstance(x, np.ndarray):
+        # Computed first and checked after, as in psi_value.
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = _y_array(params, x)
+            if (x.size and params._xlo <= x.min() and x.max() <= params._xhi
+                    and _all_finite(y)):
+                return y
         outside = (x < params._xlo) | (x > params._xhi)
         if outside.any():
             raise _out_of_domain(params, x[outside][0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            if params.b == 0.0:
-                y = params._a1 * x + params._a0 + params._a2 * x * x
-            else:
-                w = params._bdelta * (x - params._x_v)
-                y = params._slope * x - params._offset - np.sqrt(w) / params._b2
         return _finite(y, "Y", "x", x)
     if x < params._xlo or x > params._xhi:
         raise _out_of_domain(params, x)
@@ -218,6 +218,20 @@ def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray
     if y - y == 0.0:  # finite: inf - inf and nan - nan are nan
         return y
     raise OutOfDomain(f"Y is not finite at x = {x:g}")
+
+
+def _y_array(params: ParabolaParams, x: np.ndarray) -> np.ndarray:
+    """The branch Y at an array x, unchecked, by the float call's operations."""
+    if params.b == 0.0:
+        return params._a1 * x + params._a0 + params._a2 * x * x
+    w = params._bdelta * (x - params._x_v)
+    return params._slope * x - params._offset - np.sqrt(w) / params._b2
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """True only if every value is finite: a sum with an inf or a NaN term is
+    not.  A sum of finite terms may overflow; its caller then checks again."""
+    return math.isfinite(values.sum())
 
 
 def _finite(values: np.ndarray, what: str, var: str, at: np.ndarray) -> np.ndarray:
@@ -268,6 +282,17 @@ def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarr
     2 r^2 underflows to 0, or psi does not come out finite, it raises
     OutOfDomain.
     """
+    if isinstance(r, np.ndarray):
+        # Computed first and checked after: the common all-valid array returns
+        # with three reductions.  Any other takes the checks below, unchanged.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x = 2.0 * r * r
+            psi = _y_array(params, x) / x
+            if r.size:  # x = 2 r^2 is least and greatest where r is
+                lo, hi = r.min(), r.max()
+                if (0.0 < lo and params._xlo <= 2.0 * lo * lo
+                        and 2.0 * hi * hi <= params._xhi and _all_finite(psi)):
+                    return psi
     # The plain test keeps the root finders' float calls free of numpy; an
     # array's truth value is ambiguous (ValueError), so an array takes np.any.
     try:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,10 @@ from isochrone.oracle import (
 from conftest import BASE_POTENTIALS
 
 GOLDEN = OrbitConstants(-0.5, 0.8)
+
+# The midpoint rule's levels, and the node counts of its groups of levels.
+LEVELS = [8 * 2**k for k in range(10)]
+GROUP_SIZES = [120, 384, 512, 1024, 2048, 4096]
 
 
 def test_quad_radial_period_golden(kepler, harmonic, henon):
@@ -141,16 +146,16 @@ def test_one_node_set_serves_the_three_integrals(henon, monkeypatch):
     turning_radii(henon, oc)
     monkeypatch.setattr(potential, "psi_value", counted)
     results = [quad_radial_period(henon, oc)]
-    levels = list(sizes)
-    # One psi array call per level of the rule, node counts doubling from 8.
-    assert levels == [8 * 2**k for k in range(len(levels))]
+    calls = list(sizes)
+    # One psi array call per group of levels, node counts doubling from 8.
+    assert calls == GROUP_SIZES[:len(calls)]
     results += [quad_apsidal_angle(henon, oc), quad_radial_action(henon, oc)]
-    assert sizes == levels
-    # Each result counts the nodes through its own level; the doubling
-    # stopped at the level the last of them needed.
-    totals = list(itertools.accumulate(levels))
+    assert sizes == calls
+    # Each result counts the nodes through its own level, and the last of
+    # them lies in the last group called.
+    totals = list(itertools.accumulate(LEVELS))
     assert all(res.evaluations in totals for res in results)
-    assert max(res.evaluations for res in results) == totals[-1]
+    assert sum(calls) - calls[-1] < max(res.evaluations for res in results) <= sum(calls)
 
 
 def test_quad_convergence_with_tolerance(kepler, bounded):
@@ -236,6 +241,34 @@ def test_a_nan_of_psi_is_out_of_domain():
         turning_radii(p, OrbitConstants(-0.5, 0.5))
 
 
+def _nan_band(lo, hi):
+    """The Plummer sphere with psi = NaN on lo < r < hi."""
+    base = plummer_potential()
+
+    def psi(r):
+        if isinstance(r, np.ndarray):
+            return np.where((r > lo) & (r < hi), np.nan, base.psi(r))
+        return math.nan if lo < r < hi else base.psi(r)
+
+    return RadialPotential(psi=psi, dpsi=base.dpsi, name=f"nan on ({lo:g}, {hi:g})")
+
+
+def test_a_nan_of_psi_outside_the_orbit_changes_no_radius():
+    # The scan's argmax once landed on the first NaN, far from the orbit, and
+    # the orbit was refused: "radial kinetic term never positive".
+    oc = OrbitConstants(-0.5, 0.5)
+    plain = turning_radii(plummer_potential(), oc)
+    assert plain == (0.5874342382042825, 1.4953008463039108)
+    for lo, hi in ((1e3, 2e3), (1e-6, 2e-6), (50.0, 51.0)):
+        assert turning_radii(_nan_band(lo, hi), oc) == plain, (lo, hi)
+    # A band that holds scanned points inside the orbit is refused.
+    for lo, hi in ((0.3, 0.6), (1.4, 1.6)):
+        with pytest.raises(OutOfDomain, match="NaN"):
+            turning_radii(_nan_band(lo, hi), oc)
+    with pytest.raises(OutOfDomain, match="NaN at every point"):
+        turning_radii(_nan_band(0.0, math.inf), oc)
+
+
 def test_energy_drift_is_one_array_call(henon, monkeypatch):
     oc = OrbitConstants(-0.12, 1.0)
     float_only = RadialPotential(
@@ -313,10 +346,142 @@ def test_a_generic_orbit_is_solved_and_summed_once(monkeypatch):
         quad(pot, oc)
     integrate_orbit(pot, oc, 5.0)
     assert solves == [oc]
-    # The scan's 600 points, one doubling run of the midpoint rule from 8
-    # nodes, and the ODE's 200 samples.
+    # The scan's 600 points, one run of the midpoint rule's groups of
+    # levels, and the ODE's 200 samples.
     assert sizes[0] == 600 and sizes[-1] == 200
-    assert sizes[1:-1] == [8 * 2**k for k in range(len(sizes) - 2)]
+    assert sizes[1:-1] == GROUP_SIZES[:len(sizes) - 2]
+
+
+def _reference_nodes(n, r_p, r_a):
+    """The n radii and 1 + tan(v)^2, cos(u)^2, sin(u)^2 of one level."""
+    c = (r_p / r_a) ** 0.25
+    t = np.array([math.tan((k + 0.5) * (0.5 * math.pi / n)) for k in range(n)])
+    ct2 = (c * t) * (c * t)
+    cos2 = 1.0 / (1.0 + ct2)
+    sin2 = ct2 * cos2
+    return r_p + (r_a - r_p) * sin2, 1.0 + t * t, cos2, sin2
+
+
+def _reference_integrals(p, oc, epsrel, r_p, r_a):
+    """The midpoint rule one level at a time, each level its own psi call, as
+    the oracle summed it before its levels were grouped."""
+    span = r_a - r_p
+    if span <= oracle._CIRCULAR_SPAN * r_a:
+        return oracle._epicyclic(p, oc, 0.5 * (r_p + r_a))
+    c = (r_p / r_a) ** 0.25
+    out, prev, evaluations, n = [None] * 3, None, 0, 8
+    reason = "no two levels of the midpoint rule up to 4096 nodes agree"
+    while None in out and n <= 4096:
+        r, tt1, cos2, sin2 = _reference_nodes(n, r_p, r_a)
+        kin = oc.xi - 0.5 * (oc.lam * oc.lam) / (r * r) - oracle._psi_array(p, r)
+        evaluations += n
+        if not np.all(kin > 0.0):
+            reason = f"radial kinetic term <= 0 at a node of the {n}-point midpoint rule"
+            break
+        root = np.sqrt(kin / ((span * sin2) * (span * cos2)))
+        w = (math.sqrt(2.0) * math.pi * c / n) * tt1 * cos2
+        values = [float(np.sum(w / root)), oc.lam * float(np.sum(w / (r * r * root))),
+                  span * span / math.pi * float(np.sum(w * sin2 * cos2 * root))]
+        for k, v in enumerate(values):
+            if out[k] is None and prev and abs(v - prev[k]) <= epsrel * abs(v):
+                out[k] = oracle.QuadratureResult(
+                    value=v, error_estimate=abs(v - prev[k]), evaluations=evaluations)
+        prev, n = values, 2 * n
+    return tuple(reason if v is None else v for v in out)
+
+
+def _integrals_or_error(integrals, p, oc, epsrel, r_p, r_a):
+    try:
+        return repr(integrals(p, oc, epsrel, r_p, r_a))  # repr: every bit
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_grouped_levels_sum_as_one_level_at_a_time():
+    """Every value, error estimate, evaluation count and refusal reason of the
+    grouped levels is the one-level-at-a-time loop's, to the bit."""
+    bases = [BASE_POTENTIALS[k] for k in
+             ("kepler", "henon", "bounded", "hollowed", "harmonic")]
+    gauge = potential.GaugeTerm(0.1, 0.2)
+    outcomes = set()
+    for params in bases + [potential.apply_gauge(b, gauge) for b in bases]:
+        p = as_potential(params)
+        for lam in (0.05, 0.5, 5.0):
+            for frac in (1e-9, 1e-3, 0.5, 1.0 - 1e-6):
+                oc = OrbitConstants(analytic.feasible_energy(params, lam, frac), lam)
+                try:
+                    radii = turning_radii(params, oc)
+                except NoBoundOrbit:
+                    continue
+                for epsrel in (1e-11, 1e-14, 1e-16):
+                    got = _integrals_or_error(oracle._orbit_integrals.__wrapped__,
+                                              p, oc, epsrel, *radii)
+                    assert got == _integrals_or_error(_reference_integrals, p, oc,
+                                                      epsrel, *radii), (params, oc)
+                    outcomes.update(re.findall(
+                        r"evaluations=\d+|radial kinetic|no two levels", got))
+    # The grid reaches levels in several groups, and both refusals.
+    assert {"evaluations=56", "evaluations=248", "evaluations=1016",
+            "evaluations=8184", "radial kinetic", "no two levels"} <= outcomes
+
+
+def test_a_group_whose_psi_raises_is_redone_level_by_level():
+    """A psi undefined at the 256-node level's nodes only: an orbit that
+    settles by 128 nodes returns as before, one that needs 256 raises."""
+    plummer = plummer_potential()
+    for oc, settles in ((OrbitConstants(-0.02, 0.05), True),
+                        (OrbitConstants(-0.01, 0.02), False)):
+        r_p, r_a = turning_radii(plummer, oc)
+        bad = _reference_nodes(256, r_p, r_a)[0]
+
+        def psi(r):
+            if np.isin(r, bad).any():
+                raise OutOfDomain("psi undefined at a node of the 256-point rule")
+            return plummer.psi(r)
+
+        pot = RadialPotential(psi=psi, dpsi=plummer.dpsi)
+        got = _integrals_or_error(oracle._orbit_integrals.__wrapped__,
+                                  pot, oc, 1e-11, r_p, r_a)
+        assert got == _integrals_or_error(_reference_integrals, pot, oc, 1e-11,
+                                          r_p, r_a)
+        # The unraising Plummer sphere settles at 128 nodes, or needs 256.
+        plain = oracle._orbit_integrals.__wrapped__(plummer, oc, 1e-11, r_p, r_a)
+        assert max(res.evaluations for res in plain) == (248 if settles else 504)
+        assert got == (repr(plain) if settles else (OutOfDomain, (
+            "psi undefined at a node of the 256-point rule")))
+
+
+def test_a_float_only_psi_sums_as_one_level_at_a_time(henon):
+    """A psi that takes floats only is called point by point, on the nodes of
+    whole groups: up to 120 calls where a level at a time made 24."""
+    calls = []
+
+    def psi(r):
+        calls.append(r)
+        return potential.psi_value(henon, float(r))
+
+    pot = RadialPotential(psi=psi, dpsi=lambda r: potential.psi_derivative(henon, r),
+                          r_bounds=potential.radial_domain(henon))
+    compared = 0
+    for lam in (0.05, 0.5, 5.0):
+        for frac in (1e-3, 0.5, 1.0 - 1e-6):
+            oc = OrbitConstants(analytic.feasible_energy(henon, lam, frac), lam)
+            radii = turning_radii(henon, oc)
+            calls.clear()
+            got = _integrals_or_error(oracle._orbit_integrals.__wrapped__,
+                                      pot, oc, 1e-11, *radii)
+            # Each group's array call raised TypeError before its float calls.
+            floats = sum(not isinstance(r, np.ndarray) for r in calls)
+            assert got == _integrals_or_error(_reference_integrals, pot, oc, 1e-11,
+                                              *radii)
+            assert floats in itertools.accumulate(GROUP_SIZES)
+            compared += 1
+    assert compared == 9
+    # An orbit that settles at 16 nodes.
+    oc = OrbitConstants(analytic.feasible_energy(henon, 0.5, 0.5), 0.5)
+    calls.clear()
+    res = oracle._orbit_integrals.__wrapped__(pot, oc, 1e-5, *turning_radii(henon, oc))
+    assert max(r.evaluations for r in res) == 24 and len(calls) == 1 + 120
 
 
 EDGE_LAMBDAS = [0.05 * 100.0 ** (i / 3) for i in range(4)]

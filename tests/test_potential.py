@@ -111,6 +111,79 @@ def test_y_value_out_of_domain(bounded, hollowed, harmonic):
             parabola_ode_residual(params, x)
 
 
+# Five points inside each family's domain, in r and in x = 2 r^2.
+_GOOD_R = {"kepler": [0.3, 0.5, 1.0, 2.0, 3.0], "henon": [0.3, 0.5, 1.0, 2.0, 3.0],
+           "harmonic": [0.3, 0.5, 1.0, 2.0, 3.0], "bounded": [0.3, 0.5, 0.7, 0.8, 0.9],
+           "hollowed": [1.2, 1.5, 2.0, 2.5, 3.0]}
+_FAMILIES = {"kepler": from_kepler(1.0), "henon": from_henon(1.0, 1.0),
+             "harmonic": from_harmonic(2.0), "bounded": from_bounded(1.0, 1.0),
+             "hollowed": from_hollowed(1.0, 1.0)}
+_NOT_POSITIVE = "psi_value requires r > 0 and 2 r^2 > 0"
+# (function, family, bad element, message): every family's refusals of
+# r <= 0, r = nan, an r whose 2 r^2 underflows or overflows, and an x out of
+# the domain, as each was raised before arrays were computed first.
+ARRAY_REFUSALS = [
+    *((psi_value, name, bad, _NOT_POSITIVE)
+      for name in _FAMILIES for bad in (0.0, -1.0, 1e-170)),
+    *((psi_value, name, math.nan, "Y is not finite at x = nan") for name in _FAMILIES),
+    *((psi_value, name, 1e155, "Y is not finite at x = inf")
+      for name in ("kepler", "henon", "harmonic", "hollowed")),
+    (psi_value, "bounded", 1e155, "x = inf outside domain [0, 2]"),
+    (psi_value, "bounded", 1.5, "x = 4.5 outside domain [0, 2]"),
+    (psi_value, "hollowed", 0.5, "x = 0.5 outside domain [2, inf]"),
+    # Henon's x_v = -2, so W > 0 and Y is finite at x = -1 < 0 = x_lo: a
+    # check of finiteness alone would return it.
+    (y_value, "henon", -1.0, "x = -1 outside domain [0, inf]"),
+    (y_value, "kepler", -1.0, "x = -1 outside domain [0, inf]"),
+    (y_value, "harmonic", -1.0, "x = -1 outside domain [0, inf]"),
+    *((y_value, name, math.nan, "Y is not finite at x = nan") for name in _FAMILIES),
+    (y_value, "harmonic", math.inf, "Y is not finite at x = inf"),
+    (y_value, "harmonic", 1e300, "Y is not finite at x = 1e+300"),
+    (y_value, "bounded", 4.5, "x = 4.5 outside domain [0, 2]"),
+    (y_value, "bounded", math.inf, "x = inf outside domain [0, 2]"),
+    (y_value, "hollowed", 0.5, "x = 0.5 outside domain [2, inf]"),
+]
+
+
+@pytest.mark.parametrize("fn, name, bad, message", ARRAY_REFUSALS)
+def test_array_refusals_keep_their_messages(fn, name, bad, message):
+    params = _FAMILIES[name]
+    good = np.array(_GOOD_R[name])
+    if fn is y_value:
+        good = 2.0 * good * good
+    for at in (0, 2, 4):  # first, middle and last
+        arg = good.copy()
+        arg[at] = bad
+        with pytest.raises(OutOfDomain) as info:
+            fn(params, arg)
+        assert type(info.value) is OutOfDomain and str(info.value) == message, at
+
+
+def test_scalar_arrays_return_as_the_float_call():
+    # A 0-d array and an np.float64 give the float call's value as an
+    # np.float64, and a 0-d r <= 0 the float call's message.
+    for name, params in _FAMILIES.items():
+        r = _GOOD_R[name][2]
+        for fn, arg in ((psi_value, r), (y_value, 2.0 * r * r)):
+            want = fn(params, arg)
+            for same in (np.array(arg), np.float64(arg)):
+                got = fn(params, same)
+                assert type(got) is np.float64 and got == want, (name, fn)
+        for bad in (np.array(-1.0), np.float64(-1.0), np.array([-1.0])):
+            with pytest.raises(OutOfDomain, match=r"^psi_value requires r > 0$"):
+                psi_value(params, bad)
+
+
+def test_finite_values_whose_sum_overflows_are_returned(harmonic):
+    x = np.array([1.0, 1.9e154, 1.9e154, 1.9e154])
+    y = y_value(harmonic, x)
+    assert y.tolist() == [y_value(harmonic, float(v)) for v in x]
+    with np.errstate(over="ignore"):
+        assert np.isinf(y.sum())  # so the slow checks returned it
+    assert psi_value(harmonic, np.array([])).shape == (0,)
+    assert y_value(harmonic, np.array([])).shape == (0,)
+
+
 def test_nan_abscissa_is_out_of_domain(all_classes):
     # nan fails every comparison: the domain test must be one that nan fails.
     for name, params, _ in all_classes:
