@@ -296,15 +296,18 @@ def radial_period(params: ParabolaParams, xi: float) -> float:
 
     T^2 = -(pi^2/4) delta / (a + b xi)^3 for every class; at b = 0, where
     delta = a d and a < 0, it is the harmonic constant pi sqrt(-d) / (2|a|).
+    InvalidParams unless xi is finite.
     """
+    if not math.isfinite(xi):
+        raise InvalidParams(f"energy must be finite, got {xi!r}")
     bh = _require_bound_slope(params, xi)
     return 0.5 * math.pi * math.sqrt(params.delta / abs(bh) ** 3)
 
 
 def apsidal_angle(params: ParabolaParams, lam: float) -> float:
     """Apsidal angle Theta(Lambda); independent of xi by isochrony."""
-    if lam <= 0.0:
-        raise InvalidParams("apsidal angle requires Lambda > 0")
+    if not 0.0 < lam < math.inf:
+        raise InvalidParams(f"apsidal angle requires finite Lambda > 0, got {lam!r}")
     return math.pi * lam * _r_value(params, lam) / _s_value(params, lam)
 
 

@@ -224,8 +224,10 @@ def third_law(params: ParabolaParams, xi: float) -> float:
     and agrees with the direct closed form (Y'' is constant for the harmonic
     class, where every xi above Y'(0) has a circular orbit).  Raises
     NoCircularOrbit when x_c falls outside the domain or too close to a wall
-    for Y''(x_c) to hold 10 digits.
+    for Y''(x_c) to hold 10 digits, and InvalidParams unless xi is finite.
     """
+    if not math.isfinite(xi):
+        raise InvalidParams(f"energy must be finite, got {xi!r}")
     if params.b == 0.0:
         y1, y2 = potmod.y_derivatives(params, 0.0, 2)
         if xi <= y1:

@@ -493,16 +493,16 @@ def _verify_parabola(params: ParabolaParams, lams: Sequence[float],
            (_rel(3.0 * y2 * y4, 5.0 * y3 * y3, 1.0) for _, y2, y3, y4 in derivs),
            1e-10)
 
-    # The feasible grid: each orbit's elements and its three quadratures, in
-    # a row, so that the oracle solves the orbit's turning points once.
+    # The feasible grid: each orbit's elements and the three quadratures of
+    # its one solved oracle orbit.
     grid = []
     for lam in lams:
         for frac in (0.35, 0.7):
             oc = OrbitConstants(analytic.feasible_energy(params, lam, frac), lam)
-            grid.append((analytic.orbit_elements(params, oc),
-                         oracle.quad_radial_period(params, oc).value,
-                         oracle.quad_apsidal_angle(params, oc).value,
-                         oracle.quad_radial_action(params, oc).value))
+            el = analytic.orbit_elements(params, oc)
+            orbit = oracle.solve_orbit(params, oc)
+            grid.append((el, orbit.radial_period().value, orbit.apsidal_angle().value,
+                         orbit.radial_action().value))
     els = [el for el, *_ in grid]
     freqs = [analytic.frequencies(params, el.J, el.lam) for el in els]
     _check(checks, "identity_omega_times_T",
@@ -601,9 +601,8 @@ def _verify_generic(gen: oracle.RadialPotential, xi: float,
                     lams: Sequence[float], tol: float) -> list[dict]:
     checks: list[dict] = []
     _check(checks, "isochrony_spread", [oracle.isochrony_spread(gen, xi, lams)], tol)
-    oc = OrbitConstants(xi, lams[0])
-    states = oracle.integrate_orbit(
-        gen, oc, 4.0 * oracle.quad_radial_period(gen, oc).value, reltol=1e-10)
+    orbit = oracle.solve_orbit(gen, OrbitConstants(xi, lams[0]))
+    states = orbit.integrate(4.0 * orbit.radial_period().value, reltol=1e-10)
     _check(checks, "ode_energy_drift", (s.energy_drift for s in states), 1e-9)
     return checks
 

@@ -16,10 +16,11 @@ controls such as the Plummer sphere.
 The three defining integrals share their turning points and the
 inverse-square-root singularities there.  One substitution,
 r = r_p + (r_a - r_p) sin(u)^2, removes them, and one periodic midpoint rule
-on one node set sums all three (Trefethen & Weideman 2014).  Every
-potential's turning points and node set are kept per orbit: its three
-quadratures and ODE share the last turning points, and the quadratures the
-last node set.
+on one node set sums all three (Trefethen & Weideman 2014).  An orbit is
+one value, :class:`Orbit`, made by :func:`solve_orbit`: it holds the turning
+points, and sums its node set once per tolerance for its three integrals.
+Only the one-orbit wrappers (``turning_radii``, the three ``quad_*`` and
+``integrate_orbit``) keep an orbit between calls: the last one asked for.
 
 Every numerical derivative, here and in the Birkhoff checks, is a call of
 the one difference routine, :func:`difference`, with a rule from its table:
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -67,8 +68,10 @@ __all__ = [
     "QuadratureResult",
     "OdeState",
     "RadialPotential",
+    "Orbit",
     "plummer_potential",
     "as_potential",
+    "solve_orbit",
     "turning_radii",
     "quad_radial_period",
     "quad_apsidal_angle",
@@ -144,9 +147,10 @@ class RadialPotential:
     drift call ``psi`` once on a float64 array, or point by point where it
     takes floats.
 
-    Equality and hash are by identity, so any potential keys the oracle's
-    caches whatever its ``psi``.  The oracle keeps the last orbit of a
-    potential object, so ``psi`` and ``dpsi`` must be pure functions of r.
+    Equality and hash are by identity, so any potential keys the one-orbit
+    wrappers' memo whatever its ``psi``.  Only those wrappers keep an orbit,
+    the last one asked for, so there ``psi`` and ``dpsi`` must be pure
+    functions of r.
     """
 
     psi: Callable[[float], float]
@@ -258,29 +262,6 @@ def _force_balance_radius(p: RadialPotential, lam: float, lo: float,
     if not bal(lo) > 0.0 > bal(hi):
         return None
     return _brent.brentq(bal, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=100)
-
-
-def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]:
-    """Periastron and apoastron radii found purely numerically.
-
-    Scans the radial kinetic term on a log grid to seed the maximum, refines
-    it by Brent's bounded minimiser, then brackets and solves the two zero
-    crossings by Brent's root finder (``_brent.fminbound``, ``_brent.brentq``).
-    The last solve is kept, so the quadratures and the ODE of one orbit
-    share it.  A NaN of psi met inside the orbit, by the scan or a root
-    finder, or at every scanned point raises OutOfDomain; the scan's NaNs
-    outside the orbit are passed over.  A crossing that does not converge
-    raises ToleranceNotMet.
-    """
-    return _kept_radii(pot, oc)
-
-
-# Keyed on the caller's (pot, oc): a parabola by value, a RadialPotential by
-# identity.  The three quadratures and the ODE of one orbit ask in a row, and
-# successive orbits differ.
-@functools.lru_cache(maxsize=1)
-def _kept_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]:
-    return _solve_radii(as_potential(pot), oc)
 
 
 @functools.lru_cache(maxsize=16)
@@ -431,9 +412,7 @@ def _levels(p: RadialPotential, oc: OrbitConstants, r_p: float, span: float,
                 lo = hi
 
 
-# Kept like _kept_radii: the three quadratures of an orbit share its nodes.
-@functools.lru_cache(maxsize=1)
-def _orbit_integrals(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
+def _orbit_integrals(p: RadialPotential, oc: OrbitConstants, epsrel: float,
                      r_p: float, r_a: float) -> tuple:
     """(T, Theta, J), each a QuadratureResult or the reason it is refused.
 
@@ -445,7 +424,6 @@ def _orbit_integrals(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
     The levels are evaluated in the groups of _GROUPS, so a psi may be called
     on the nodes of up to one group beyond the level returned.
     """
-    p = as_potential(pot)
     span = r_a - r_p
     if span <= _CIRCULAR_SPAN * r_a:
         return _epicyclic(p, oc, 0.5 * (r_p + r_a))
@@ -467,33 +445,6 @@ def _orbit_integrals(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
             break
         prev = values
     return tuple(reason if v is None else v for v in out)
-
-
-def _orbit_integral(pot: PotentialLike, oc: OrbitConstants, epsrel: float,
-                    part: int) -> QuadratureResult:
-    """Part 0, 1 or 2 of (T, Theta, J); ToleranceNotMet where it is refused."""
-    result = _orbit_integrals(pot, oc, epsrel, *turning_radii(pot, oc))[part]
-    if isinstance(result, str):
-        raise ToleranceNotMet(result)
-    return result
-
-
-def quad_radial_period(pot: PotentialLike, oc: OrbitConstants,
-                       epsrel: float = 1e-11) -> QuadratureResult:
-    """T = sqrt(2) * integral dr / sqrt(xi - Lambda^2/2r^2 - psi) over [r_p, r_a]."""
-    return _orbit_integral(pot, oc, epsrel, 0)
-
-
-def quad_apsidal_angle(pot: PotentialLike, oc: OrbitConstants,
-                       epsrel: float = 1e-11) -> QuadratureResult:
-    """Theta = sqrt(2) * Lambda * integral dr / (r^2 sqrt(...)) over [r_p, r_a]."""
-    return _orbit_integral(pot, oc, epsrel, 1)
-
-
-def quad_radial_action(pot: PotentialLike, oc: OrbitConstants,
-                       epsrel: float = 1e-11) -> QuadratureResult:
-    """J = (sqrt(2)/pi) * integral sqrt(xi - Lambda^2/2r^2 - psi) dr."""
-    return _orbit_integral(pot, oc, epsrel, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -840,57 +791,148 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
     return out
 
 
+# ---------------------------------------------------------------------------
+# one orbit
+
+
+@dataclass(frozen=True, eq=False)
+class Orbit:
+    """One orbit of a potential, from :func:`solve_orbit`.  Its three integrals
+    are summed on one node set the first time an ``epsrel`` is asked for, and
+    kept on the orbit.  Each raises InvalidParams unless 0 < epsrel < inf, and
+    ToleranceNotMet where the midpoint rule refuses it."""
+
+    pot: RadialPotential
+    oc: OrbitConstants
+    r_p: float
+    r_a: float
+    _integrals: dict = field(default_factory=dict, init=False, repr=False)
+
+    def radial_period(self, epsrel: float = 1e-11) -> QuadratureResult:
+        """T = sqrt(2) * integral dr / sqrt(xi - Lambda^2/2r^2 - psi) over [r_p, r_a]."""
+        return self._integral(epsrel, 0)
+
+    def apsidal_angle(self, epsrel: float = 1e-11) -> QuadratureResult:
+        """Theta = sqrt(2) * Lambda * integral dr / (r^2 sqrt(...)) over [r_p, r_a]."""
+        return self._integral(epsrel, 1)
+
+    def radial_action(self, epsrel: float = 1e-11) -> QuadratureResult:
+        """J = (sqrt(2)/pi) * integral sqrt(xi - Lambda^2/2r^2 - psi) dr."""
+        return self._integral(epsrel, 2)
+
+    def _integral(self, epsrel: float, part: int) -> QuadratureResult:
+        if not 0.0 < epsrel < math.inf:
+            raise InvalidParams(f"epsrel must be finite and > 0, got {epsrel!r}")
+        if epsrel not in self._integrals:
+            self._integrals[epsrel] = _orbit_integrals(self.pot, self.oc, epsrel,
+                                                       self.r_p, self.r_a)
+        result = self._integrals[epsrel][part]
+        if isinstance(result, str):
+            raise ToleranceNotMet(result)
+        return result
+
+    def integrate(self, t_end: float, reltol: float = 1e-10,
+                  t_eval: Optional[Sequence[float]] = None) -> list[OdeState]:
+        """Integrate (r, rdot, theta) from periastron with an embedded RK pair.
+
+        Starts exactly at (r_p, 0, 0); the right-hand side is smooth at turning
+        points in these variables.  Steps DOP853 on Python floats from t = 0
+        (automatic first step, rtol ``reltol``, no step ceiling) and reads each
+        output time of ``t_eval``, or else of 200 evenly spaced times in
+        [0, t_end], from the dense output of the step that reaches it.  That is
+        the step sequence and the right-hand-side calls of ``solve_ivp``'s
+        DOP853, with the states equal to its own within rounding, and the same
+        bits on every host.  It stops at the last output time.
+
+        Raises InvalidParams unless t_end is finite and > 0, reltol is finite and
+        at least 100 eps (DOP853's floor), and t_eval is non-empty, strictly
+        increasing and inside [0, t_end]; DomainExit when a step ends within a
+        relative 1e-12 of a wall of ``r_bounds``; StepSizeUnderflow when the step
+        falls below 10 ulp of t, or after _MAX_STEPS accepted steps without
+        reaching the next output time.
+        """
+        t_end = float(t_end)
+        if not 0.0 < t_end < math.inf:
+            raise InvalidParams(f"t_end must be finite and > 0, got {t_end!r}")
+        if not _RTOL_FLOOR <= reltol < math.inf:
+            raise InvalidParams(
+                f"reltol must be finite and >= {_RTOL_FLOOR:.3g}, got {reltol!r}")
+        t_eval = (np.linspace(0.0, t_end, 200) if t_eval is None
+                  else np.asarray(t_eval, dtype=float))
+        if t_eval.ndim != 1 or not t_eval.size:
+            raise InvalidParams("t_eval must be a non-empty sequence of times")
+        # Also false for NaN.
+        if not (np.all(t_eval >= 0.0) and np.all(t_eval <= t_end)):
+            raise InvalidParams(f"t_eval must lie in [0, t_end = {t_end!r}]")
+        if np.any(np.diff(t_eval) <= 0.0):
+            raise InvalidParams("t_eval must be strictly increasing")
+
+        p, oc, r_p, r_a = self.pot, self.oc, self.r_p, self.r_a
+        lam2 = oc.lam * oc.lam
+        rlo, rhi = p.r_bounds
+        vmax = math.sqrt(max(2.0 * (oc.xi - p.psi(r_a) - 0.5 * lam2 / r_a**2), 1e-12))
+        states = _dop853(p, oc.lam, r_p, t_end, t_eval.tolist(), reltol,
+                         1e-2 * reltol * max(r_a, vmax, 1.0),
+                         (rlo * (1.0 + 1e-12), rhi * (1.0 - 1e-12)))
+        r, rdot, theta = np.array(states).T
+        e_t = 0.5 * rdot * rdot + 0.5 * lam2 / (r * r) + _psi_array(p, r)
+        drift = np.abs(e_t - oc.xi) / max(abs(oc.xi), 1.0)
+        return [OdeState(t=float(t), r=float(r_k), rdot=float(v_k), theta=float(th_k),
+                         energy_drift=float(d_k), lam_drift=0.0)
+                for t, r_k, v_k, th_k, d_k in zip(t_eval, r, rdot, theta, drift)]
+
+
+def solve_orbit(pot: PotentialLike, oc: OrbitConstants) -> Orbit:
+    """The orbit of ``pot`` with constants ``oc``, its periastron and
+    apoastron radii found purely numerically.
+
+    Scans the radial kinetic term on a log grid to seed the maximum, refines
+    it by Brent's bounded minimiser, then brackets and solves the two zero
+    crossings by Brent's root finder (``_brent.fminbound``, ``_brent.brentq``).
+    Each call solves afresh; the integrals and the ODE of the returned orbit
+    share its turning points.  A NaN of psi met inside the orbit, by the scan
+    or a root finder, or at every scanned point raises OutOfDomain; the
+    scan's NaNs outside the orbit are passed over.  A crossing that does not
+    converge raises ToleranceNotMet.
+    """
+    p = as_potential(pot)
+    return Orbit(p, oc, *_solve_radii(p, oc))
+
+
+# The one-orbit wrappers' memo, keyed on the caller's (pot, oc): a parabola by
+# value, a RadialPotential by identity.  One orbit asked for in a row is solved once.
+_last_orbit = functools.lru_cache(maxsize=1)(solve_orbit)
+
+
+def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]:
+    """(r_p, r_a) of ``solve_orbit(pot, oc)``; the last orbit is kept."""
+    orbit = _last_orbit(pot, oc)
+    return orbit.r_p, orbit.r_a
+
+
+def quad_radial_period(pot: PotentialLike, oc: OrbitConstants,
+                       epsrel: float = 1e-11) -> QuadratureResult:
+    """:meth:`Orbit.radial_period` of ``solve_orbit(pot, oc)``; the last orbit is kept."""
+    return _last_orbit(pot, oc).radial_period(epsrel)
+
+
+def quad_apsidal_angle(pot: PotentialLike, oc: OrbitConstants,
+                       epsrel: float = 1e-11) -> QuadratureResult:
+    """:meth:`Orbit.apsidal_angle` of ``solve_orbit(pot, oc)``; the last orbit is kept."""
+    return _last_orbit(pot, oc).apsidal_angle(epsrel)
+
+
+def quad_radial_action(pot: PotentialLike, oc: OrbitConstants,
+                       epsrel: float = 1e-11) -> QuadratureResult:
+    """:meth:`Orbit.radial_action` of ``solve_orbit(pot, oc)``; the last orbit is kept."""
+    return _last_orbit(pot, oc).radial_action(epsrel)
+
+
 def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,
                     reltol: float = 1e-10,
                     t_eval: Optional[Sequence[float]] = None) -> list[OdeState]:
-    """Integrate (r, rdot, theta) from periastron with an embedded RK pair.
-
-    Starts exactly at (r_p, 0, 0); the right-hand side is smooth at turning
-    points in these variables.  Steps DOP853 on Python floats from t = 0
-    (automatic first step, rtol ``reltol``, no step ceiling) and reads each
-    output time of ``t_eval``, or else of 200 evenly spaced times in
-    [0, t_end], from the dense output of the step that reaches it.  That is
-    the step sequence and the right-hand-side calls of ``solve_ivp``'s
-    DOP853, with the states equal to its own within rounding, and the same
-    bits on every host.  It stops at the last output time.
-
-    Raises InvalidParams unless t_end is finite and > 0, reltol is finite and
-    at least 100 eps (DOP853's floor), and t_eval is non-empty, strictly
-    increasing and inside [0, t_end]; DomainExit when a step ends within a
-    relative 1e-12 of a wall of ``r_bounds``; StepSizeUnderflow when the step
-    falls below 10 ulp of t, or after _MAX_STEPS accepted steps without
-    reaching the next output time.
-    """
-    t_end = float(t_end)
-    if not 0.0 < t_end < math.inf:
-        raise InvalidParams(f"t_end must be finite and > 0, got {t_end!r}")
-    if not _RTOL_FLOOR <= reltol < math.inf:
-        raise InvalidParams(
-            f"reltol must be finite and >= {_RTOL_FLOOR:.3g}, got {reltol!r}")
-    t_eval = (np.linspace(0.0, t_end, 200) if t_eval is None
-              else np.asarray(t_eval, dtype=float))
-    if t_eval.ndim != 1 or not t_eval.size:
-        raise InvalidParams("t_eval must be a non-empty sequence of times")
-    # Also false for NaN.
-    if not (np.all(t_eval >= 0.0) and np.all(t_eval <= t_end)):
-        raise InvalidParams(f"t_eval must lie in [0, t_end = {t_end!r}]")
-    if np.any(np.diff(t_eval) <= 0.0):
-        raise InvalidParams("t_eval must be strictly increasing")
-
-    p = as_potential(pot)
-    r_p, r_a = turning_radii(pot, oc)
-    lam2 = oc.lam * oc.lam
-    rlo, rhi = p.r_bounds
-    vmax = math.sqrt(max(2.0 * (oc.xi - p.psi(r_a) - 0.5 * lam2 / r_a**2), 1e-12))
-    states = _dop853(p, oc.lam, r_p, t_end, t_eval.tolist(), reltol,
-                     1e-2 * reltol * max(r_a, vmax, 1.0),
-                     (rlo * (1.0 + 1e-12), rhi * (1.0 - 1e-12)))
-    r, rdot, theta = np.array(states).T
-    e_t = 0.5 * rdot * rdot + 0.5 * lam2 / (r * r) + _psi_array(p, r)
-    drift = np.abs(e_t - oc.xi) / max(abs(oc.xi), 1.0)
-    return [OdeState(t=float(t), r=float(r_k), rdot=float(v_k), theta=float(th_k),
-                     energy_drift=float(d_k), lam_drift=0.0)
-            for t, r_k, v_k, th_k, d_k in zip(t_eval, r, rdot, theta, drift)]
+    """:meth:`Orbit.integrate` of ``solve_orbit(pot, oc)``; the last orbit is kept."""
+    return _last_orbit(pot, oc).integrate(t_end, reltol, t_eval)
 
 
 def isochrony_spread(pot: PotentialLike, xi: float,

@@ -167,6 +167,20 @@ def test_impossible_actions_are_refused(kepler, harmonic, fn, J, lam):
             fn(params, J, lam)
 
 
+@pytest.mark.parametrize("family", ["kepler", "henon", "bounded", "hollowed",
+                                    "harmonic"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_energy_or_lambda_is_refused(request, family, bad):
+    # They returned NaN at NaN, T = 0 at xi = -inf (Henon, Kepler, hollowed)
+    # or +inf (bounded), and Theta = NaN at Lambda = inf; the harmonic
+    # third law returned pi at xi = NaN and inf.
+    params = request.getfixturevalue(family)
+    for fn in (radial_period, apsidal_angle, birkhoff.third_law):
+        with pytest.raises(InvalidParams):
+            fn(params, bad)
+
+
 def test_bounded_actions_beyond_the_wall_are_refused(bounded):
     # from_bounded(1, 1) at Lambda = 1: the wall's energy is 1.5 and its
     # radial action about 0.041.  At J = 0.3 hamiltonian returned xi = 4.94,

@@ -591,31 +591,35 @@ def test_verify_battery_verdicts_match_reference(battery, tmp_path):
 
 @pytest.mark.parametrize("battery", sorted(REFERENCE))
 def test_verify_battery_solves_each_orbit_once(battery, monkeypatch, tmp_path):
-    # The three quadratures of one orbit ask in a row, so the oracle's kept
-    # turning points serve them all: one solve per distinct parabola orbit.
-    # Harmonic's fixed-energy orbit (xi 2, Lambda 0.6) is also a grid orbit,
-    # asked for again by the isochrony check, so it is solved twice.  So is
-    # Plummer's first orbit, asked for again by the ODE check.
-    calls, solves = [], []
-    turning_radii, solve = oracle.turning_radii, oracle._solve_radii
+    # Each grid orbit is one solved oracle.Orbit that serves its three
+    # quadratures: one solve per distinct parabola orbit.  Harmonic's
+    # fixed-energy orbit (xi 2, Lambda 0.6) is also a grid orbit, asked for
+    # again by the isochrony check, so it is solved twice.  So is Plummer's
+    # first orbit, asked for again by the ODE check.
+    asked, solves = [], []
+    solve_orbit, solve = oracle.solve_orbit, oracle._solve_radii
 
-    def counted_call(pot, oc):
-        calls.append((pot, oc))
-        return turning_radii(pot, oc)
+    def counted_orbit(pot, oc):
+        asked.append(oc)
+        return solve_orbit(pot, oc)
 
     def counted_solve(p, oc):
         solves.append(oc)
         return solve(p, oc)
 
-    monkeypatch.setattr(oracle, "turning_radii", counted_call)
+    monkeypatch.setattr(oracle, "solve_orbit", counted_orbit)
     monkeypatch.setattr(oracle, "_solve_radii", counted_solve)
-    oracle._kept_radii.cache_clear()
+    # The isochrony check and the parabola's ODE check ask the one-orbit
+    # wrappers, whose memo may hold an orbit of an earlier test.
+    oracle._last_orbit.cache_clear()
     main(["verify", *REFERENCE[battery]["argv"], "-o", str(tmp_path / "r.json")])
-    assert len(solves) == len(set(calls)) + (battery in ("harmonic", "plummer"))
-    assert (len(calls), len(solves)) == {
-        "henon": (36, 16), "kepler": (36, 16), "bounded": (31, 11),
-        "hollowed": (36, 16), "harmonic": (36, 16), "henon-gauged": (36, 16),
-        "plummer": (12, 11)}[battery]
+    assert len(solves) == len(set(solves)) + (battery in ("harmonic", "plummer"))
+    # solve_orbit is asked for a parabola grid's 10 orbits and Plummer's ODE
+    # orbit; the isochrony check and a parabola's ODE check solve the rest.
+    assert (len(asked), len(solves)) == {
+        "henon": (10, 16), "kepler": (10, 16), "bounded": (10, 11),
+        "hollowed": (10, 16), "harmonic": (10, 16), "henon-gauged": (10, 16),
+        "plummer": (1, 11)}[battery]
 
 
 def test_oracle_refusal_exits_1(capsys):
@@ -629,10 +633,10 @@ def test_oracle_refusal_exits_1(capsys):
 
 @pytest.mark.parametrize("refusal", [StepSizeUnderflow, DomainExit])
 def test_every_isochrone_error_exits_1_with_one_line(refusal, monkeypatch, capsys):
-    def refuse(pot, oc, *args, **kwargs):
+    def refuse(orbit, *args, **kwargs):
         raise refusal("planted")
 
-    monkeypatch.setattr(cli.oracle, "quad_apsidal_angle", refuse)
+    monkeypatch.setattr(cli.oracle.Orbit, "apsidal_angle", refuse)
     code, out, err = run_cli(["verify", "--kepler", "mu=1"], capsys)
     assert (code, out, err) == (1, "", f"error: {refusal.__name__}: planted\n")
 

@@ -18,6 +18,7 @@ from isochrone.errors import (
     ToleranceNotMet,
 )
 from isochrone.oracle import (
+    Orbit,
     RadialPotential,
     as_potential,
     integrate_orbit,
@@ -26,6 +27,7 @@ from isochrone.oracle import (
     quad_apsidal_angle,
     quad_radial_action,
     quad_radial_period,
+    solve_orbit,
     turning_radii,
 )
 
@@ -140,16 +142,13 @@ def test_one_node_set_serves_the_three_integrals(henon, monkeypatch):
         sizes.append(np.size(r))
         return psi_value(params, r)
 
-    oc = OrbitConstants(-0.12, 1.0)
-    oracle._kept_radii.cache_clear()
-    oracle._orbit_integrals.cache_clear()
-    turning_radii(henon, oc)
+    orbit = solve_orbit(henon, OrbitConstants(-0.12, 1.0))
     monkeypatch.setattr(potential, "psi_value", counted)
-    results = [quad_radial_period(henon, oc)]
+    results = [orbit.radial_period()]
     calls = list(sizes)
     # One psi array call per group of levels, node counts doubling from 8.
     assert calls == GROUP_SIZES[:len(calls)]
-    results += [quad_apsidal_angle(henon, oc), quad_radial_action(henon, oc)]
+    results += [orbit.apsidal_angle(), orbit.radial_action()]
     assert sizes == calls
     # Each result counts the nodes through its own level, and the last of
     # them lies in the last group called.
@@ -192,8 +191,7 @@ def test_turning_radii_scan_is_one_array_call(henon, monkeypatch):
         return psi_value(params, r)
 
     monkeypatch.setattr(potential, "psi_value", counted)
-    oracle._kept_radii.cache_clear()
-    turning_radii(henon, OrbitConstants(-0.12, 1.0))
+    solve_orbit(henon, OrbitConstants(-0.12, 1.0))
     # Scanned point by point, the 600-point grid alone took 600 float calls.
     assert calls["array"] == 1
     assert 0 < calls["float"] < 100
@@ -286,8 +284,7 @@ def test_energy_drift_is_one_array_call(henon, monkeypatch):
         return psi_value(params, r)
 
     monkeypatch.setattr(potential, "psi_value", counted)
-    oracle._kept_radii.cache_clear()
-    assert integrate_orbit(henon, oc, 5.0, reltol=1e-10) == states
+    assert solve_orbit(henon, oc).integrate(5.0, reltol=1e-10) == states
     # One array call for the turning-point scan, one for the 200 samples.
     assert ndims.count(1) == 2
     assert len(states) == 200
@@ -302,7 +299,7 @@ def test_one_orbit_solves_its_turning_points_once(henon, monkeypatch):
         return solve(p, oc)
 
     monkeypatch.setattr(oracle, "_solve_radii", counted)
-    oracle._kept_radii.cache_clear()
+    oracle._last_orbit.cache_clear()
     oc = OrbitConstants(-0.12, 1.0)
     for quad in (quad_radial_period, quad_apsidal_angle, quad_radial_action):
         quad(henon, oc)
@@ -390,11 +387,15 @@ def _reference_integrals(p, oc, epsrel, r_p, r_a):
     return tuple(reason if v is None else v for v in out)
 
 
-def _integrals_or_error(integrals, p, oc, epsrel, r_p, r_a):
+def _outcome(call):
     try:
-        return repr(integrals(p, oc, epsrel, r_p, r_a))  # repr: every bit
+        return repr(call())  # repr: every bit
     except Exception as exc:
         return type(exc), str(exc)
+
+
+def _integrals_or_error(integrals, p, oc, epsrel, r_p, r_a):
+    return _outcome(lambda: integrals(p, oc, epsrel, r_p, r_a))
 
 
 def test_grouped_levels_sum_as_one_level_at_a_time():
@@ -414,8 +415,8 @@ def test_grouped_levels_sum_as_one_level_at_a_time():
                 except NoBoundOrbit:
                     continue
                 for epsrel in (1e-11, 1e-14, 1e-16):
-                    got = _integrals_or_error(oracle._orbit_integrals.__wrapped__,
-                                              p, oc, epsrel, *radii)
+                    got = _integrals_or_error(oracle._orbit_integrals, p, oc,
+                                              epsrel, *radii)
                     assert got == _integrals_or_error(_reference_integrals, p, oc,
                                                       epsrel, *radii), (params, oc)
                     outcomes.update(re.findall(
@@ -440,12 +441,11 @@ def test_a_group_whose_psi_raises_is_redone_level_by_level():
             return plummer.psi(r)
 
         pot = RadialPotential(psi=psi, dpsi=plummer.dpsi)
-        got = _integrals_or_error(oracle._orbit_integrals.__wrapped__,
-                                  pot, oc, 1e-11, r_p, r_a)
+        got = _integrals_or_error(oracle._orbit_integrals, pot, oc, 1e-11, r_p, r_a)
         assert got == _integrals_or_error(_reference_integrals, pot, oc, 1e-11,
                                           r_p, r_a)
         # The unraising Plummer sphere settles at 128 nodes, or needs 256.
-        plain = oracle._orbit_integrals.__wrapped__(plummer, oc, 1e-11, r_p, r_a)
+        plain = oracle._orbit_integrals(plummer, oc, 1e-11, r_p, r_a)
         assert max(res.evaluations for res in plain) == (248 if settles else 504)
         assert got == (repr(plain) if settles else (OutOfDomain, (
             "psi undefined at a node of the 256-point rule")))
@@ -468,8 +468,8 @@ def test_a_float_only_psi_sums_as_one_level_at_a_time(henon):
             oc = OrbitConstants(analytic.feasible_energy(henon, lam, frac), lam)
             radii = turning_radii(henon, oc)
             calls.clear()
-            got = _integrals_or_error(oracle._orbit_integrals.__wrapped__,
-                                      pot, oc, 1e-11, *radii)
+            got = _integrals_or_error(oracle._orbit_integrals, pot, oc, 1e-11,
+                                      *radii)
             # Each group's array call raised TypeError before its float calls.
             floats = sum(not isinstance(r, np.ndarray) for r in calls)
             assert got == _integrals_or_error(_reference_integrals, pot, oc, 1e-11,
@@ -480,7 +480,7 @@ def test_a_float_only_psi_sums_as_one_level_at_a_time(henon):
     # An orbit that settles at 16 nodes.
     oc = OrbitConstants(analytic.feasible_energy(henon, 0.5, 0.5), 0.5)
     calls.clear()
-    res = oracle._orbit_integrals.__wrapped__(pot, oc, 1e-5, *turning_radii(henon, oc))
+    res = oracle._orbit_integrals(pot, oc, 1e-5, *turning_radii(henon, oc))
     assert max(r.evaluations for r in res) == 24 and len(calls) == 1 + 120
 
 
@@ -493,8 +493,7 @@ def _oracle_outcomes(params, oc, fresh):
     for call in (turning_radii, quad_radial_period, quad_apsidal_angle,
                  quad_radial_action):
         if fresh:
-            oracle._kept_radii.cache_clear()
-            oracle._orbit_integrals.cache_clear()
+            oracle._last_orbit.cache_clear()
         try:
             out.append(call(params, oc))
         except Exception as exc:  # compared by class below
@@ -517,6 +516,80 @@ def test_kept_turning_points_change_no_result():
                 refused += sum(isinstance(v, type) for v in kept)
     # The grid's edges reach the refusals too.
     assert refused > 0
+
+
+def _orbit_outcomes(orbit, T, tolerances):
+    """The radii, the three integrals at each tolerance in turn and the ODE's
+    state one period on, of one Orbit."""
+    parts = (orbit.radial_period, orbit.apsidal_angle, orbit.radial_action)
+    return {"radii": _outcome(lambda: (orbit.r_p, orbit.r_a)),
+            **{(epsrel, k): _outcome(lambda: part(epsrel))
+               for epsrel in tolerances for k, part in enumerate(parts)},
+            "ode": _outcome(lambda: orbit.integrate(T, 1e-11, [T]))}
+
+
+def _wrapper_outcomes(params, oc, T, tolerances):
+    """The same, asked of the one-orbit wrappers."""
+    quads = (quad_radial_period, quad_apsidal_angle, quad_radial_action)
+    return {"radii": _outcome(lambda: turning_radii(params, oc)),
+            **{(epsrel, k): _outcome(lambda: quad(params, oc, epsrel))
+               for epsrel in tolerances for k, quad in enumerate(quads)},
+            "ode": _outcome(lambda: integrate_orbit(params, oc, T, 1e-11, [T]))}
+
+
+def test_an_orbit_gives_the_wrappers_results():
+    """Every value, error estimate, evaluation count and refusal of a held
+    Orbit is the wrappers', to the bit: orbits asked for in the order A, B, A,
+    each at two tolerances, taken in the opposite order by the wrappers."""
+    bases = [BASE_POTENTIALS[k] for k in
+             ("kepler", "henon", "bounded", "hollowed", "harmonic")]
+    gauge = potential.GaugeTerm(0.1, 0.2)
+    outcomes = set()
+    for params in bases + [potential.apply_gauge(b, gauge) for b in bases]:
+        ocs = [OrbitConstants(analytic.feasible_energy(params, lam, frac), lam)
+               for lam in EDGE_LAMBDAS for frac in EDGE_FRACTIONS]
+        held = {}
+        for oc in (oc for a, b in zip(ocs[::2], ocs[1::2]) for oc in (a, b, a)):
+            try:
+                T = orbit_elements(params, oc).T
+            except NoBoundOrbit:
+                T = 1.0
+            if oc not in held:
+                try:
+                    held[oc] = solve_orbit(params, oc)
+                except Exception as exc:  # compared by class and message below
+                    held[oc] = exc
+            orbit = held[oc]
+            ref = _wrapper_outcomes(params, oc, T, (1e-8, 1e-11))
+            got = (_orbit_outcomes(orbit, T, (1e-11, 1e-8)) if isinstance(orbit, Orbit)
+                   else dict.fromkeys(ref, (type(orbit), str(orbit))))
+            assert got == ref, (params, oc)
+            outcomes.update(v[0].__name__ if isinstance(v, tuple) else "value"
+                            for v in got.values())
+    # The grid reaches values and the quadrature's and the ODE's refusals.
+    assert {"value", "ToleranceNotMet", "StepSizeUnderflow"} <= outcomes
+
+
+@pytest.mark.parametrize("epsrel", [math.nan, 0.0, -1e-11, math.inf],
+                         ids=["nan", "zero", "negative", "inf"])
+def test_bad_epsrel_raises_invalid_params_before_any_node(henon, monkeypatch,
+                                                           epsrel):
+    # A NaN or non-positive epsrel ran the whole doubling, 8184 psi
+    # evaluations, before it was refused with ToleranceNotMet.
+    oc = OrbitConstants(-0.12, 1.0)
+    orbit = solve_orbit(henon, oc)
+    turning_radii(henon, oc)  # the wrappers' orbit, solved here
+    calls = []
+    psi_value = potential.psi_value
+    monkeypatch.setattr(potential, "psi_value",
+                        lambda p, r: calls.append(r) or psi_value(p, r))
+    for part in (orbit.radial_period, orbit.apsidal_angle, orbit.radial_action):
+        with pytest.raises(InvalidParams, match="epsrel"):
+            part(epsrel)
+    for quad in (quad_radial_period, quad_apsidal_angle, quad_radial_action):
+        with pytest.raises(InvalidParams, match="epsrel"):
+            quad(henon, oc, epsrel=epsrel)
+    assert calls == []
 
 
 class _UnhashablePsi:
@@ -546,8 +619,9 @@ def test_tracer_still_wraps_the_oracle_and_psi():
     # place of turning_radii would drop out of its per-layer counts.
     from perfbench.tracer import public_functions
 
-    assert {"turning_radii", "quad_radial_period", "quad_apsidal_angle",
-            "quad_radial_action"} <= set(public_functions("oracle", oracle))
+    assert {"solve_orbit", "turning_radii", "quad_radial_period", "quad_apsidal_angle",
+            "quad_radial_action", "integrate_orbit"} <= set(
+        public_functions("oracle", oracle))
     assert {"psi_value", "psi_derivative"} <= set(
         public_functions("potential", potential))
 
@@ -890,13 +964,12 @@ def test_step_budget_is_per_output_interval(bounded):
 
 @pytest.mark.parametrize("r_bounds", [(0.0, 1.5), (0.8, math.inf)],
                          ids=["outer-wall", "inner-wall"])
-def test_a_wall_inside_the_orbit_raises_domain_exit(monkeypatch, r_bounds):
+def test_a_wall_inside_the_orbit_raises_domain_exit(r_bounds):
     # The Plummer orbit spans r = 0.50 .. 2.11; the scan would find no
     # turning point inside the walls, so it is handed the true ones.
     plummer = plummer_potential()
     oc = OrbitConstants(-0.4, 0.5)
-    radii = turning_radii(plummer, oc)
+    orbit = solve_orbit(plummer, oc)
     walled = RadialPotential(psi=plummer.psi, dpsi=plummer.dpsi, r_bounds=r_bounds)
-    monkeypatch.setattr(oracle, "turning_radii", lambda pot, oc: radii)
     with pytest.raises(DomainExit):
-        integrate_orbit(walled, oc, 10.0)
+        Orbit(walled, oc, orbit.r_p, orbit.r_a).integrate(10.0)
