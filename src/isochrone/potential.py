@@ -180,8 +180,9 @@ def radial_domain(params: ParabolaParams) -> tuple[float, float]:
     return (rlo, rhi)
 
 
-# y_value and psi_derivative check the domain and evaluate the branch at a
-# float in their own frame (psi_value is y_value / x): the oracle's innermost.
+# y_value holds the domain check and the branch formula for floats and
+# arrays (psi_value is y_value / x); psi_derivative evaluates the branch in
+# its own frame, with W and sqrt(W) once: the oracle's innermost calls.
 
 
 def _out_of_domain(params: ParabolaParams, x: float) -> OutOfDomain:
@@ -192,55 +193,42 @@ def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray
     """Convex branch Y(x); satisfies Y(2 r^2) = 2 r^2 psi(r).
 
     ``x`` may be a float or a float64 array; the array result equals the
-    float call element for element (same operations in the same order).  An
-    array is rejected exactly when the float call on one of its elements
-    would be, and the error names such an element.  Where Y does not come
-    out finite (x = inf, or an overflow) it raises OutOfDomain.
+    float call element for element (one formula, :func:`_branch`).  An array
+    that fails the fast checks goes to the float call element by element, so
+    it raises the float call's error at the first element refused.  Where Y
+    does not come out finite (x = inf, or an overflow) it raises OutOfDomain.
     """
     if isinstance(x, np.ndarray):
         # Computed first and checked after, as in psi_value.
         with np.errstate(over="ignore", invalid="ignore"):
-            y = _y_array(params, x)
+            y = _branch(params, x, np.sqrt)
             if (x.size and params._xlo <= x.min() and x.max() <= params._xhi
                     and _all_finite(y)):
                 return y
-        outside = (x < params._xlo) | (x > params._xhi)
-        if outside.any():
-            raise _out_of_domain(params, x[outside][0])
-        return _finite(y, "Y", "x", x)
+        for v in x.ravel().tolist():  # the float call refuses, or all pass
+            y_value(params, v)
+        return y
     if x < params._xlo or x > params._xhi:
         raise _out_of_domain(params, x)
-    if params.b == 0.0:
-        y = params._a1 * x + params._a0 + params._a2 * x * x
-    else:
-        w = params._bdelta * (x - params._x_v)
-        y = params._slope * x - params._offset - math.sqrt(w) / params._b2
+    y = _branch(params, x, math.sqrt)
     if y - y == 0.0:  # finite: inf - inf and nan - nan are nan
         return y
     raise OutOfDomain(f"Y is not finite at x = {x:g}")
 
 
-def _y_array(params: ParabolaParams, x: np.ndarray) -> np.ndarray:
-    """The branch Y at an array x, unchecked, by the float call's operations."""
+def _branch(params: ParabolaParams, x: float | np.ndarray, sqrt) -> float | np.ndarray:
+    """The branch Y at x, unchecked.  ``sqrt`` is math.sqrt for a float and
+    np.sqrt for an array; both are correctly rounded, so the bits agree."""
     if params.b == 0.0:
         return params._a1 * x + params._a0 + params._a2 * x * x
     w = params._bdelta * (x - params._x_v)
-    return params._slope * x - params._offset - np.sqrt(w) / params._b2
+    return params._slope * x - params._offset - sqrt(w) / params._b2
 
 
 def _all_finite(values: np.ndarray) -> bool:
     """True only if every value is finite: a sum with an inf or a NaN term is
     not.  A sum of finite terms may overflow; its caller then checks again."""
     return math.isfinite(values.sum())
-
-
-def _finite(values: np.ndarray, what: str, var: str, at: np.ndarray) -> np.ndarray:
-    """``values``, or OutOfDomain naming the first point of ``at`` where one
-    of them is not finite."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise OutOfDomain(f"{what} is not finite at {var} = {at[bad][0]:g}")
-    return values
 
 
 def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[float]:
@@ -284,26 +272,20 @@ def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarr
     """
     if isinstance(r, np.ndarray):
         # Computed first and checked after: the common all-valid array returns
-        # with three reductions.  Any other takes the checks below, unchanged.
+        # with three reductions.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             x = 2.0 * r * r
-            psi = _y_array(params, x) / x
+            psi = _branch(params, x, np.sqrt) / x
             if r.size:  # x = 2 r^2 is least and greatest where r is
                 lo, hi = r.min(), r.max()
                 if (0.0 < lo and params._xlo <= 2.0 * lo * lo
                         and 2.0 * hi * hi <= params._xhi and _all_finite(psi)):
                     return psi
-    # The plain test keeps the root finders' float calls free of numpy; an
-    # array's truth value is ambiguous (ValueError), so an array takes np.any.
-    try:
-        if r <= 0.0:
-            raise OutOfDomain("psi_value requires r > 0")
-    except ValueError:
-        with np.errstate(over="ignore"):
-            x = 2.0 * r * r
-            if np.any(r <= 0.0) or not x.all():
-                raise OutOfDomain("psi_value requires r > 0 and 2 r^2 > 0") from None
-            return _finite(y_value(params, x) / x, "psi", "r", r)
+        for v in r.ravel().tolist():  # as in y_value
+            psi_value(params, v)
+        return psi
+    if r <= 0.0:
+        raise OutOfDomain("psi_value requires r > 0")
     x = 2.0 * r * r
     try:
         psi = y_value(params, x) / x

@@ -118,13 +118,16 @@ _GOOD_R = {"kepler": [0.3, 0.5, 1.0, 2.0, 3.0], "henon": [0.3, 0.5, 1.0, 2.0, 3.
 _FAMILIES = {"kepler": from_kepler(1.0), "henon": from_henon(1.0, 1.0),
              "harmonic": from_harmonic(2.0), "bounded": from_bounded(1.0, 1.0),
              "hollowed": from_hollowed(1.0, 1.0)}
-_NOT_POSITIVE = "psi_value requires r > 0 and 2 r^2 > 0"
 # (function, family, bad element, message): every family's refusals of
 # r <= 0, r = nan, an r whose 2 r^2 underflows or overflows, and an x out of
-# the domain, as each was raised before arrays were computed first.
+# the domain.  The message is the float call's on the bad element.
 ARRAY_REFUSALS = [
-    *((psi_value, name, bad, _NOT_POSITIVE)
-      for name in _FAMILIES for bad in (0.0, -1.0, 1e-170)),
+    *((psi_value, name, bad, "psi_value requires r > 0")
+      for name in _FAMILIES for bad in (0.0, -1.0)),
+    *((psi_value, name, 1e-170, "psi_value requires 2 r^2 > 0")
+      for name in ("kepler", "henon", "harmonic", "bounded")),
+    # The hollowed domain starts at x = 2, so its x = 0 is out of it.
+    (psi_value, "hollowed", 1e-170, "x = 0 outside domain [2, inf]"),
     *((psi_value, name, math.nan, "Y is not finite at x = nan") for name in _FAMILIES),
     *((psi_value, name, 1e155, "Y is not finite at x = inf")
       for name in ("kepler", "henon", "harmonic", "hollowed")),
@@ -147,16 +150,20 @@ ARRAY_REFUSALS = [
 
 @pytest.mark.parametrize("fn, name, bad, message", ARRAY_REFUSALS)
 def test_array_refusals_keep_their_messages(fn, name, bad, message):
+    """An array is refused with the float call's error on its bad element."""
     params = _FAMILIES[name]
     good = np.array(_GOOD_R[name])
     if fn is y_value:
         good = 2.0 * good * good
+    with pytest.raises(OutOfDomain) as want:
+        fn(params, bad)
     for at in (0, 2, 4):  # first, middle and last
         arg = good.copy()
         arg[at] = bad
-        with pytest.raises(OutOfDomain) as info:
+        with pytest.raises(OutOfDomain) as got:
             fn(params, arg)
-        assert type(info.value) is OutOfDomain and str(info.value) == message, at
+        assert ((type(got.value), str(got.value))
+                == (type(want.value), str(want.value)) == (OutOfDomain, message)), at
 
 
 def test_scalar_arrays_return_as_the_float_call():
