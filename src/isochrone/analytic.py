@@ -296,12 +296,18 @@ def radial_period(params: ParabolaParams, xi: float) -> float:
 
     T^2 = -(pi^2/4) delta / (a + b xi)^3 for every class; at b = 0, where
     delta = a d and a < 0, it is the harmonic constant pi sqrt(-d) / (2|a|).
-    InvalidParams unless xi is finite.
+    InvalidParams unless xi and T are finite.
     """
     if not math.isfinite(xi):
         raise InvalidParams(f"energy must be finite, got {xi!r}")
     bh = _require_bound_slope(params, xi)
-    return 0.5 * math.pi * math.sqrt(params.delta / abs(bh) ** 3)
+    try:  # |a + b xi|^3 may underflow to 0 or overflow
+        T = 0.5 * math.pi * math.sqrt(params.delta / abs(bh) ** 3)
+    except (ZeroDivisionError, OverflowError):
+        T = math.inf
+    if T < math.inf:
+        return T
+    raise InvalidParams(f"radial period at xi = {xi:g} is not finite in float64")
 
 
 def apsidal_angle(params: ParabolaParams, lam: float) -> float:
@@ -515,7 +521,9 @@ def _theta_half(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _theta_harmonic(el: OrbitElements, E: np.ndarray) -> np.ndarray:
     """theta(E) on E in [0, pi] for the harmonic class."""
     quarter_tan = np.tan(0.25 * E)
-    g = math.sqrt((1.0 + el.ecc) / (1.0 - el.ecc))
+    # sqrt((1 + ecc) / (1 - ecc)), exactly, as ecc^2 = 1 - x_p / x_a; it
+    # stays finite where ecc rounds to 1 on near-radial orbits.
+    g = (1.0 + el.ecc) * math.sqrt(el.x_a / el.x_p)
     pair = np.arctan(g * quarter_tan) + np.arctan(quarter_tan / g)
     return 4.0 * el.lam * pair / (el.omega_r * math.sqrt(el.x_p * el.x_a))
 
@@ -658,8 +666,8 @@ def circular_energy(params: ParabolaParams, lam: float) -> float:
 
 def _circular_orbit(params: ParabolaParams, lam: float) -> tuple[float, float]:
     """(x_c, xi_c) of the circular orbit; see circular_abscissa."""
-    if lam <= 0.0:
-        raise InvalidParams("circular orbit requires Lambda > 0")
+    if not 0.0 < lam < math.inf:
+        raise InvalidParams(f"circular orbit requires finite Lambda > 0, got {lam!r}")
     s2 = _s_squared(params, lam)
     if s2 <= 0.0:
         raise NoCircularOrbit(f"no circular orbit at Lambda = {lam:g}: S^2 = {s2:g}")

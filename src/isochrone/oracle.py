@@ -188,8 +188,8 @@ class RadialPotential:
     def circular_radius(self, lam: float) -> float:
         """Circular radius: Lambda^2 / r^3 = psi'(r), i.e. x Y' - Y = Lambda^2
         at x = 2 r^2, since x Y' - Y = r^3 psi'."""
-        if lam <= 0.0:
-            raise InvalidParams("circular orbit requires Lambda > 0")
+        if not 0.0 < lam < math.inf:
+            raise InvalidParams(f"circular orbit requires finite Lambda > 0, got {lam!r}")
         r_c = _force_balance_radius(self, lam, *_search_window(self))
         if r_c is None:
             raise NoCircularOrbit(

@@ -235,7 +235,9 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
     """Closed-form derivatives [Y', .., Y^(order)] of the convex branch.
 
     Derivatives of every order diverge at the vertical tangent x = x_v, so
-    that point is rejected, as is one where a power of (x - x_v) underflows.
+    that point is rejected, as is one where a power of (x - x_v) underflows
+    (SingularPoint).  Where W = b delta (x - x_v), a power of it or a
+    derivative overflows (x = inf among them) it raises OutOfDomain.
     Y'' is positive everywhere on the interior.
     """
     if not 1 <= order <= 4:
@@ -243,24 +245,35 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
     if not params._xlo <= x <= params._xhi:  # also rejects x = nan
         raise _out_of_domain(params, x)
     if params.b == 0.0:
-        return [params._a1 + 2.0 * params._a2 * x, 2.0 * params._a2, 0.0, 0.0][:order]
-    w = params._bdelta * (x - params._x_v)
-    if w <= 0.0:
-        raise SingularPoint("derivatives diverge at the vertical tangent x = x_v")
-    b, dl = params.b, params.delta
-    sw = math.sqrt(w)
-    out = [params._slope - dl / (params._2b * sw)]
-    if order == 1:
-        return out
-    try:
-        out += [
-            dl**2 / (4.0 * w * sw),
-            -3.0 * b * dl**3 / (8.0 * w**2 * sw),
-            15.0 * b**2 * dl**4 / (16.0 * w**3 * sw),
-        ]
-    except ZeroDivisionError:
-        raise SingularPoint("derivatives overflow at the vertical tangent") from None
-    return out[:order]
+        out = [params._a1 + 2.0 * params._a2 * x, 2.0 * params._a2, 0.0, 0.0][:order]
+    else:
+        w = params._bdelta * (x - params._x_v)
+        if w <= 0.0:
+            raise SingularPoint("derivatives diverge at the vertical tangent x = x_v")
+        if w == math.inf:  # every derivative would come out as its x -> inf limit
+            raise _overflow(x)
+        b, dl = params.b, params.delta
+        sw = math.sqrt(w)
+        out = [params._slope - dl / (params._2b * sw)]
+        if order > 1:
+            try:
+                out += [
+                    dl**2 / (4.0 * w * sw),
+                    -3.0 * b * dl**3 / (8.0 * w**2 * sw),
+                    15.0 * b**2 * dl**4 / (16.0 * w**3 * sw),
+                ][:order - 1]
+            except ZeroDivisionError:
+                raise SingularPoint("derivatives overflow at the vertical tangent") from None
+            except OverflowError:  # a power of W
+                raise _overflow(x) from None
+    for v in out:
+        if v - v != 0.0:  # not finite: inf - inf and nan - nan are nan
+            raise _overflow(x)
+    return out
+
+
+def _overflow(x: float) -> OutOfDomain:
+    return OutOfDomain(f"derivatives of Y overflow at x = {x:g}")
 
 
 def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarray:
@@ -298,7 +311,8 @@ def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarr
 
 def psi_derivative(params: ParabolaParams, r: float) -> float:
     """d psi / d r = 4 r (x Y' - Y) / x^2 at x = 2 r^2, with W and sqrt(W) once;
-    OutOfDomain where x^2 underflows to 0 or overflows, and for r = nan."""
+    OutOfDomain where x^2 underflows to 0 or overflows, where the result does
+    not come out finite, and for r = nan."""
     if not r > 0.0:
         raise OutOfDomain("psi_derivative requires r > 0")
     x = 2.0 * r * r
@@ -318,9 +332,12 @@ def psi_derivative(params: ParabolaParams, r: float) -> float:
         y = params._slope * x - params._offset - sw / params._b2
         yp = params._slope - params.delta / (params._2b * sw)
     try:
-        return 4.0 * r * (yp * x - y) / xx
+        dpsi = 4.0 * r * (yp * x - y) / xx
     except ZeroDivisionError:  # x^2 underflows to 0 below r ~ 1e-81
         raise OutOfDomain("psi_derivative requires (2 r^2)^2 > 0") from None
+    if dpsi - dpsi == 0.0:  # finite: inf - inf and nan - nan are nan
+        return dpsi
+    raise OutOfDomain(f"psi_derivative is not finite at r = {r:g}")
 
 
 def apply_gauge(params: ParabolaParams, g: GaugeTerm) -> ParabolaParams:

@@ -175,8 +175,11 @@ def test_non_finite_energy_or_lambda_is_refused(request, family, bad):
     # They returned NaN at NaN, T = 0 at xi = -inf (Henon, Kepler, hollowed)
     # or +inf (bounded), and Theta = NaN at Lambda = inf; the harmonic
     # third law returned pi at xi = NaN and inf.
+    # A circular orbit at Lambda = NaN or inf was NoCircularOrbit.
     params = request.getfixturevalue(family)
-    for fn in (radial_period, apsidal_angle, birkhoff.third_law):
+    for fn in (radial_period, apsidal_angle, birkhoff.third_law,
+               analytic.circular_abscissa,
+               lambda q, lam: oracle.as_potential(q).circular_radius(lam)):
         with pytest.raises(InvalidParams):
             fn(params, bad)
 
@@ -212,6 +215,16 @@ def test_radial_period_values(kepler, harmonic, henon):
 def test_radial_period_unbound(kepler):
     with pytest.raises(UnboundOrbit):
         radial_period(kepler, 0.0)
+
+
+def test_radial_period_that_is_not_finite_is_refused(kepler):
+    # |a + b xi|^3 underflowed to 0 (ZeroDivisionError) at -1e-110 and
+    # overflowed (OverflowError) at -1e110; at -1e-103 delta / |a + b xi|^3
+    # overflows to inf.
+    for xi in (-1e-110, -1e-103, -1e110):
+        with pytest.raises(InvalidParams):
+            radial_period(kepler, xi)
+    assert radial_period(kepler, -1e-100) == 0.5 * math.pi * math.sqrt(2.0 / 1e-100 ** 3)
 
 
 def test_apsidal_angle_values(kepler, harmonic, henon):
@@ -540,6 +553,18 @@ def test_angle_half_period_is_half_apsidal(all_classes):
         for oc, el in grid_orbits(params, LAM_GRID, fracs=(0.4, 0.75)):
             th = angle_of_E(el, math.pi)
             assert th == pytest.approx(el.Theta / 2.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-8, 1e-10])
+def test_near_radial_harmonic_angle(harmonic, lam):
+    # Below Lambda ~ 1e-8 the eccentricity rounds to 1, where the harmonic
+    # angle's sqrt((1 + ecc) / (1 - ecc)) divided by zero.
+    for frac in (0.5, 0.999):
+        oc = OrbitConstants(analytic.feasible_energy(harmonic, lam, frac), lam)
+        el = orbit_elements(harmonic, oc)
+        assert abs(angle_of_E(el, math.pi) - el.Theta / 2.0) <= 1e-15 * el.Theta
+        theta = trajectory(harmonic, el, np.linspace(0.0, el.T, 33)).theta
+        assert np.all(np.diff(theta) >= 0.0) and theta[-1] == el.Theta
 
 
 def test_angle_reflection_and_periodicity(henon):

@@ -631,6 +631,19 @@ def test_oracle_refusal_exits_1(capsys):
     assert err.startswith("error: ToleranceNotMet: ")
 
 
+@pytest.mark.parametrize("argv, code, error", [
+    (["verify", "--kepler", "mu=1", "--lambda-grid", "1e26:2e26:3"], 2, "OutOfDomain"),
+    (["orbit", "--kepler", "mu=1", "--xi", "-1e-110", "--lambda", "1e54"], 2,
+     "InvalidParams"),
+    (["verify", "--henon", "mu=1,beta=1", "--lambda-grid", "nan:1:3"], 2, "InvalidParams"),
+], ids=["derivative-overflow", "period-overflow", "nan-lambda"])
+def test_extreme_inputs_exit_with_one_typed_line(argv, code, error, capsys):
+    # A traceback (OverflowError, ZeroDivisionError) or NoCircularOrbit, exit 3.
+    got, out, err = run_cli(argv, capsys)
+    assert (got, out, err.count("\n")) == (code, "", 1)
+    assert err.startswith(f"error: {error}: ")
+
+
 @pytest.mark.parametrize("refusal", [StepSizeUnderflow, DomainExit])
 def test_every_isochrone_error_exits_1_with_one_line(refusal, monkeypatch, capsys):
     def refuse(orbit, *args, **kwargs):

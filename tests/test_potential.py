@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isochrone import birkhoff
 from isochrone.errors import InvalidParams, OutOfDomain, SingularPoint
 from isochrone.potential import (
     GaugeTerm,
@@ -471,6 +472,30 @@ def test_overflowing_radius_is_out_of_domain_or_exact(name):
     for x in (math.inf, np.array([1.0, math.inf])):
         with pytest.raises(OutOfDomain):
             y_value(params, x)
+
+
+_KEPLER, _HARMONIC = _FAMILIES["kepler"], _FAMILIES["harmonic"]
+# Derivatives that overflowed (OverflowError from a power of W), came out as
+# inf, or came out as the x -> inf limit where W = inf (Y' = -0.0 at
+# x = 9e307, where it is about -7.5e-155).
+DERIVATIVE_OVERFLOWS = {
+    "W^3 overflows": lambda: y_derivatives(_KEPLER, 1e103, 4),
+    "birkhoff at Lambda 1e26": lambda: birkhoff.invariants_from_potential(_KEPLER, 1e26),
+    "third law at xi -1e-60": lambda: birkhoff.third_law(_KEPLER, -1e-60),
+    "Y4 overflows near x_v": lambda: y_derivatives(_KEPLER, 1e-92, 4),
+    **{f"{name} at x {x:g}": lambda q=_FAMILIES[name], x=x: y_derivatives(q, x, 4)
+       for name in ("kepler", "henon", "hollowed") for x in (9e307, math.inf)},
+    "harmonic at x inf": lambda: y_derivatives(_HARMONIC, math.inf, 4),
+    "harmonic ODE residual at x inf": lambda: parabola_ode_residual(_HARMONIC, math.inf),
+    **{f"harmonic psi' at r {r:g}": lambda r=r: psi_derivative(_HARMONIC, r)
+       for r in (1e62, 1e70, 8e76)},
+}
+
+
+@pytest.mark.parametrize("call", DERIVATIVE_OVERFLOWS.values(), ids=list(DERIVATIVE_OVERFLOWS))
+def test_derivative_overflow_is_out_of_domain(call):
+    with pytest.raises(OutOfDomain):
+        call()
 
 
 # ---------------------------------------------------------------------------
