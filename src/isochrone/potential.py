@@ -205,7 +205,9 @@ def y_value(params: ParabolaParams, x: float | np.ndarray) -> float | np.ndarray
             if (x.size and params._xlo <= x.min() and x.max() <= params._xhi
                     and _all_finite(y)):
                 return y
-        for v in x.ravel().tolist():  # the float call refuses, or all pass
+        # The float call raises at the first bad element; with none, the
+        # values are finite and only their sum overflowed.
+        for v in x.ravel().tolist():
             y_value(params, v)
         return y
     if x < params._xlo or x > params._xhi:
@@ -263,7 +265,8 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
                     15.0 * b**2 * dl**4 / (16.0 * w**3 * sw),
                 ][:order - 1]
             except ZeroDivisionError:
-                raise SingularPoint("derivatives overflow at the vertical tangent") from None
+                raise SingularPoint(
+                    "derivatives overflow at the vertical tangent") from None
             except OverflowError:  # a power of W
                 raise _overflow(x) from None
     for v in out:

@@ -635,7 +635,8 @@ def test_oracle_refusal_exits_1(capsys):
     (["verify", "--kepler", "mu=1", "--lambda-grid", "1e26:2e26:3"], 2, "OutOfDomain"),
     (["orbit", "--kepler", "mu=1", "--xi", "-1e-110", "--lambda", "1e54"], 2,
      "InvalidParams"),
-    (["verify", "--henon", "mu=1,beta=1", "--lambda-grid", "nan:1:3"], 2, "InvalidParams"),
+    (["verify", "--henon", "mu=1,beta=1", "--lambda-grid", "nan:1:3"], 2,
+     "InvalidParams"),
 ], ids=["derivative-overflow", "period-overflow", "nan-lambda"])
 def test_extreme_inputs_exit_with_one_typed_line(argv, code, error, capsys):
     # A traceback (OverflowError, ZeroDivisionError) or NoCircularOrbit, exit 3.

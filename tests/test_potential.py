@@ -492,7 +492,8 @@ DERIVATIVE_OVERFLOWS = {
 }
 
 
-@pytest.mark.parametrize("call", DERIVATIVE_OVERFLOWS.values(), ids=list(DERIVATIVE_OVERFLOWS))
+@pytest.mark.parametrize("call", DERIVATIVE_OVERFLOWS.values(),
+                         ids=list(DERIVATIVE_OVERFLOWS))
 def test_derivative_overflow_is_out_of_domain(call):
     with pytest.raises(OutOfDomain):
         call()
