@@ -164,9 +164,17 @@ class TrajectorySample:
 # small closed-form helpers
 
 
+def _power(base: float, n: int, name: str) -> float:
+    """base**n; InvalidParams where it overflows float64."""
+    try:
+        return base**n
+    except OverflowError:
+        raise InvalidParams(f"{name}^{n} overflows float64 at {name} = {base:g}") from None
+
+
 def _s_squared(p: ParabolaParams, lam: float) -> float:
     """S(Lambda)^2 = b^2 L^4 - d L^2 + e."""
-    return p.b**2 * lam**4 - p.d * lam**2 + p.e
+    return p.b**2 * _power(lam, 4, "Lambda") - p.d * _power(lam, 2, "Lambda") + p.e
 
 
 def _s_value(p: ParabolaParams, lam: float) -> float:
@@ -199,7 +207,7 @@ def _r_value(p: ParabolaParams, lam: float) -> float:
 
 def _harmonic_root(p: ParabolaParams, lam: float) -> float:
     """sqrt(Lambda^2 + A0) of the harmonic class; InvalidParams where imaginary."""
-    arg = lam**2 + p._a0
+    arg = _power(lam, 2, "Lambda") + p._a0
     if arg < 0.0:
         raise InvalidParams(f"Lambda^2 - e/d = {arg:g} must be positive "
                             f"for the harmonic class (Lambda = {lam:g})")
@@ -221,7 +229,7 @@ def _require_bound_slope(p: ParabolaParams, xi: float) -> float:
 def _ecc_coeffs(p: ParabolaParams, lam: float) -> tuple[float, float]:
     """(P, Q) with eccentricity^2 = 1 + 2 P (a + b xi) + Q (a + b xi)^2."""
     dl = p.delta
-    pcoef = (2.0 * p.b**2 * lam**2 - p.d) / dl
+    pcoef = (2.0 * p.b**2 * _power(lam, 2, "Lambda") - p.d) / dl
     qcoef = (p.d**2 - 4.0 * p.b**2 * p.e) / dl**2
     return (pcoef, qcoef)
 
@@ -251,7 +259,7 @@ def _apsides(params: ParabolaParams,
     xi, lam = oc.xi, oc.lam
     if params.b == 0.0:
         bb = xi - params._a1
-        cc = lam**2 + params._a0
+        cc = _power(lam, 2, "Lambda") + params._a0
         disc = bb * bb - 4.0 * params._a2 * cc
         if disc < 0.0:
             if disc > -1e-12 * max(1.0, bb * bb):
@@ -372,7 +380,7 @@ def frequencies(params: ParabolaParams, J: float, lam: float) -> tuple[float, fl
     them."""
     hamiltonian(params, J, lam)
     r_big = _r_value(params, lam)
-    den3 = (2.0 * params.b * J + r_big) ** 3
+    den3 = _power(2.0 * params.b * J + r_big, 3, "(2 b J + R)")
     # omega_Lambda = 2 delta R' / (b den^3) with R' = dR/dLambda = b Lambda R / S.
     return (4.0 * params.delta / den3,
             2.0 * params.delta * lam * r_big / (_s_value(params, lam) * den3))

@@ -4,13 +4,13 @@ Around every circular orbit the Hamiltonian reduces to the normal form
 N(rho) = l + b rho + (1/2) B rho^2, whose coefficients are coordinate
 independent.  Two independent routes compute them:
 
-* ``FromPotential`` - from derivatives of Y at the circular abscissa x_c,
-  valid for any radial potential:
+* ``invariants_from_potential`` - from derivatives of Y at the circular
+  abscissa x_c, valid for any radial potential:
       l = Y'(x_c),  b = sqrt(8 Y''),  B = 4 Y3/Y2 + x_c (3 Y2 Y4 - 5 Y3^2)/(3 Y2^2)
   with closed-form derivatives for a parabola; finite-difference derivatives of
   Y(x) = x psi(sqrt(x/2)) for the generic type ``oracle.RadialPotential``.
-* ``FromPeriod`` - from the closed-form radial period of an isochrone
-  parabola: l = xi_c, b = 2 pi / T(xi_c), B = -4 pi^2 T'(xi_c) / T^3.
+* ``invariants_from_period`` - from the closed-form radial period of an
+  isochrone parabola: l = xi_c, b = 2 pi / T(xi_c), B = -4 pi^2 T'(xi_c) / T^3.
 
 Equality of the two routes is the engine behind the fundamental theorem of
 isochrony (the universal parabola ODE 3 Y'' Y'''' = 5 Y'''^2), the Bertrand
@@ -24,7 +24,6 @@ so each Lambda solves one circular orbit and takes no difference in Lambda.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -37,7 +36,6 @@ from .oracle import CENTRAL, FORWARD, PotentialLike, difference
 from .potential import ParabolaParams
 
 __all__ = [
-    "Route",
     "BirkhoffInvariants",
     "FrequencyInvariants",
     "TheoremCheck",
@@ -51,19 +49,13 @@ __all__ = [
 ]
 
 
-class Route(enum.Enum):
-    FROM_POTENTIAL = "FromPotential"
-    FROM_PERIOD = "FromPeriod"
-
-
 @dataclass(frozen=True)
 class BirkhoffInvariants:
-    """Normal-form coefficients (l, b, B) at fixed Lambda, tagged by route."""
+    """Normal-form coefficients (l, b, B) at fixed Lambda."""
 
     l: float
     b_inv: float
     B_inv: float
-    route: Route
 
 
 @dataclass(frozen=True)
@@ -86,7 +78,6 @@ class TheoremCheck:
     lam: float
     invariant_ode_residual: float   # |B l' - b b'| relative
     potential_ode_residual: float   # |3 Y2 Y4 - 5 Y3^2| relative, at x_c
-    passed: bool
 
 
 def circular_abscissa(obj: PotentialLike, lam: float) -> float:
@@ -123,15 +114,14 @@ def _circular_orbit(obj: PotentialLike, lam: float) -> tuple[
                                   "rounding of the vertical tangent")
         ys = potmod.y_derivatives(obj, x_c, 4)
     else:
-        ys = obj.y_derivatives(x_c, 4)
+        ys = obj.y_derivatives(x_c)
     y1, y2, y3, y4 = ys
     if y2 <= 0.0:
         raise SingularPoint(f"Y''(x_c) = {y2:g} must be positive")
     b_inv = math.sqrt(8.0 * y2)
     big_b = 4.0 * y3 / y2 + x_c * (3.0 * y2 * y4 - 5.0 * y3 * y3) / (3.0 * y2 * y2)
     slopes = (2.0 * lam / x_c, 8.0 * lam * y3 / (b_inv * x_c * y2))
-    return (BirkhoffInvariants(l=y1, b_inv=b_inv, B_inv=big_b,
-                               route=Route.FROM_POTENTIAL), slopes, ys)
+    return BirkhoffInvariants(l=y1, b_inv=b_inv, B_inv=big_b), slopes, ys
 
 
 def invariants_from_potential(obj: PotentialLike, lam: float) -> BirkhoffInvariants:
@@ -150,12 +140,11 @@ def invariants_from_period(params: ParabolaParams, lam: float) -> BirkhoffInvari
     xi_c = analytic.circular_energy(params, lam)
     T = analytic.radial_period(params, xi_c)
     t_prime = -1.5 * params.b * T / (params.a + params.b * xi_c)
-    return BirkhoffInvariants(
-        l=xi_c,
-        b_inv=2.0 * math.pi / T,
-        B_inv=-4.0 * math.pi**2 * t_prime / T**3,
-        route=Route.FROM_PERIOD,
-    )
+    try:  # T^3 may underflow to 0 or overflow
+        big_b = -4.0 * math.pi**2 * t_prime / T**3
+    except (ZeroDivisionError, OverflowError):
+        raise InvalidParams(f"T(xi_c)^3 is not finite in float64 at Lambda = {lam:g}") from None
+    return BirkhoffInvariants(l=xi_c, b_inv=2.0 * math.pi / T, B_inv=big_b)
 
 
 def _rel_residual(lhs: float, rhs: float) -> float:
@@ -175,8 +164,7 @@ def isochrone_theorem_check(obj: PotentialLike,
     those slopes B l' - b b' = 2 Lambda (3 Y2 Y4 - 5 Y3^2) / (3 Y2^2), which
     is the paper's equivalence of (i) and (ii): one identity, computed two
     ways from one set of Y derivatives at one circular orbit per Lambda.
-    Both vanish iff Y is isochrone; a Lambda passes when both are at most
-    1e-6.
+    Both vanish iff Y is isochrone.
     """
     out = []
     for lam in lam_grid:
@@ -184,8 +172,7 @@ def isochrone_theorem_check(obj: PotentialLike,
         res_i = _rel_residual(inv.B_inv * l_prime, inv.b_inv * b_prime)
         res_ii = _rel_residual(3.0 * y2 * y4, 5.0 * y3 * y3)
         out.append(TheoremCheck(lam=lam, invariant_ode_residual=res_i,
-                                potential_ode_residual=res_ii,
-                                passed=(res_i <= 1e-6 and res_ii <= 1e-6)))
+                                potential_ode_residual=res_ii))
     return out
 
 
@@ -247,7 +234,10 @@ def third_law(params: ParabolaParams, xi: float) -> float:
             raise NoCircularOrbit(f"circular orbit at xi = {xi:g} within "
                                   "rounding of the vertical tangent")
         y2 = potmod.y_derivatives(params, x_c, 2)[1]
-    return math.pi / math.sqrt(2.0 * y2)
+    if y2 > 0.0:
+        return math.pi / math.sqrt(2.0 * y2)
+    raise InvalidParams(f"radial period at xi = {xi:g} is not finite in float64: "
+                        "Y''(x_c) underflows to 0")
 
 
 def frequency_invariants(params: ParabolaParams, J: float,

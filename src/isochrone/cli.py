@@ -322,8 +322,9 @@ _ELEM_COLS = ("xi", "lambda", "T", "Theta", "J", "Omega", "ecc", "alpha",
 
 
 def _element_rows(params: ParabolaParams, xis: Sequence[float],
-                  lams: Sequence[float]) -> list[dict]:
-    rows = []
+                  lams: Sequence[float]) -> tuple[list[dict], list[IsochroneError]]:
+    """The rows of the grid, and the errors of the rows refused, in order."""
+    rows, errors = [], []
     for xi in xis:
         for lam in lams:
             row: dict = {"xi": xi, "lambda": lam}
@@ -336,8 +337,9 @@ def _element_rows(params: ParabolaParams, xis: Sequence[float],
             except IsochroneError as exc:
                 row.update(dict.fromkeys(_ELEM_COLS[2:-1]),
                            error=f"{type(exc).__name__}: {exc}")
+                errors.append(exc)
             rows.append(row)
-    return rows
+    return rows, errors
 
 
 def _rows_to_csv(rows: list[dict], cols: Sequence[str]) -> str:
@@ -404,14 +406,17 @@ def _rows_to_table(rows: list[dict], cols: Sequence[str]) -> str:
 def cmd_elements(args: argparse.Namespace, as_table: bool = False) -> int:
     params, _, desc = _resolve_potential(args)
     xis, lams = _particle_grids(args)
-    rows = _element_rows(params, xis, lams)
+    rows, errors = _element_rows(params, xis, lams)
     if as_table:
         _emit(_rows_to_table(rows, _ELEM_COLS), args.output)
     elif (args.format or "csv") == "json":
         _emit(_json_text({"potential": desc, "rows": rows}), args.output)
     else:
         _emit(_rows_to_csv(rows, _ELEM_COLS), args.output)
-    if all(r["error"] is not None for r in rows):
+    if len(errors) == len(rows):
+        # A grid of invalid points is invalid input (exit 2), not a missing orbit.
+        if all(isinstance(exc, _INPUT_ERRORS) for exc in errors):
+            raise errors[0]
         raise NoBoundOrbit("no grid point admits a bound orbit")
     return 0
 

@@ -16,9 +16,10 @@ controls such as the Plummer sphere.
 The three defining integrals share their turning points and the
 inverse-square-root singularities there.  One substitution,
 r = r_p + (r_a - r_p) sin(u)^2, removes them, and one periodic midpoint rule
-on one node set sums all three (Trefethen & Weideman 2014).  An orbit is
-one value, :class:`Orbit`, made by :func:`solve_orbit`: it holds the turning
-points, and sums its node set once per tolerance for its three integrals.
+on one node set sums all three (Trefethen & Weideman 2014), to one
+relative tolerance, 1e-11.  An orbit is one value, :class:`Orbit`, made by
+:func:`solve_orbit`: it holds the turning points, and sums its node set once
+for its three integrals.
 Only the one-orbit wrappers (``turning_radii``, the three ``quad_*`` and
 ``integrate_orbit``) keep an orbit between calls: the last one asked for.
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -86,6 +87,9 @@ _SQRT2 = math.sqrt(2.0)
 # epicyclic (small-oscillation) limit instead of the singular quadrature.
 _CIRCULAR_SPAN = 1e-9
 
+# A part of the midpoint rule settles where two levels agree to this.
+_EPSREL = 1e-11
+
 # Difference rules (n, ((k, w_k), ...), c): the n-th derivative is
 # sum_k w_k f(x + k h) / (c h^n), evaluated and summed in the listed order.
 CENTRAL = (1, ((1, 1), (-1, -1)), 2)
@@ -121,19 +125,14 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class OdeState:
-    """One integrated sample with conservation diagnostics.
-
-    ``energy_drift`` and ``lam_drift`` are relative to the initial values;
-    Lambda is an exact parameter of the reduced system, so its drift is zero
-    by construction and reported for interface completeness.
-    """
+    """One integrated sample with its energy drift, relative to the initial
+    energy; Lambda is an exact parameter of the reduced system."""
 
     t: float
     r: float
     rdot: float
     theta: float
     energy_drift: float
-    lam_drift: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +176,11 @@ class RadialPotential:
             raise OutOfDomain(f"x = {x:g} outside the domain of {self.name}")
         return x * self.psi(math.sqrt(0.5 * x))
 
-    def y_derivatives(self, x: float, order: int = 4) -> list[float]:
-        """[Y', .., Y^(order)] by 5-point central differences; OutOfDomain
+    def y_derivatives(self, x: float) -> list[float]:
+        """[Y', Y'', Y''', Y''''] by 5-point central differences; OutOfDomain
         when a stencil [x - 2h, x + 2h] leaves the domain."""
-        if not 1 <= order <= 4:
-            raise InvalidParams(f"order must be between 1 and 4, got {order!r}")
         return [difference(self.y_value, x, step * max(abs(x), 1.0), rule)
-                for rule, step in FIVE_POINT[:order]]
+                for rule, step in FIVE_POINT]
 
     def circular_radius(self, lam: float) -> float:
         """Circular radius: Lambda^2 / r^3 = psi'(r), i.e. x Y' - Y = Lambda^2
@@ -798,35 +795,33 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """One orbit of a potential, from :func:`solve_orbit`.  Its three integrals
-    are summed on one node set the first time an ``epsrel`` is asked for, and
-    kept on the orbit.  Each raises InvalidParams unless 0 < epsrel < inf, and
-    ToleranceNotMet where the midpoint rule refuses it."""
+    are summed on one node set the first time one is asked for, to a relative
+    tolerance of 1e-11, and kept on the orbit.  Each raises ToleranceNotMet
+    where the midpoint rule refuses it."""
 
     pot: RadialPotential
     oc: OrbitConstants
     r_p: float
     r_a: float
-    _integrals: dict = field(default_factory=dict, init=False, repr=False)
 
-    def radial_period(self, epsrel: float = 1e-11) -> QuadratureResult:
+    def radial_period(self) -> QuadratureResult:
         """T = sqrt(2) * integral dr / sqrt(xi - Lambda^2/2r^2 - psi) over [r_p, r_a]."""
-        return self._integral(epsrel, 0)
+        return self._integral(0)
 
-    def apsidal_angle(self, epsrel: float = 1e-11) -> QuadratureResult:
+    def apsidal_angle(self) -> QuadratureResult:
         """Theta = sqrt(2) * Lambda * integral dr / (r^2 sqrt(...)) over [r_p, r_a]."""
-        return self._integral(epsrel, 1)
+        return self._integral(1)
 
-    def radial_action(self, epsrel: float = 1e-11) -> QuadratureResult:
+    def radial_action(self) -> QuadratureResult:
         """J = (sqrt(2)/pi) * integral sqrt(xi - Lambda^2/2r^2 - psi) dr."""
-        return self._integral(epsrel, 2)
+        return self._integral(2)
 
-    def _integral(self, epsrel: float, part: int) -> QuadratureResult:
-        if not 0.0 < epsrel < math.inf:
-            raise InvalidParams(f"epsrel must be finite and > 0, got {epsrel!r}")
-        if epsrel not in self._integrals:
-            self._integrals[epsrel] = _orbit_integrals(self.pot, self.oc, epsrel,
-                                                       self.r_p, self.r_a)
-        result = self._integrals[epsrel][part]
+    @functools.cached_property
+    def _integrals(self) -> tuple:
+        return _orbit_integrals(self.pot, self.oc, _EPSREL, self.r_p, self.r_a)
+
+    def _integral(self, part: int) -> QuadratureResult:
+        result = self._integrals[part]
         if isinstance(result, str):
             raise ToleranceNotMet(result)
         return result
@@ -878,7 +873,7 @@ class Orbit:
         e_t = 0.5 * rdot * rdot + 0.5 * lam2 / (r * r) + _psi_array(p, r)
         drift = np.abs(e_t - oc.xi) / max(abs(oc.xi), 1.0)
         return [OdeState(t=float(t), r=float(r_k), rdot=float(v_k), theta=float(th_k),
-                         energy_drift=float(d_k), lam_drift=0.0)
+                         energy_drift=float(d_k))
                 for t, r_k, v_k, th_k, d_k in zip(t_eval, r, rdot, theta, drift)]
 
 
@@ -910,22 +905,19 @@ def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]
     return orbit.r_p, orbit.r_a
 
 
-def quad_radial_period(pot: PotentialLike, oc: OrbitConstants,
-                       epsrel: float = 1e-11) -> QuadratureResult:
+def quad_radial_period(pot: PotentialLike, oc: OrbitConstants) -> QuadratureResult:
     """:meth:`Orbit.radial_period` of ``solve_orbit(pot, oc)``; the last orbit is kept."""
-    return _last_orbit(pot, oc).radial_period(epsrel)
+    return _last_orbit(pot, oc).radial_period()
 
 
-def quad_apsidal_angle(pot: PotentialLike, oc: OrbitConstants,
-                       epsrel: float = 1e-11) -> QuadratureResult:
+def quad_apsidal_angle(pot: PotentialLike, oc: OrbitConstants) -> QuadratureResult:
     """:meth:`Orbit.apsidal_angle` of ``solve_orbit(pot, oc)``; the last orbit is kept."""
-    return _last_orbit(pot, oc).apsidal_angle(epsrel)
+    return _last_orbit(pot, oc).apsidal_angle()
 
 
-def quad_radial_action(pot: PotentialLike, oc: OrbitConstants,
-                       epsrel: float = 1e-11) -> QuadratureResult:
+def quad_radial_action(pot: PotentialLike, oc: OrbitConstants) -> QuadratureResult:
     """:meth:`Orbit.radial_action` of ``solve_orbit(pot, oc)``; the last orbit is kept."""
-    return _last_orbit(pot, oc).radial_action(epsrel)
+    return _last_orbit(pot, oc).radial_action()
 
 
 def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,

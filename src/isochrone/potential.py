@@ -239,8 +239,10 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
     Derivatives of every order diverge at the vertical tangent x = x_v, so
     that point is rejected, as is one where a power of (x - x_v) underflows
     (SingularPoint).  Where W = b delta (x - x_v), a power of it or a
-    derivative overflows (x = inf among them) it raises OutOfDomain.
-    Y'' is positive everywhere on the interior.
+    derivative overflows (x = inf among them) it raises OutOfDomain.  Only
+    the orders asked for are computed, so a power that only a higher order
+    needs refuses nothing.  Y'' is positive on the interior wherever it does
+    not underflow to 0.
     """
     if not 1 <= order <= 4:
         raise InvalidParams(f"order must be between 1 and 4, got {order!r}")
@@ -257,18 +259,15 @@ def y_derivatives(params: ParabolaParams, x: float, order: int = 4) -> list[floa
         b, dl = params.b, params.delta
         sw = math.sqrt(w)
         out = [params._slope - dl / (params._2b * sw)]
-        if order > 1:
-            try:
-                out += [
-                    dl**2 / (4.0 * w * sw),
-                    -3.0 * b * dl**3 / (8.0 * w**2 * sw),
-                    15.0 * b**2 * dl**4 / (16.0 * w**3 * sw),
-                ][:order - 1]
-            except ZeroDivisionError:
-                raise SingularPoint(
-                    "derivatives overflow at the vertical tangent") from None
-            except OverflowError:  # a power of W
-                raise _overflow(x) from None
+        higher = (lambda: dl**2 / (4.0 * w * sw),
+                  lambda: -3.0 * b * dl**3 / (8.0 * w**2 * sw),
+                  lambda: 15.0 * b**2 * dl**4 / (16.0 * w**3 * sw))
+        try:
+            out += [term() for term in higher[:order - 1]]
+        except ZeroDivisionError:
+            raise SingularPoint("derivatives overflow at the vertical tangent") from None
+        except OverflowError:  # a power of W
+            raise _overflow(x) from None
     for v in out:
         if v - v != 0.0:  # not finite: inf - inf and nan - nan are nan
             raise _overflow(x)

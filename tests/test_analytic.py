@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -40,6 +41,7 @@ from isochrone.potential import (
     ParabolaParams,
     apply_gauge,
     from_harmonic,
+    from_kepler,
     y_value,
 )
 
@@ -225,6 +227,90 @@ def test_radial_period_that_is_not_finite_is_refused(kepler):
         with pytest.raises(InvalidParams):
             radial_period(kepler, xi)
     assert radial_period(kepler, -1e-100) == 0.5 * math.pi * math.sqrt(2.0 / 1e-100 ** 3)
+
+
+# Lambda^4 overflows float64 above Lambda of about 1.2e77, Lambda^2 above
+# 1.3e154.
+HUGE_LAMBDAS = [1e77, 1e78, 1e155, 1e160, 1e300]
+
+
+def _all_finite(value) -> bool:
+    """Whether every float of a result (a float, a sequence of results, or a
+    dataclass of them such as OrbitElements or Trajectory) is finite."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, tuple)):
+        return all(map(_all_finite, value))
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@pytest.mark.parametrize("lam", HUGE_LAMBDAS)
+def test_huge_lambda_gives_a_finite_value_or_a_typed_refusal(lam):
+    # Each public closed form and Birkhoff check that takes Lambda, over the
+    # families and their gauges.  Powers of Lambda leaked OverflowError.
+    returned = refused = 0
+    for label, params in gauged_potentials():
+        calls = [
+            lambda: apsidal_angle(params, lam),
+            lambda: circular_abscissa(params, lam),
+            lambda: circular_energy(params, lam),
+            lambda: feasible_energy(params, lam),
+            *(lambda J=J: fn(params, J, lam) for J in (0.0, 1.0)
+              for fn in (hamiltonian, frequencies, birkhoff.frequency_invariants)),
+            lambda: birkhoff.circular_abscissa(params, lam),
+            lambda: birkhoff.invariants_from_potential(params, lam),
+            lambda: birkhoff.invariants_from_period(params, lam),
+            lambda: birkhoff.isochrone_theorem_check(params, [lam]),
+            lambda: birkhoff.bertrand_check(params, [lam, 2.0 * lam]),
+        ]
+        xis = [-0.1, 0.5]
+        try:
+            xis.append(feasible_energy(params, lam))
+        except IsochroneError:
+            pass
+        for xi in xis:
+            oc = OrbitConstants(xi, lam)
+            calls += [
+                lambda oc=oc: turning_points(params, oc),
+                lambda oc=oc: radial_action(params, oc),
+                lambda oc=oc: orbit_elements(params, oc),
+                lambda oc=oc: trajectory(params, oc, [0.0, 1.0]),
+                lambda xi=xi: birkhoff.third_law(params, xi),
+            ]
+        for call in calls:
+            try:
+                value = call()
+            except IsochroneError:
+                refused += 1
+                continue
+            assert _all_finite(value), (label, lam, value)
+            returned += 1
+    assert returned and refused
+
+
+_KEPLER, _HARMONIC = from_kepler(1.0), from_harmonic(2.0)
+# Calls whose powers leaked OverflowError: Lambda^4 and Lambda^2, the cube of
+# 2 b J + R in the frequencies, and T^3 in the period route (T about 1e136).
+POWER_OVERFLOWS = {
+    **{f"kepler {fn.__name__}": lambda fn=fn: fn(_KEPLER, 1e78)
+       for fn in (apsidal_angle, circular_abscissa, circular_energy, feasible_energy,
+                  birkhoff.invariants_from_potential)},
+    **{f"kepler {fn.__name__}": lambda fn=fn: fn(_KEPLER, 0.1, 1e78)
+       for fn in (hamiltonian, frequencies)},
+    "harmonic apsidal_angle": lambda: apsidal_angle(_HARMONIC, 1e160),
+    "harmonic orbit_elements": lambda: orbit_elements(_HARMONIC,
+                                                      OrbitConstants(3.0, 1e160)),
+    "frequencies at J 1e103": lambda: frequencies(_KEPLER, 1e103, 1.0),
+    "period route at Lambda 1e45": lambda: birkhoff.invariants_from_period(_KEPLER, 1e45),
+}
+
+
+@pytest.mark.parametrize("call", POWER_OVERFLOWS.values(), ids=list(POWER_OVERFLOWS))
+def test_overflowing_powers_are_invalid_params(call):
+    with pytest.raises(InvalidParams, match="float64"):
+        call()
 
 
 def test_apsidal_angle_values(kepler, harmonic, henon):

@@ -314,6 +314,19 @@ def test_elements_all_rows_fail_exit_3(capsys):
     assert code == 3
 
 
+def test_elements_all_rows_invalid_exit_2(capsys):
+    # Every point is invalid input: the first row's error, not NoBoundOrbit.
+    argv = ["elements", "--kepler", "mu=1", "--xi", "-1e-110", "--lambda", "1e54"]
+    code, out, err = run_cli(argv, capsys)
+    message = "InvalidParams: radial period at xi = -1e-110 is not finite in float64"
+    assert (code, err) == (2, f"error: {message}\n")
+    assert out.splitlines()[1].endswith(message)
+    # One invalid point and one without a bound orbit: exit 3, as before.
+    code, _, err = run_cli(argv[:3] + ["--xi-grid=-1e-110:0.5:2", "--lambda", "1e54"],
+                           capsys)
+    assert (code, err) == (3, "error: NoBoundOrbit: no grid point admits a bound orbit\n")
+
+
 def test_table_renders(capsys):
     code, out, _ = run_cli(
         ["table", "--harmonic", "omega=2", "--xi-grid", "2:3:2",
@@ -637,7 +650,9 @@ def test_oracle_refusal_exits_1(capsys):
      "InvalidParams"),
     (["verify", "--henon", "mu=1,beta=1", "--lambda-grid", "nan:1:3"], 2,
      "InvalidParams"),
-], ids=["derivative-overflow", "period-overflow", "nan-lambda"])
+    (["verify", "--kepler", "mu=1", "--lambda-grid", "1e78:2e78:3"], 2,
+     "InvalidParams"),
+], ids=["derivative-overflow", "period-overflow", "nan-lambda", "lambda-power-overflow"])
 def test_extreme_inputs_exit_with_one_typed_line(argv, code, error, capsys):
     # A traceback (OverflowError, ZeroDivisionError) or NoCircularOrbit, exit 3.
     got, out, err = run_cli(argv, capsys)

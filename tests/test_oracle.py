@@ -157,10 +157,16 @@ def test_one_node_set_serves_the_three_integrals(henon, monkeypatch):
     assert sum(calls) - calls[-1] < max(res.evaluations for res in results) <= sum(calls)
 
 
+def _period_at(params, oc, epsrel):
+    """T by the midpoint rule at tolerance ``epsrel``."""
+    return oracle._orbit_integrals(as_potential(params), oc, epsrel,
+                                   *turning_radii(params, oc))[0]
+
+
 def test_quad_convergence_with_tolerance(kepler, bounded):
     truth = 2 * math.pi
-    loose = quad_radial_period(kepler, GOLDEN, epsrel=1e-5)
-    tight = quad_radial_period(kepler, GOLDEN, epsrel=1e-12)
+    loose = _period_at(kepler, GOLDEN, 1e-5)
+    tight = _period_at(kepler, GOLDEN, 1e-12)
     assert abs(tight.value - truth) <= max(abs(loose.value - truth),
                                            1e-12 * truth)
     assert tight.error_estimate <= loose.error_estimate
@@ -168,8 +174,8 @@ def test_quad_convergence_with_tolerance(kepler, bounded):
     # with evaluations in a controlled way, not blow up.
     oc = OrbitConstants(analytic.feasible_energy(bounded, 0.5, 0.9), 0.5)
     ref = analytic.radial_period(bounded, oc.xi)
-    loose = quad_radial_period(bounded, oc, epsrel=1e-4)
-    tight = quad_radial_period(bounded, oc, epsrel=1e-12)
+    loose = _period_at(bounded, oc, 1e-4)
+    tight = _period_at(bounded, oc, 1e-12)
     assert abs(tight.value - ref) <= max(abs(loose.value - ref), 1e-11 * ref)
     assert loose.evaluations <= tight.evaluations <= 256 * loose.evaluations
 
@@ -518,29 +524,26 @@ def test_kept_turning_points_change_no_result():
     assert refused > 0
 
 
-def _orbit_outcomes(orbit, T, tolerances):
-    """The radii, the three integrals at each tolerance in turn and the ODE's
-    state one period on, of one Orbit."""
+def _orbit_outcomes(orbit, T):
+    """The radii, the three integrals and the ODE's state one period on, of
+    one Orbit."""
     parts = (orbit.radial_period, orbit.apsidal_angle, orbit.radial_action)
     return {"radii": _outcome(lambda: (orbit.r_p, orbit.r_a)),
-            **{(epsrel, k): _outcome(lambda: part(epsrel))
-               for epsrel in tolerances for k, part in enumerate(parts)},
+            **{k: _outcome(part) for k, part in enumerate(parts)},
             "ode": _outcome(lambda: orbit.integrate(T, 1e-11, [T]))}
 
 
-def _wrapper_outcomes(params, oc, T, tolerances):
+def _wrapper_outcomes(params, oc, T):
     """The same, asked of the one-orbit wrappers."""
     quads = (quad_radial_period, quad_apsidal_angle, quad_radial_action)
     return {"radii": _outcome(lambda: turning_radii(params, oc)),
-            **{(epsrel, k): _outcome(lambda: quad(params, oc, epsrel))
-               for epsrel in tolerances for k, quad in enumerate(quads)},
+            **{k: _outcome(lambda: quad(params, oc)) for k, quad in enumerate(quads)},
             "ode": _outcome(lambda: integrate_orbit(params, oc, T, 1e-11, [T]))}
 
 
 def test_an_orbit_gives_the_wrappers_results():
     """Every value, error estimate, evaluation count and refusal of a held
-    Orbit is the wrappers', to the bit: orbits asked for in the order A, B, A,
-    each at two tolerances, taken in the opposite order by the wrappers."""
+    Orbit is the wrappers', to the bit: orbits asked for in the order A, B, A."""
     bases = [BASE_POTENTIALS[k] for k in
              ("kepler", "henon", "bounded", "hollowed", "harmonic")]
     gauge = potential.GaugeTerm(0.1, 0.2)
@@ -560,36 +563,14 @@ def test_an_orbit_gives_the_wrappers_results():
                 except Exception as exc:  # compared by class and message below
                     held[oc] = exc
             orbit = held[oc]
-            ref = _wrapper_outcomes(params, oc, T, (1e-8, 1e-11))
-            got = (_orbit_outcomes(orbit, T, (1e-11, 1e-8)) if isinstance(orbit, Orbit)
+            ref = _wrapper_outcomes(params, oc, T)
+            got = (_orbit_outcomes(orbit, T) if isinstance(orbit, Orbit)
                    else dict.fromkeys(ref, (type(orbit), str(orbit))))
             assert got == ref, (params, oc)
             outcomes.update(v[0].__name__ if isinstance(v, tuple) else "value"
                             for v in got.values())
     # The grid reaches values and the quadrature's and the ODE's refusals.
     assert {"value", "ToleranceNotMet", "StepSizeUnderflow"} <= outcomes
-
-
-@pytest.mark.parametrize("epsrel", [math.nan, 0.0, -1e-11, math.inf],
-                         ids=["nan", "zero", "negative", "inf"])
-def test_bad_epsrel_raises_invalid_params_before_any_node(henon, monkeypatch,
-                                                           epsrel):
-    # A NaN or non-positive epsrel ran the whole doubling, 8184 psi
-    # evaluations, before it was refused with ToleranceNotMet.
-    oc = OrbitConstants(-0.12, 1.0)
-    orbit = solve_orbit(henon, oc)
-    turning_radii(henon, oc)  # the wrappers' orbit, solved here
-    calls = []
-    psi_value = potential.psi_value
-    monkeypatch.setattr(potential, "psi_value",
-                        lambda p, r: calls.append(r) or psi_value(p, r))
-    for part in (orbit.radial_period, orbit.apsidal_angle, orbit.radial_action):
-        with pytest.raises(InvalidParams, match="epsrel"):
-            part(epsrel)
-    for quad in (quad_radial_period, quad_apsidal_angle, quad_radial_action):
-        with pytest.raises(InvalidParams, match="epsrel"):
-            quad(henon, oc, epsrel=epsrel)
-    assert calls == []
 
 
 class _UnhashablePsi:
@@ -637,7 +618,7 @@ def test_wrapped_y_derivatives_match_closed_form(params, xs):
     # Finite differences of Y(x) = x psi(sqrt(x/2)), Y''' with its sign.
     wrapped = as_potential(params)
     for x in xs:
-        assert wrapped.y_derivatives(x, 4) == pytest.approx(
+        assert wrapped.y_derivatives(x) == pytest.approx(
             potential.y_derivatives(params, x, 4), rel=1e-3), x
 
 
@@ -684,7 +665,6 @@ def test_conservation_over_ten_periods(henon):
     el = orbit_elements(henon, oc)
     states = integrate_orbit(henon, oc, 10.0 * el.T, reltol=1e-10)
     assert max(s.energy_drift for s in states) <= 1e-9
-    assert max(s.lam_drift for s in states) <= 1e-12
 
 
 def test_integrated_extrema_match_turning_points(bounded):
@@ -741,7 +721,7 @@ def test_generic_derivatives_keep_the_hand_written_formulas():
     y = plummer.y_value
     for x in (0.5, 3.0):
         h1, h3, h4 = (step * max(x, 1.0) for step in (1e-4, 2e-3, 1e-2))
-        assert plummer.y_derivatives(x, 4) == [
+        assert plummer.y_derivatives(x) == [
             (y(x - 2 * h1) - 8 * y(x - h1) + 8 * y(x + h1) - y(x + 2 * h1))
             / (12 * h1),
             (-y(x - 2 * h1) + 16 * y(x - h1) - 30 * y(x) + 16 * y(x + h1)
