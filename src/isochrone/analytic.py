@@ -172,9 +172,18 @@ def _power(base: float, n: int, name: str) -> float:
         raise InvalidParams(f"{name}^{n} overflows float64 at {name} = {base:g}") from None
 
 
+def _finite(value: float, name: str, lam: float) -> float:
+    """``value``; InvalidParams where it is not finite, as where a product
+    of finite factors overflows."""
+    if math.isfinite(value):
+        return value
+    raise InvalidParams(f"{name} = {value:g} is not finite in float64 at Lambda = {lam:g}")
+
+
 def _s_squared(p: ParabolaParams, lam: float) -> float:
-    """S(Lambda)^2 = b^2 L^4 - d L^2 + e."""
-    return p.b**2 * _power(lam, 4, "Lambda") - p.d * _power(lam, 2, "Lambda") + p.e
+    """S(Lambda)^2 = b^2 L^4 - d L^2 + e; InvalidParams where not finite."""
+    return _finite(p.b**2 * _power(lam, 4, "Lambda") - p.d * _power(lam, 2, "Lambda")
+                   + p.e, "S(Lambda)^2", lam)
 
 
 def _s_value(p: ParabolaParams, lam: float) -> float:
@@ -189,12 +198,14 @@ def _s_value(p: ParabolaParams, lam: float) -> float:
 def _half_r_squared(p: ParabolaParams, lam: float, s_big: float) -> float:
     """R(Lambda)^2 / 2 = p + b S, with p = b^2 Lambda^2 - d/2 and S = ``s_big``;
     where b p <= 0 it is q / (p - b S), q = d^2/4 - b^2 e the product of the
-    roots p +- b S, so that nothing cancels."""
+    roots p +- b S, so that nothing cancels.  InvalidParams where not finite."""
     b = p.b
     pp = b * b * (lam * lam) - 0.5 * p.d
     if b * pp > 0.0:
-        return pp + b * s_big
-    return (0.25 * p.d * p.d - b * b * p.e) / (pp - b * s_big)
+        half_r2 = pp + b * s_big
+    else:
+        half_r2 = (0.25 * p.d * p.d - b * b * p.e) / (pp - b * s_big)
+    return _finite(half_r2, "R(Lambda)^2 / 2", lam)
 
 
 def _r_value(p: ParabolaParams, lam: float) -> float:
@@ -382,8 +393,15 @@ def frequencies(params: ParabolaParams, J: float, lam: float) -> tuple[float, fl
     r_big = _r_value(params, lam)
     den3 = _power(2.0 * params.b * J + r_big, 3, "(2 b J + R)")
     # omega_Lambda = 2 delta R' / (b den^3) with R' = dR/dLambda = b Lambda R / S.
-    return (4.0 * params.delta / den3,
-            2.0 * params.delta * lam * r_big / (_s_value(params, lam) * den3))
+    try:  # den^3 may underflow to 0
+        omegas = (4.0 * params.delta / den3,
+                  2.0 * params.delta * lam * r_big / (_s_value(params, lam) * den3))
+    except ZeroDivisionError:
+        omegas = (math.inf, math.inf)
+    if all(map(math.isfinite, omegas)):
+        return omegas
+    raise InvalidParams(f"frequencies at J = {J:g}, Lambda = {lam:g} are not finite "
+                        "in float64")
 
 
 # ---------------------------------------------------------------------------

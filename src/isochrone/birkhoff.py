@@ -121,6 +121,9 @@ def _circular_orbit(obj: PotentialLike, lam: float) -> tuple[
     b_inv = math.sqrt(8.0 * y2)
     big_b = 4.0 * y3 / y2 + x_c * (3.0 * y2 * y4 - 5.0 * y3 * y3) / (3.0 * y2 * y2)
     slopes = (2.0 * lam / x_c, 8.0 * lam * y3 / (b_inv * x_c * y2))
+    if not all(map(math.isfinite, (y1, b_inv, big_b, *slopes))):
+        raise InvalidParams(f"Birkhoff invariants at Lambda = {lam:g} are not finite "
+                            "in float64")
     return BirkhoffInvariants(l=y1, b_inv=b_inv, B_inv=big_b), slopes, ys
 
 
@@ -246,7 +249,8 @@ def frequency_invariants(params: ParabolaParams, J: float,
 
     They judge the algebraic form of H(J, Lambda) at an orbit's actions:
     InvalidParams where :func:`analytic.frequencies` refuses the actions or
-    a difference's neighbours (no orbit has them).
+    a difference's neighbours (no orbit has them), or where a wedge is not
+    finite in float64.
     """
     w = analytic.frequencies(params, J, lam)
     h_j = 1e-5 * max(1.0, abs(J))
@@ -258,5 +262,8 @@ def frequency_invariants(params: ParabolaParams, J: float,
     def wedge(u: Sequence[float], v: Sequence[float]) -> float:
         return u[0] * v[1] - u[1] * v[0]
 
-    return FrequencyInvariants(j_inv=wedge(d_j, w), g_inv=wedge(w, d_l),
-                               t_inv=wedge(d_j, d_l))
+    wedges = (wedge(d_j, w), wedge(w, d_l), wedge(d_j, d_l))
+    if all(map(math.isfinite, wedges)):
+        return FrequencyInvariants(*wedges)
+    raise InvalidParams(f"frequency wedges at J = {J:g}, Lambda = {lam:g} are not "
+                        "finite in float64")

@@ -499,16 +499,25 @@ def _verify_parabola(params: ParabolaParams, lams: Sequence[float],
            1e-10)
 
     # The feasible grid: each orbit's elements and the three quadratures of
-    # its one solved oracle orbit.
+    # its oracle orbit, all solved in one call.  The first refusal is raised
+    # in grid order, each orbit's elements before its oracle orbit.
+    ocs, els, refusal = [], [], None
+    try:
+        for lam in lams:
+            for frac in (0.35, 0.7):
+                oc = OrbitConstants(analytic.feasible_energy(params, lam, frac), lam)
+                els.append(analytic.orbit_elements(params, oc))
+                ocs.append(oc)
+    except Exception as exc:  # raised after the orbits before it
+        refusal = exc
     grid = []
-    for lam in lams:
-        for frac in (0.35, 0.7):
-            oc = OrbitConstants(analytic.feasible_energy(params, lam, frac), lam)
-            el = analytic.orbit_elements(params, oc)
-            orbit = oracle.solve_orbit(params, oc)
-            grid.append((el, orbit.radial_period().value, orbit.apsidal_angle().value,
-                         orbit.radial_action().value))
-    els = [el for el, *_ in grid]
+    for el, orbit in zip(els, oracle.solve_orbits(params, ocs)):
+        if isinstance(orbit, Exception):
+            raise orbit
+        grid.append((el, orbit.radial_period().value, orbit.apsidal_angle().value,
+                     orbit.radial_action().value))
+    if refusal is not None:
+        raise refusal
     freqs = [analytic.frequencies(params, el.J, el.lam) for el in els]
     _check(checks, "identity_omega_times_T",
            (_rel(el.omega_r * el.T, 2 * math.pi) for el in els), 1e-10)

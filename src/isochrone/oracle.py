@@ -19,7 +19,11 @@ r = r_p + (r_a - r_p) sin(u)^2, removes them, and one periodic midpoint rule
 on one node set sums all three (Trefethen & Weideman 2014), to one
 relative tolerance, 1e-11.  An orbit is one value, :class:`Orbit`, made by
 :func:`solve_orbit`: it holds the turning points, and sums its node set once
-for its three integrals.
+for its three integrals.  :func:`solve_orbits` makes many orbits of one
+potential at once, the batch that ``solve_orbit`` is one of: they share one
+psi call on the turning-point scan, and one per group of midpoint-rule
+levels over the nodes of every orbit not yet settled, each orbit with the
+bits it has alone.
 Only the one-orbit wrappers (``turning_radii``, the three ``quad_*`` and
 ``integrate_orbit``) keep an orbit between calls: the last one asked for.
 
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -72,6 +76,7 @@ __all__ = [
     "Orbit",
     "plummer_potential",
     "as_potential",
+    "solve_orbits",
     "solve_orbit",
     "turning_radii",
     "quad_radial_period",
@@ -142,9 +147,9 @@ class RadialPotential:
     ``dpsi`` may be omitted; psi' is then the central rule of :func:`difference`
     (adequate for negative controls, not for tight-tolerance work).
     ``r_bounds`` is the open interval on which psi is defined.  The
-    turning-point scan, each group of quadrature levels and the ODE energy
-    drift call ``psi`` once on a float64 array, or point by point where it
-    takes floats.
+    turning-point scan and each group of quadrature levels of a batch of
+    orbits, and the ODE energy drift, call ``psi`` once on a 1-D float64
+    array, or point by point where it takes floats.
 
     Equality and hash are by identity, so any potential keys the one-orbit
     wrappers' memo whatever its ``psi``.  Only those wrappers keep an orbit,
@@ -271,15 +276,15 @@ def _scan_grid(lo: float, hi: float) -> np.ndarray:
     return grid
 
 
-def _solve_radii(p: RadialPotential, oc: OrbitConstants) -> tuple[float, float]:
+def _solve_radii(p: RadialPotential, oc: OrbitConstants, grid: np.ndarray,
+                 psi_grid: np.ndarray) -> tuple[float, float]:
+    """(r_p, r_a) of one orbit, from the scan ``grid`` of ``p`` and psi on it."""
     lam2 = oc.lam**2
 
     def kin(r: float) -> float:
         return oc.xi - 0.5 * lam2 / (r * r) - p.psi(r)
 
-    lo, hi = _search_window(p)
-    grid = _scan_grid(lo, hi)
-    vals = oc.xi - 0.5 * lam2 / (grid * grid) - _psi_array(p, grid)
+    vals = oc.xi - 0.5 * lam2 / (grid * grid) - psi_grid
     imax = int(np.argmax(vals))
     scan_nan = vals[imax] != vals[imax]  # argmax stops at the first NaN
     if scan_nan:
@@ -349,99 +354,164 @@ _GROUPS = ((8, 16, 32, 64), (128, 256), (512,), (1024,), (2048,), (4096,))
 @functools.lru_cache(maxsize=None)
 def _group_nodes(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """tan(v) at the n midpoints v of [0, pi/2] of each level n in turn, by libm
-    on every host, and (1 + tan(v)^2) / n beside them.  Read-only."""
+    on every host, and (1 + tan(v)^2) / n beside them: one row each, read-only."""
     t = np.array([math.tan((k + 0.5) * (0.5 * math.pi / n))
                   for n in levels for k in range(n)])
     # n is a power of two, so dividing by it is exact, and K (1 + t^2) / n
     # has the bits of (K / n) (1 + t^2) for any factor K.
     scaled = (1.0 + t * t) / np.repeat(np.array(levels, dtype=float), levels)
+    t, scaled = t[None], scaled[None]
     for a in (t, scaled):
         a.flags.writeable = False
     return t, scaled
 
 
-def _node_terms(p: RadialPotential, oc: OrbitConstants, r_p: float, span: float,
-                c: float, levels: tuple[int, ...]) -> tuple:
-    """kin > 0 at the nodes of ``levels``, and the terms of the sums of T,
-    Theta and J there, from one psi call on all of them.
+class _Rule:
+    """One orbit's midpoint rule, fed the sums of its levels in turn.
 
-    Each term is an elementwise IEEE operation, so a level's slice of it has
-    the bits of that level computed alone.  A level refused, or past the one
-    that settles, may hold kin <= 0: the sqrt and divisions ignore the
-    warnings it raises.
+    With r = r_p + span sin(u)^2 and u = atan(c tan v), c = (r_p / r_a)^(1/4),
+    each integrand is smooth, even and pi-periodic in v.  A part takes the
+    first level of the midpoint rule in v that agrees with the one before to
+    ``epsrel``, unless kin <= 0 at a node first.  The rule stays open until
+    every part settles, a level is refused or psi raises (``error``).
+    """
+
+    def __init__(self, oc: OrbitConstants, epsrel: float, r_p: float,
+                 r_a: float) -> None:
+        self.oc, self.epsrel, self.r_p, self.r_a = oc, epsrel, r_p, r_a
+        self.span = span = r_a - r_p
+        c = (r_p / r_a) ** 0.25
+        # The orbit's scalars in _node_terms, each the Python float of one
+        # orbit alone: xi, Lambda^2 / 2, r_p, span, c and sqrt(2) pi c.
+        self.consts = (oc.xi, 0.5 * (oc.lam * oc.lam), r_p, span, c,
+                       _SQRT2 * math.pi * c)
+        self.out, self.prev, self.evaluations = [None] * 3, None, 0
+        self.reason = f"no two levels of the midpoint rule up to {_MAX_NODES} nodes agree"
+        self.error: Optional[Exception] = None
+        self.open = True
+
+    def near_circular(self, p: RadialPotential) -> None:
+        """The near-circular limit in place of the rule, where the span is
+        below _CIRCULAR_SPAN r_a and kin cancels to noise."""
+        self.open = False
+        self.out = list(_epicyclic(p, self.oc, 0.5 * (self.r_p + self.r_a)))
+
+    def take(self, n: int, sums: Optional[Sequence[float]]) -> None:
+        """Level n's sums of T, Theta and J, or None where kin <= 0 (or NaN)
+        at one of its nodes, fed while the rule is open."""
+        self.evaluations += n
+        if sums is None:
+            self.reason = f"radial kinetic term <= 0 at a node of the {n}-point midpoint rule"
+            self.open = False
+            return
+        span, prev, out = self.span, self.prev, self.out
+        values = [sums[0], self.oc.lam * sums[1], span * span / math.pi * sums[2]]
+        if prev:
+            for k, v in enumerate(values):
+                if out[k] is None and abs(v - prev[k]) <= self.epsrel * abs(v):
+                    out[k] = QuadratureResult(value=v, error_estimate=abs(v - prev[k]),
+                                              evaluations=self.evaluations)
+        self.prev = values
+        self.open = None in out
+
+    def result(self) -> Union[tuple, Exception]:
+        if self.error is not None:
+            return self.error
+        return tuple(self.reason if v is None else v for v in self.out)
+
+
+def _node_terms(p: RadialPotential, rules: Sequence[_Rule],
+                levels: tuple[int, ...]) -> tuple:
+    """kin > 0 at the nodes of ``levels`` of each orbit, a row per rule, and
+    the terms of the sums of T, Theta and J there, one array of them each,
+    from one psi call on the raveled nodes of all of them.
+
+    Each term is an elementwise IEEE operation, so a level's slice of a row
+    has the bits of that level of that orbit computed alone.  A level
+    refused, or past the one that settles, may hold kin <= 0: the sqrt and
+    divisions ignore the warnings it raises.
     """
     t, scaled = _group_nodes(levels)
+    # A column of each scalar, or one orbit's own floats: numpy broadcasts a
+    # float faster, to the same bits.
+    xi, half_lam2, r_p, span, c, k = (
+        rules[0].consts if len(rules) == 1
+        else np.array([rule.consts for rule in rules]).T[..., None])
     ct = c * t
     ct2 = ct * ct
     cos2 = 1.0 / (1.0 + ct2)
     sin2 = ct2 * cos2
     r = r_p + span * sin2
     rr = r * r
-    kin = oc.xi - 0.5 * (oc.lam * oc.lam) / rr - _psi_array(p, r)
+    kin = xi - half_lam2 / rr - _psi_array(p, r.ravel()).reshape(r.shape)
+    terms = np.empty((3, *r.shape))
     with np.errstate(invalid="ignore", divide="ignore"):
         root = np.sqrt(kin / ((span * sin2) * (span * cos2)))
-        w = (_SQRT2 * math.pi * c) * scaled * cos2
-        terms = (w / root, w / (rr * root), w * sin2 * cos2 * root)
+        w = k * scaled * cos2
+        np.divide(w, root, out=terms[0])
+        np.divide(w, rr * root, out=terms[1])
+        np.multiply(w * sin2 * cos2, root, out=terms[2])
     return kin > 0.0, terms  # kin > 0 is also false for a NaN
 
 
-def _levels(p: RadialPotential, oc: OrbitConstants, r_p: float, span: float,
-            c: float):
-    """(n, sums) of each level of the midpoint rule in turn: the sums of T,
-    Theta and J, or None where kin <= 0 (or NaN) at one of its nodes.
+def _levels(p: RadialPotential, rules: Sequence[_Rule],
+            levels: tuple[int, ...]) -> None:
+    """Feed each rule the sums of ``levels``, from one psi call on all their
+    nodes, until every rule is closed.  Each level's sums are its row slice,
+    the same pairwise sum as on that level of that orbit alone."""
+    positive, terms = _node_terms(p, rules, levels)
+    lo = 0
+    for n in levels:
+        hi = lo + n
+        admitted = positive[:, lo:hi].all(axis=1).tolist()
+        sums = terms[:, :, lo:hi].sum(axis=2).T.tolist()
+        still = False
+        for rule, ok, level in zip(rules, admitted, sums):
+            if rule.open:
+                rule.take(n, level if ok else None)
+                still = still or rule.open
+        if not still:
+            break
+        lo = hi
 
-    Each sum runs on its level's contiguous slice, the same pairwise sum as
-    on the level alone.  A group whose psi call raises is redone one level
-    at a time, so that an error surfaces only at the first level reached
-    whose nodes raise it.
+
+def _orbit_integrals(p: RadialPotential, orbits: Sequence[tuple],
+                     epsrel: float) -> list:
+    """(T, Theta, J) of each orbit (oc, r_p, r_a) of ``p`` in ``orbits``, in
+    order: each a QuadratureResult or the reason it is refused, or instead
+    the exception that psi or the near-circular limit raised for that orbit.
+
+    A span below _CIRCULAR_SPAN r_a, where kin cancels to noise, takes the
+    near-circular limit, orbit by orbit.  The rest share the midpoint rule's
+    groups of levels (_GROUPS): one psi call per group on the nodes of every
+    orbit still open, so a psi may be called on the nodes of up to one group
+    beyond the level an orbit returns.  A group whose psi call raises is
+    redone orbit by orbit, one level at a time, so that an error surfaces
+    only for an orbit, and at the first level, whose nodes raise it.
     """
+    rules = [_Rule(oc, epsrel, r_p, r_a) for oc, r_p, r_a in orbits]
+    for rule in rules:
+        if rule.span <= _CIRCULAR_SPAN * rule.r_a:
+            try:
+                rule.near_circular(p)
+            except Exception as exc:  # the orbit's refusal, raised when read
+                rule.error = exc
     for group in _GROUPS:
+        active = [rule for rule in rules if rule.open]
+        if not active:
+            break
         try:
-            passes = [(group, _node_terms(p, oc, r_p, span, c, group))]
-        except Exception:
-            passes = (((n,), _node_terms(p, oc, r_p, span, c, (n,))) for n in group)
-        for levels, (positive, terms) in passes:
-            lo = 0
-            for n in levels:
-                hi = lo + n
-                yield n, (None if not positive[lo:hi].all()
-                          else [a[lo:hi].sum() for a in terms])
-                lo = hi
-
-
-def _orbit_integrals(p: RadialPotential, oc: OrbitConstants, epsrel: float,
-                     r_p: float, r_a: float) -> tuple:
-    """(T, Theta, J), each a QuadratureResult or the reason it is refused.
-
-    With r = r_p + span sin(u)^2 and u = atan(c tan v), c = (r_p / r_a)^(1/4),
-    each integrand is smooth, even and pi-periodic in v.  A part takes the
-    first level of the midpoint rule in v that agrees with the one before to
-    ``epsrel``, unless kin <= 0 at a node first; a span below _CIRCULAR_SPAN
-    r_a, where kin cancels to noise, takes the near-circular limit instead.
-    The levels are evaluated in the groups of _GROUPS, so a psi may be called
-    on the nodes of up to one group beyond the level returned.
-    """
-    span = r_a - r_p
-    if span <= _CIRCULAR_SPAN * r_a:
-        return _epicyclic(p, oc, 0.5 * (r_p + r_a))
-    c = (r_p / r_a) ** 0.25
-    out, prev, evaluations = [None] * 3, None, 0
-    reason = f"no two levels of the midpoint rule up to {_MAX_NODES} nodes agree"
-    for n, sums in _levels(p, oc, r_p, span, c):
-        evaluations += n
-        if sums is None:
-            reason = f"radial kinetic term <= 0 at a node of the {n}-point midpoint rule"
-            break
-        values = [float(sums[0]), oc.lam * float(sums[1]),
-                  span * span / math.pi * float(sums[2])]
-        for k, v in enumerate(values):
-            if out[k] is None and prev and abs(v - prev[k]) <= epsrel * abs(v):
-                out[k] = QuadratureResult(value=v, error_estimate=abs(v - prev[k]),
-                                          evaluations=evaluations)
-        if None not in out:
-            break
-        prev = values
-    return tuple(reason if v is None else v for v in out)
+            _levels(p, active, group)
+        except Exception:  # psi raised on some orbit's nodes
+            for rule in active:  # each orbit alone, level by level
+                for n in group:
+                    try:
+                        _levels(p, [rule], (n,))
+                    except Exception as exc:  # this orbit's refusal
+                        rule.error, rule.open = exc, False
+                    if not rule.open:
+                        break
+    return [rule.result() for rule in rules]
 
 
 # ---------------------------------------------------------------------------
@@ -794,15 +864,21 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
 
 @dataclass(frozen=True, eq=False)
 class Orbit:
-    """One orbit of a potential, from :func:`solve_orbit`.  Its three integrals
-    are summed on one node set the first time one is asked for, to a relative
-    tolerance of 1e-11, and kept on the orbit.  Each raises ToleranceNotMet
-    where the midpoint rule refuses it."""
+    """One orbit of a potential, from :func:`solve_orbits` or :func:`solve_orbit`.
+    Its three integrals are summed on one node set the first time one is
+    asked for, to a relative tolerance of 1e-11, together with those of the
+    other orbits solved in the same call, and kept on each orbit.  Each
+    raises ToleranceNotMet where the midpoint rule refuses it, or the error
+    that psi or the near-circular limit raised for this orbit."""
 
     pot: RadialPotential
     oc: OrbitConstants
     r_p: float
     r_a: float
+    # The batch of solve_orbits that made this orbit, and its place there;
+    # an orbit made directly sums its integrals alone.
+    _batch: Optional[_Batch] = field(default=None, repr=False)
+    _index: int = field(default=0, repr=False)
 
     def radial_period(self) -> QuadratureResult:
         """T = sqrt(2) * integral dr / sqrt(xi - Lambda^2/2r^2 - psi) over [r_p, r_a]."""
@@ -817,11 +893,16 @@ class Orbit:
         return self._integral(2)
 
     @functools.cached_property
-    def _integrals(self) -> tuple:
-        return _orbit_integrals(self.pot, self.oc, _EPSREL, self.r_p, self.r_a)
+    def _integrals(self) -> Union[tuple, Exception]:
+        if self._batch is None:
+            return _orbit_integrals(self.pot, [(self.oc, self.r_p, self.r_a)], _EPSREL)[0]
+        return self._batch.integrals[self._index]
 
     def _integral(self, part: int) -> QuadratureResult:
-        result = self._integrals[part]
+        integrals = self._integrals
+        if isinstance(integrals, Exception):
+            raise integrals
+        result = integrals[part]
         if isinstance(result, str):
             raise ToleranceNotMet(result)
         return result
@@ -877,21 +958,67 @@ class Orbit:
                 for t, r_k, v_k, th_k, d_k in zip(t_eval, r, rdot, theta, drift)]
 
 
-def solve_orbit(pot: PotentialLike, oc: OrbitConstants) -> Orbit:
-    """The orbit of ``pot`` with constants ``oc``, its periastron and
-    apoastron radii found purely numerically.
+def solve_orbits(pot: PotentialLike,
+                 ocs: Sequence[OrbitConstants]) -> list[Union[Orbit, Exception]]:
+    """The orbits of ``pot`` with constants ``ocs``, in order, each its
+    periastron and apoastron radii found purely numerically: an Orbit, or
+    the error that :func:`solve_orbit` raises for it.
 
     Scans the radial kinetic term on a log grid to seed the maximum, refines
     it by Brent's bounded minimiser, then brackets and solves the two zero
     crossings by Brent's root finder (``_brent.fminbound``, ``_brent.brentq``).
-    Each call solves afresh; the integrals and the ODE of the returned orbit
-    share its turning points.  A NaN of psi met inside the orbit, by the scan
-    or a root finder, or at every scanned point raises OutOfDomain; the
+    The orbits share one psi call on the scan grid; each is refined and
+    solved alone.  Their integrals are summed together, the first time one
+    of them is asked for, with one psi call per group of levels over the
+    nodes of every orbit still open.  A NaN of psi met inside the orbit, by
+    the scan or a root finder, or at every scanned point is OutOfDomain; the
     scan's NaNs outside the orbit are passed over.  A crossing that does not
-    converge raises ToleranceNotMet.
+    converge is ToleranceNotMet.
     """
     p = as_potential(pot)
-    return Orbit(p, oc, *_solve_radii(p, oc))
+    grid = _scan_grid(*_search_window(p))
+    try:
+        psi_grid = _psi_array(p, grid)
+    except Exception as exc:  # every orbit's refusal, returned as its value
+        return [exc] * len(ocs)
+    batch = _Batch(p)
+    return [batch.add(oc, grid, psi_grid) for oc in ocs]
+
+
+class _Batch:
+    """The orbits of one call of :func:`solve_orbits`: their integrals are
+    summed together, the first time one of them is asked for."""
+
+    def __init__(self, p: RadialPotential) -> None:
+        self.p = p
+        self.orbits: list[tuple] = []  # (oc, r_p, r_a) of each Orbit
+
+    def add(self, oc: OrbitConstants, grid: np.ndarray,
+            psi_grid: np.ndarray) -> Union[Orbit, Exception]:
+        """The orbit with constants ``oc``, solved from the scan, or its refusal."""
+        try:
+            radii = _solve_radii(self.p, oc, grid, psi_grid)
+        except Exception as exc:  # the orbit's refusal, returned as its value
+            return exc
+        self.orbits.append((oc, *radii))
+        return Orbit(self.p, oc, *radii, self, len(self.orbits) - 1)
+
+    @functools.cached_property
+    def integrals(self) -> list:
+        return _orbit_integrals(self.p, self.orbits, _EPSREL)
+
+
+def solve_orbit(pot: PotentialLike, oc: OrbitConstants) -> Orbit:
+    """The one orbit of :func:`solve_orbits`, or the error it is refused with.
+    Each call solves afresh; the integrals and the ODE of the returned orbit
+    share its turning points."""
+    (orbit,) = solve_orbits(pot, [oc])
+    if isinstance(orbit, Orbit):
+        return orbit
+    try:
+        raise orbit
+    finally:
+        del orbit  # else the refusal's traceback holds this frame, which holds it
 
 
 # The one-orbit wrappers' memo, keyed on the caller's (pot, oc): a parabola by

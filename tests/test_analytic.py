@@ -45,7 +45,7 @@ from isochrone.potential import (
     y_value,
 )
 
-from conftest import gauged_potentials, grid_orbits
+from conftest import BASE_POTENTIALS, gauged_potentials, grid_orbits
 
 GOLDEN = OrbitConstants(-0.5, 0.8)
 LAM_GRID = [0.5, 0.8, 1.0, 1.3, 1.7]
@@ -246,47 +246,79 @@ def _all_finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
+# The public closed forms that take an orbit's constants, Lambda among them.
+ORBIT_CALLS = (turning_points, radial_action, orbit_elements,
+               lambda params, oc: trajectory(params, oc, [0.0, 1.0]))
+
+
+def _lambda_calls(params, lam, orbit_calls=ORBIT_CALLS) -> list:
+    """Each public closed form and Birkhoff check that takes Lambda, as a
+    call at ``lam``: ``orbit_calls`` with the orbit constants at three
+    energies."""
+    calls = [
+        lambda: apsidal_angle(params, lam),
+        lambda: circular_abscissa(params, lam),
+        lambda: circular_energy(params, lam),
+        lambda: feasible_energy(params, lam),
+        *(lambda J=J, fn=fn: fn(params, J, lam) for J in (0.0, 1.0)
+          for fn in (hamiltonian, frequencies, birkhoff.frequency_invariants)),
+        lambda: birkhoff.circular_abscissa(params, lam),
+        lambda: birkhoff.invariants_from_potential(params, lam),
+        lambda: birkhoff.invariants_from_period(params, lam),
+        lambda: birkhoff.isochrone_theorem_check(params, [lam]),
+        lambda: birkhoff.bertrand_check(params, [lam, 2.0 * lam]),
+    ]
+    xis = [-0.1, 0.5]
+    try:
+        xis.append(feasible_energy(params, lam))
+    except IsochroneError:
+        pass
+    for xi in xis:
+        oc = OrbitConstants(xi, lam)
+        calls += [*(lambda oc=oc, fn=fn: fn(params, oc) for fn in orbit_calls),
+                  lambda xi=xi: birkhoff.third_law(params, xi)]
+    return calls
+
+
+def _finite_or_refused(potentials, lams, orbit_calls=ORBIT_CALLS) -> tuple[int, int]:
+    """(returned, refused) over every call of _lambda_calls; each returns
+    only finite values or raises an IsochroneError."""
+    returned = refused = 0
+    for label, params in potentials:
+        for lam in lams:
+            for call in _lambda_calls(params, lam, orbit_calls):
+                try:
+                    value = call()
+                except IsochroneError:
+                    refused += 1
+                    continue
+                assert _all_finite(value), (label, lam, value)
+                returned += 1
+    return returned, refused
+
+
 @pytest.mark.parametrize("lam", HUGE_LAMBDAS)
 def test_huge_lambda_gives_a_finite_value_or_a_typed_refusal(lam):
-    # Each public closed form and Birkhoff check that takes Lambda, over the
-    # families and their gauges.  Powers of Lambda leaked OverflowError.
-    returned = refused = 0
-    for label, params in gauged_potentials():
-        calls = [
-            lambda: apsidal_angle(params, lam),
-            lambda: circular_abscissa(params, lam),
-            lambda: circular_energy(params, lam),
-            lambda: feasible_energy(params, lam),
-            *(lambda J=J: fn(params, J, lam) for J in (0.0, 1.0)
-              for fn in (hamiltonian, frequencies, birkhoff.frequency_invariants)),
-            lambda: birkhoff.circular_abscissa(params, lam),
-            lambda: birkhoff.invariants_from_potential(params, lam),
-            lambda: birkhoff.invariants_from_period(params, lam),
-            lambda: birkhoff.isochrone_theorem_check(params, [lam]),
-            lambda: birkhoff.bertrand_check(params, [lam, 2.0 * lam]),
-        ]
-        xis = [-0.1, 0.5]
-        try:
-            xis.append(feasible_energy(params, lam))
-        except IsochroneError:
-            pass
-        for xi in xis:
-            oc = OrbitConstants(xi, lam)
-            calls += [
-                lambda oc=oc: turning_points(params, oc),
-                lambda oc=oc: radial_action(params, oc),
-                lambda oc=oc: orbit_elements(params, oc),
-                lambda oc=oc: trajectory(params, oc, [0.0, 1.0]),
-                lambda xi=xi: birkhoff.third_law(params, xi),
-            ]
-        for call in calls:
-            try:
-                value = call()
-            except IsochroneError:
-                refused += 1
-                continue
-            assert _all_finite(value), (label, lam, value)
-            returned += 1
+    # Over the families and their gauges.  Powers of Lambda leaked
+    # OverflowError; at Lambda 1e77 the last parabola's b^2 Lambda^4 was inf,
+    # and its apsidal angle inf / inf = nan.
+    returned, refused = _finite_or_refused(
+        [*gauged_potentials(), ("b 1e100", ParabolaParams(0.0, 1e100, -2e-100, 0.0, 0.0))],
+        [lam])
+    assert returned and refused
+
+
+def test_tiny_lambda_gives_a_finite_value_or_a_typed_refusal():
+    # Lambda = 10^k, k = -300 .. -1, over the families and a gauge.  The
+    # frequencies' (2 b J + R)^3 underflowed to 0 (ZeroDivisionError), and
+    # the frequency wedges and B of Kepler came out NaN.  The trajectory is
+    # left out: its near-radial theta is still wrong at tiny Lambda.
+    gauge = GaugeTerm(0.1, 0.2)
+    potentials = [(name, params) for base_name, base in BASE_POTENTIALS.items()
+                  for name, params in ((base_name, base),
+                                       (f"{base_name} gauged", apply_gauge(base, gauge)))]
+    returned, refused = _finite_or_refused(
+        potentials, [10.0**k for k in range(-300, 0)], ORBIT_CALLS[:3])
     assert returned and refused
 
 

@@ -87,7 +87,7 @@ def test_ports_are_scipys_on_the_oracles_functions(monkeypatch):
             orbits.append((plummer, OrbitConstants(xi_c * (1.0 - frac), lam)))
             for q, oc in orbits:
                 try:
-                    oracle._solve_radii(as_potential(q), oc)
+                    oracle.solve_orbit(q, oc)
                 except (NoBoundOrbit, ToleranceNotMet, OutOfDomain):
                     pass
         for q in parabolae:

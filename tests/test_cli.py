@@ -605,31 +605,32 @@ def test_verify_battery_verdicts_match_reference(battery, tmp_path):
 @pytest.mark.parametrize("battery", sorted(REFERENCE))
 def test_verify_battery_solves_each_orbit_once(battery, monkeypatch, tmp_path):
     # Each grid orbit is one solved oracle.Orbit that serves its three
-    # quadratures: one solve per distinct parabola orbit.  Harmonic's
-    # fixed-energy orbit (xi 2, Lambda 0.6) is also a grid orbit, asked for
-    # again by the isochrony check, so it is solved twice.  So is Plummer's
-    # first orbit, asked for again by the ODE check.
-    asked, solves = [], []
-    solve_orbit, solve = oracle.solve_orbit, oracle._solve_radii
+    # quadratures: one solve per distinct parabola orbit, the grid's ten in
+    # one batch.  Harmonic's fixed-energy orbit (xi 2, Lambda 0.6) is also a
+    # grid orbit, asked for again by the isochrony check, so it is solved
+    # twice.  So is Plummer's first orbit, asked for again by the ODE check.
+    batches, solves = [], []
+    solve_orbits, solve = oracle.solve_orbits, oracle._solve_radii
 
-    def counted_orbit(pot, oc):
-        asked.append(oc)
-        return solve_orbit(pot, oc)
+    def counted_orbits(pot, ocs):
+        batches.append(len(ocs))
+        return solve_orbits(pot, ocs)
 
-    def counted_solve(p, oc):
+    def counted_solve(p, oc, *scan):
         solves.append(oc)
-        return solve(p, oc)
+        return solve(p, oc, *scan)
 
-    monkeypatch.setattr(oracle, "solve_orbit", counted_orbit)
+    monkeypatch.setattr(oracle, "solve_orbits", counted_orbits)
     monkeypatch.setattr(oracle, "_solve_radii", counted_solve)
     # The isochrony check and the parabola's ODE check ask the one-orbit
     # wrappers, whose memo may hold an orbit of an earlier test.
     oracle._last_orbit.cache_clear()
     main(["verify", *REFERENCE[battery]["argv"], "-o", str(tmp_path / "r.json")])
     assert len(solves) == len(set(solves)) + (battery in ("harmonic", "plummer"))
-    # solve_orbit is asked for a parabola grid's 10 orbits and Plummer's ODE
-    # orbit; the isochrony check and a parabola's ODE check solve the rest.
-    assert (len(asked), len(solves)) == {
+    # Every solve is made through a batch: a parabola grid's 10 orbits in one,
+    # and each orbit of the isochrony and ODE checks alone.
+    assert sum(batches) == len(solves)
+    assert (max(batches), len(solves)) == {
         "henon": (10, 16), "kepler": (10, 16), "bounded": (10, 11),
         "hollowed": (10, 16), "harmonic": (10, 16), "henon-gauged": (10, 16),
         "plummer": (1, 11)}[battery]
@@ -642,6 +643,20 @@ def test_oracle_refusal_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ToleranceNotMet: ")
+
+
+@pytest.mark.parametrize("grid, code, error", [
+    ("0.001:1e78:2", 1, "ToleranceNotMet"),
+    ("1e78:0.001:2", 2, "InvalidParams"),
+])
+def test_verify_grid_raises_its_first_refusal_in_grid_order(grid, code, error, capsys):
+    # The grid's orbits are solved in one batch, yet the first orbit's
+    # refusal comes first: the near-radial quadrature at Lambda 0.001, or the
+    # overflowing elements at Lambda 1e78.
+    got, out, err = run_cli(["verify", "--henon", "mu=1,beta=1", "--lambda-grid", grid],
+                            capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith(f"error: {error}: ")
 
 
 @pytest.mark.parametrize("argv, code, error", [

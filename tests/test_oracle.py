@@ -157,10 +157,18 @@ def test_one_node_set_serves_the_three_integrals(henon, monkeypatch):
     assert sum(calls) - calls[-1] < max(res.evaluations for res in results) <= sum(calls)
 
 
+def _one_orbit(p, oc, epsrel, r_p, r_a):
+    """(T, Theta, J) of the midpoint rule's batch of one orbit; raises what
+    the batch holds for it."""
+    (got,) = oracle._orbit_integrals(p, [(oc, r_p, r_a)], epsrel)
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
 def _period_at(params, oc, epsrel):
     """T by the midpoint rule at tolerance ``epsrel``."""
-    return oracle._orbit_integrals(as_potential(params), oc, epsrel,
-                                   *turning_radii(params, oc))[0]
+    return _one_orbit(as_potential(params), oc, epsrel, *turning_radii(params, oc))[0]
 
 
 def test_quad_convergence_with_tolerance(kepler, bounded):
@@ -300,9 +308,9 @@ def test_one_orbit_solves_its_turning_points_once(henon, monkeypatch):
     solves = []
     solve = oracle._solve_radii
 
-    def counted(p, oc):
+    def counted(p, oc, *scan):
         solves.append(oc)
-        return solve(p, oc)
+        return solve(p, oc, *scan)
 
     monkeypatch.setattr(oracle, "_solve_radii", counted)
     oracle._last_orbit.cache_clear()
@@ -338,9 +346,9 @@ def test_a_generic_orbit_is_solved_and_summed_once(monkeypatch):
             sizes.append(r.size)
         return plummer.psi(r)
 
-    def counted(p, oc):
+    def counted(p, oc, *scan):
         solves.append(oc)
-        return solve(p, oc)
+        return solve(p, oc, *scan)
 
     monkeypatch.setattr(oracle, "_solve_radii", counted)
     pot = RadialPotential(psi=psi, dpsi=plummer.dpsi)
@@ -421,7 +429,7 @@ def test_grouped_levels_sum_as_one_level_at_a_time():
                 except NoBoundOrbit:
                     continue
                 for epsrel in (1e-11, 1e-14, 1e-16):
-                    got = _integrals_or_error(oracle._orbit_integrals, p, oc,
+                    got = _integrals_or_error(_one_orbit, p, oc,
                                               epsrel, *radii)
                     assert got == _integrals_or_error(_reference_integrals, p, oc,
                                                       epsrel, *radii), (params, oc)
@@ -447,11 +455,11 @@ def test_a_group_whose_psi_raises_is_redone_level_by_level():
             return plummer.psi(r)
 
         pot = RadialPotential(psi=psi, dpsi=plummer.dpsi)
-        got = _integrals_or_error(oracle._orbit_integrals, pot, oc, 1e-11, r_p, r_a)
+        got = _integrals_or_error(_one_orbit, pot, oc, 1e-11, r_p, r_a)
         assert got == _integrals_or_error(_reference_integrals, pot, oc, 1e-11,
                                           r_p, r_a)
         # The unraising Plummer sphere settles at 128 nodes, or needs 256.
-        plain = oracle._orbit_integrals(plummer, oc, 1e-11, r_p, r_a)
+        plain = _one_orbit(plummer, oc, 1e-11, r_p, r_a)
         assert max(res.evaluations for res in plain) == (248 if settles else 504)
         assert got == (repr(plain) if settles else (OutOfDomain, (
             "psi undefined at a node of the 256-point rule")))
@@ -474,7 +482,7 @@ def test_a_float_only_psi_sums_as_one_level_at_a_time(henon):
             oc = OrbitConstants(analytic.feasible_energy(henon, lam, frac), lam)
             radii = turning_radii(henon, oc)
             calls.clear()
-            got = _integrals_or_error(oracle._orbit_integrals, pot, oc, 1e-11,
+            got = _integrals_or_error(_one_orbit, pot, oc, 1e-11,
                                       *radii)
             # Each group's array call raised TypeError before its float calls.
             floats = sum(not isinstance(r, np.ndarray) for r in calls)
@@ -486,7 +494,7 @@ def test_a_float_only_psi_sums_as_one_level_at_a_time(henon):
     # An orbit that settles at 16 nodes.
     oc = OrbitConstants(analytic.feasible_energy(henon, 0.5, 0.5), 0.5)
     calls.clear()
-    res = oracle._orbit_integrals(pot, oc, 1e-5, *turning_radii(henon, oc))
+    res = _one_orbit(pot, oc, 1e-5, *turning_radii(henon, oc))
     assert max(r.evaluations for r in res) == 24 and len(calls) == 1 + 120
 
 
@@ -571,6 +579,92 @@ def test_an_orbit_gives_the_wrappers_results():
                             for v in got.values())
     # The grid reaches values and the quadrature's and the ODE's refusals.
     assert {"value", "ToleranceNotMet", "StepSizeUnderflow"} <= outcomes
+
+
+def _solved(orbit):
+    """The radii and the three integrals of a solved Orbit, or its refusal."""
+    if isinstance(orbit, Exception):
+        return type(orbit), str(orbit)
+    return ((orbit.r_p, orbit.r_a), *(_outcome(part) for part in (
+        orbit.radial_period, orbit.apsidal_angle, orbit.radial_action)))
+
+
+def _solved_alone(params, oc):
+    try:
+        return _solved(solve_orbit(params, oc))
+    except Exception as exc:  # compared by class and message
+        return _solved(exc)
+
+
+def _batched(p, orbits):
+    """The integrals of each orbit (oc, r_p, r_a), summed in batches of 1, of
+    2 and of all, as _outcome gives them."""
+    out = []
+    for size in (1, 2, len(orbits)):
+        got = [sums for i in range(0, len(orbits), size)
+               for sums in oracle._orbit_integrals(p, orbits[i:i + size], 1e-11)]
+        out.append([(type(g), str(g)) if isinstance(g, Exception) else repr(g)
+                    for g in got])
+    return out
+
+
+def test_batched_orbits_equal_one_at_a_time():
+    """Every radius, value, error estimate, evaluation count and refusal of
+    an orbit solved and summed in a batch is its own, solved alone and summed
+    one level at a time, to the bit: batches of 1, of 2 and of all."""
+    bases = [BASE_POTENTIALS[k] for k in
+             ("kepler", "henon", "bounded", "hollowed", "harmonic")]
+    gauge = potential.GaugeTerm(0.1, 0.2)
+    outcomes = set()
+    for params in bases + [potential.apply_gauge(b, gauge) for b in bases]:
+        p = as_potential(params)
+        # The edge-judge grid, and the circular orbits of the epicyclic limit.
+        ocs = [OrbitConstants(analytic.feasible_energy(params, lam, frac), lam)
+               for lam in EDGE_LAMBDAS for frac in EDGE_FRACTIONS]
+        ocs += [OrbitConstants(analytic.circular_energy(params, lam), lam)
+                for lam in EDGE_LAMBDAS]
+        solved = oracle.solve_orbits(params, ocs)
+        assert [_solved(o) for o in solved] == [_solved_alone(params, oc)
+                                                 for oc in ocs], params
+        orbits = [(o.oc, o.r_p, o.r_a) for o in solved if isinstance(o, Orbit)]
+        alone = [_integrals_or_error(_reference_integrals, p, *orbit[:1], 1e-11,
+                                     *orbit[1:]) for orbit in orbits]
+        assert _batched(p, orbits) == [alone] * 3, params
+        outcomes.update(re.findall(r"evaluations=5\)|radial kinetic|no two levels",
+                                   str(alone)))
+    assert {"evaluations=5)", "radial kinetic", "no two levels"} <= outcomes
+
+    # A psi that raises on one orbit's nodes of the 256-point level: that
+    # orbit alone is refused, and the batch's others keep their values.
+    plummer = plummer_potential()
+    ocs = [OrbitConstants(-0.02, 0.05), OrbitConstants(-0.01, 0.02),
+           OrbitConstants(-0.4, 0.5)]
+    orbits = [(oc, *turning_radii(plummer, oc)) for oc in ocs]
+    bad = _reference_nodes(256, *orbits[1][1:])[0]
+
+    def psi(r):
+        if np.isin(r, bad).any():
+            raise OutOfDomain("psi undefined at a node of the 256-point rule")
+        return plummer.psi(r)
+
+    pot = RadialPotential(psi=psi, dpsi=plummer.dpsi)
+    alone = [_integrals_or_error(_reference_integrals, pot, oc, 1e-11, *radii)
+             for oc, *radii in orbits]
+    assert [isinstance(a, tuple) for a in alone] == [False, True, False]
+    assert _batched(pot, orbits) == [alone] * 3
+
+    # A psi that takes floats only is called on the raveled nodes.
+    henon = BASE_POTENTIALS["henon"]
+    float_only = RadialPotential(
+        psi=lambda r: potential.psi_value(henon, float(r)),
+        dpsi=lambda r: potential.psi_derivative(henon, r),
+        r_bounds=potential.radial_domain(henon))
+    ocs = [OrbitConstants(analytic.feasible_energy(henon, lam, frac), lam)
+           for lam in (0.05, 0.5, 5.0) for frac in (1e-3, 0.5, 1.0 - 1e-6)]
+    orbits = [(oc, *turning_radii(henon, oc)) for oc in ocs]
+    alone = [_integrals_or_error(_reference_integrals, float_only, oc, 1e-11, *radii)
+             for oc, *radii in orbits]
+    assert _batched(float_only, orbits) == [alone] * 3
 
 
 class _UnhashablePsi:
