@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import abc
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -522,13 +523,17 @@ def _theta_half(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarra
     real and |k| < 1 both terms are real and evaluated in real arithmetic.
     For the hollowed family zeta is imaginary; the terms are then complex
     conjugates, evaluated on principal branches, and their sum is real up to
-    the residual returned.
+    the residual returned.  InvalidParams where 1 - k^2 rounds to 0, on a
+    near-radial orbit.
     """
     zeta = cmath.sqrt(el.zeta2)
     terms = []
     for sgn in (1.0, -1.0):
         w = 1.0 + sgn * zeta
         k = el.eps_eff / w
+        if 1.0 - k * k == 0.0:
+            raise InvalidParams(f"1 - k^2 rounds to 0 in theta at Lambda = {el.lam:g}: "
+                                "the orbit is radial in float64")
         terms.append((1.0 / (w * cmath.sqrt(1.0 - k * k)),
                       cmath.sqrt((1.0 + k) / (1.0 - k))))
     if all(c.imag == 0.0 for term in terms for c in term):
@@ -545,11 +550,18 @@ def _theta_half(el: OrbitElements, E: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _theta_harmonic(el: OrbitElements, E: np.ndarray) -> np.ndarray:
-    """theta(E) on E in [0, pi] for the harmonic class."""
+    """theta(E) on E in [0, pi] for the harmonic class; InvalidParams where
+    x_p is subnormal, with too few bits for theta, or g is not finite."""
+    if el.x_p < sys.float_info.min:
+        raise InvalidParams(f"periastron abscissa x_p = {el.x_p:g} at Lambda = "
+                            f"{el.lam:g} is below the normal float64 range")
     quarter_tan = np.tan(0.25 * E)
     # sqrt((1 + ecc) / (1 - ecc)), exactly, as ecc^2 = 1 - x_p / x_a; it
     # stays finite where ecc rounds to 1 on near-radial orbits.
     g = (1.0 + el.ecc) * math.sqrt(el.x_a / el.x_p)
+    if not math.isfinite(g):
+        raise InvalidParams(f"theta's slope sqrt((1 + ecc) / (1 - ecc)) overflows "
+                            f"float64 at Lambda = {el.lam:g}")
     pair = np.arctan(g * quarter_tan) + np.arctan(quarter_tan / g)
     return 4.0 * el.lam * pair / (el.omega_r * math.sqrt(el.x_p * el.x_a))
 

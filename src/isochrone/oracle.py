@@ -18,8 +18,8 @@ inverse-square-root singularities there.  One substitution,
 r = r_p + (r_a - r_p) sin(u)^2, removes them, and one periodic midpoint rule
 on one node set sums all three (Trefethen & Weideman 2014), to one
 relative tolerance, 1e-11.  An orbit is one value, :class:`Orbit`, made by
-:func:`solve_orbit`: it holds the turning points, and sums its node set once
-for its three integrals.  :func:`solve_orbits` makes many orbits of one
+:func:`solve_orbit`: it holds the turning points and its three integrals,
+summed when it is solved.  :func:`solve_orbits` makes many orbits of one
 potential at once, the batch that ``solve_orbit`` is one of: they share one
 psi call on the turning-point scan, and one per group of midpoint-rule
 levels over the nodes of every orbit not yet settled, each orbit with the
@@ -372,13 +372,12 @@ class _Rule:
     With r = r_p + span sin(u)^2 and u = atan(c tan v), c = (r_p / r_a)^(1/4),
     each integrand is smooth, even and pi-periodic in v.  A part takes the
     first level of the midpoint rule in v that agrees with the one before to
-    ``epsrel``, unless kin <= 0 at a node first.  The rule stays open until
+    _EPSREL, unless kin <= 0 at a node first.  The rule stays open until
     every part settles, a level is refused or psi raises (``error``).
     """
 
-    def __init__(self, oc: OrbitConstants, epsrel: float, r_p: float,
-                 r_a: float) -> None:
-        self.oc, self.epsrel, self.r_p, self.r_a = oc, epsrel, r_p, r_a
+    def __init__(self, oc: OrbitConstants, r_p: float, r_a: float) -> None:
+        self.oc, self.r_p, self.r_a = oc, r_p, r_a
         self.span = span = r_a - r_p
         c = (r_p / r_a) ** 0.25
         # The orbit's scalars in _node_terms, each the Python float of one
@@ -408,7 +407,7 @@ class _Rule:
         values = [sums[0], self.oc.lam * sums[1], span * span / math.pi * sums[2]]
         if prev:
             for k, v in enumerate(values):
-                if out[k] is None and abs(v - prev[k]) <= self.epsrel * abs(v):
+                if out[k] is None and abs(v - prev[k]) <= _EPSREL * abs(v):
                     out[k] = QuadratureResult(value=v, error_estimate=abs(v - prev[k]),
                                               evaluations=self.evaluations)
         self.prev = values
@@ -475,8 +474,7 @@ def _levels(p: RadialPotential, rules: Sequence[_Rule],
         lo = hi
 
 
-def _orbit_integrals(p: RadialPotential, orbits: Sequence[tuple],
-                     epsrel: float) -> list:
+def _orbit_integrals(p: RadialPotential, orbits: Sequence[tuple]) -> list:
     """(T, Theta, J) of each orbit (oc, r_p, r_a) of ``p`` in ``orbits``, in
     order: each a QuadratureResult or the reason it is refused, or instead
     the exception that psi or the near-circular limit raised for that orbit.
@@ -489,7 +487,7 @@ def _orbit_integrals(p: RadialPotential, orbits: Sequence[tuple],
     redone orbit by orbit, one level at a time, so that an error surfaces
     only for an orbit, and at the first level, whose nodes raise it.
     """
-    rules = [_Rule(oc, epsrel, r_p, r_a) for oc, r_p, r_a in orbits]
+    rules = [_Rule(oc, r_p, r_a) for oc, r_p, r_a in orbits]
     for rule in rules:
         if rule.span <= _CIRCULAR_SPAN * rule.r_a:
             try:
@@ -865,20 +863,19 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """One orbit of a potential, from :func:`solve_orbits` or :func:`solve_orbit`.
-    Its three integrals are summed on one node set the first time one is
-    asked for, to a relative tolerance of 1e-11, together with those of the
-    other orbits solved in the same call, and kept on each orbit.  Each
-    raises ToleranceNotMet where the midpoint rule refuses it, or the error
-    that psi or the near-circular limit raised for this orbit."""
+    Its three integrals are summed on one node set when it is solved, to a
+    relative tolerance of 1e-11, together with those of the other orbits
+    solved in the same call.  Each part read raises ToleranceNotMet where the
+    midpoint rule refuses it, or the error that psi or the near-circular
+    limit raised for this orbit."""
 
     pot: RadialPotential
     oc: OrbitConstants
     r_p: float
     r_a: float
-    # The batch of solve_orbits that made this orbit, and its place there;
-    # an orbit made directly sums its integrals alone.
-    _batch: Optional[_Batch] = field(default=None, repr=False)
-    _index: int = field(default=0, repr=False)
+    # (T, Theta, J), each a QuadratureResult or the reason the midpoint rule
+    # refuses it, or the error that refuses all three.
+    integrals: Union[tuple, Exception] = field(repr=False)
 
     def radial_period(self) -> QuadratureResult:
         """T = sqrt(2) * integral dr / sqrt(xi - Lambda^2/2r^2 - psi) over [r_p, r_a]."""
@@ -892,17 +889,10 @@ class Orbit:
         """J = (sqrt(2)/pi) * integral sqrt(xi - Lambda^2/2r^2 - psi) dr."""
         return self._integral(2)
 
-    @functools.cached_property
-    def _integrals(self) -> Union[tuple, Exception]:
-        if self._batch is None:
-            return _orbit_integrals(self.pot, [(self.oc, self.r_p, self.r_a)], _EPSREL)[0]
-        return self._batch.integrals[self._index]
-
     def _integral(self, part: int) -> QuadratureResult:
-        integrals = self._integrals
-        if isinstance(integrals, Exception):
-            raise integrals
-        result = integrals[part]
+        if isinstance(self.integrals, Exception):
+            raise self.integrals
+        result = self.integrals[part]
         if isinstance(result, str):
             raise ToleranceNotMet(result)
         return result
@@ -968,12 +958,11 @@ def solve_orbits(pot: PotentialLike,
     it by Brent's bounded minimiser, then brackets and solves the two zero
     crossings by Brent's root finder (``_brent.fminbound``, ``_brent.brentq``).
     The orbits share one psi call on the scan grid; each is refined and
-    solved alone.  Their integrals are summed together, the first time one
-    of them is asked for, with one psi call per group of levels over the
-    nodes of every orbit still open.  A NaN of psi met inside the orbit, by
-    the scan or a root finder, or at every scanned point is OutOfDomain; the
-    scan's NaNs outside the orbit are passed over.  A crossing that does not
-    converge is ToleranceNotMet.
+    solved alone.  Their integrals are then summed together, with one psi
+    call per group of levels over the nodes of every orbit still open.  A
+    NaN of psi met inside the orbit, by the scan or a root finder, or at
+    every scanned point is OutOfDomain; the scan's NaNs outside the orbit
+    are passed over.  A crossing that does not converge is ToleranceNotMet.
     """
     p = as_potential(pot)
     grid = _scan_grid(*_search_window(p))
@@ -981,31 +970,16 @@ def solve_orbits(pot: PotentialLike,
         psi_grid = _psi_array(p, grid)
     except Exception as exc:  # every orbit's refusal, returned as its value
         return [exc] * len(ocs)
-    batch = _Batch(p)
-    return [batch.add(oc, grid, psi_grid) for oc in ocs]
-
-
-class _Batch:
-    """The orbits of one call of :func:`solve_orbits`: their integrals are
-    summed together, the first time one of them is asked for."""
-
-    def __init__(self, p: RadialPotential) -> None:
-        self.p = p
-        self.orbits: list[tuple] = []  # (oc, r_p, r_a) of each Orbit
-
-    def add(self, oc: OrbitConstants, grid: np.ndarray,
-            psi_grid: np.ndarray) -> Union[Orbit, Exception]:
-        """The orbit with constants ``oc``, solved from the scan, or its refusal."""
+    solved = []  # (oc, r_p, r_a) of each orbit, or its refusal
+    for oc in ocs:
         try:
-            radii = _solve_radii(self.p, oc, grid, psi_grid)
+            solved.append((oc, *_solve_radii(p, oc, grid, psi_grid)))
         except Exception as exc:  # the orbit's refusal, returned as its value
-            return exc
-        self.orbits.append((oc, *radii))
-        return Orbit(self.p, oc, *radii, self, len(self.orbits) - 1)
-
-    @functools.cached_property
-    def integrals(self) -> list:
-        return _orbit_integrals(self.p, self.orbits, _EPSREL)
+            solved.append(exc)
+    integrals = iter(_orbit_integrals(
+        p, [s for s in solved if not isinstance(s, Exception)]))
+    return [s if isinstance(s, Exception) else Orbit(p, *s, next(integrals))
+            for s in solved]
 
 
 def solve_orbit(pot: PotentialLike, oc: OrbitConstants) -> Orbit:

@@ -135,6 +135,20 @@ def test_orbit_samples_below_one_exit_2(samples, capsys):
     assert err.startswith("error: InvalidParams")
 
 
+@pytest.mark.parametrize("argv", [
+    # 1 - k^2 rounds to 0 in theta's partial fractions: a ZeroDivisionError
+    # traceback once.
+    ["--henon", "mu=1,beta=1", "--xi=-0.0004999999499999963", "--lambda", "1e-7"],
+    # x_p is subnormal: theta at E = 0 was arctan(inf * 0) = nan.
+    ["--harmonic", "omega=2", "--xi", "0.5", "--lambda", "1e-161"],
+], ids=["henon-radial", "harmonic-subnormal"])
+def test_orbit_radial_in_float64_is_refused_before_any_byte(argv, capsys):
+    code, out, err = run_cli(["orbit", *argv, "--samples", "3"], capsys)
+    assert code != 0
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_column_writer_matches_row_writer():
     cols = ("a", "b", "c")
     columns = (np.array([0.0, -0.0, 1e-300, -1e-300, 1234567890123456.75, 0.1]),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -142,14 +143,16 @@ def test_one_node_set_serves_the_three_integrals(henon, monkeypatch):
         sizes.append(np.size(r))
         return psi_value(params, r)
 
-    orbit = solve_orbit(henon, OrbitConstants(-0.12, 1.0))
     monkeypatch.setattr(potential, "psi_value", counted)
-    results = [orbit.radial_period()]
-    calls = list(sizes)
-    # One psi array call per group of levels, node counts doubling from 8.
+    orbit = solve_orbit(henon, OrbitConstants(-0.12, 1.0))
+    # One scan call, then one psi array call per group of levels, node
+    # counts doubling from 8; Brent's float calls have size 1.
+    scan, *calls = [n for n in sizes if n > 1]
+    assert scan == 600
     assert calls == GROUP_SIZES[:len(calls)]
-    results += [orbit.apsidal_angle(), orbit.radial_action()]
-    assert sizes == calls
+    done = len(sizes)
+    results = [orbit.radial_period(), orbit.apsidal_angle(), orbit.radial_action()]
+    assert len(sizes) == done
     # Each result counts the nodes through its own level, and the last of
     # them lies in the last group called.
     totals = list(itertools.accumulate(LEVELS))
@@ -158,9 +161,11 @@ def test_one_node_set_serves_the_three_integrals(henon, monkeypatch):
 
 
 def _one_orbit(p, oc, epsrel, r_p, r_a):
-    """(T, Theta, J) of the midpoint rule's batch of one orbit; raises what
-    the batch holds for it."""
-    (got,) = oracle._orbit_integrals(p, [(oc, r_p, r_a)], epsrel)
+    """(T, Theta, J) of the midpoint rule's batch of one orbit, at tolerance
+    ``epsrel``; raises what the batch holds for it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_EPSREL", epsrel)
+        (got,) = oracle._orbit_integrals(p, [(oc, r_p, r_a)])
     if isinstance(got, Exception):
         raise got
     return got
@@ -197,18 +202,20 @@ def test_turning_radii_match_analytic(all_classes):
 
 
 def test_turning_radii_scan_is_one_array_call(henon, monkeypatch):
-    calls = {"array": 0, "float": 0}
+    calls = []
     psi_value = potential.psi_value
 
     def counted(params, r):
-        calls["array" if isinstance(r, np.ndarray) else "float"] += 1
+        calls.append(np.size(r) if isinstance(r, np.ndarray) else "float")
         return psi_value(params, r)
 
     monkeypatch.setattr(potential, "psi_value", counted)
     solve_orbit(henon, OrbitConstants(-0.12, 1.0))
     # Scanned point by point, the 600-point grid alone took 600 float calls.
-    assert calls["array"] == 1
-    assert 0 < calls["float"] < 100
+    # The one scan call comes before the midpoint rule's node calls.
+    arrays = [c for c in calls if c != "float"]
+    assert arrays[0] == 600 and arrays[1:] == GROUP_SIZES[:len(arrays) - 1]
+    assert 0 < calls.count("float") < 100
 
 
 def _turning_radii_or_error(pot, oc):
@@ -298,9 +305,11 @@ def test_energy_drift_is_one_array_call(henon, monkeypatch):
         return psi_value(params, r)
 
     monkeypatch.setattr(potential, "psi_value", counted)
-    assert solve_orbit(henon, oc).integrate(5.0, reltol=1e-10) == states
-    # One array call for the turning-point scan, one for the 200 samples.
-    assert ndims.count(1) == 2
+    orbit = solve_orbit(henon, oc)
+    solved = ndims.count(1)
+    assert orbit.integrate(5.0, reltol=1e-10) == states
+    # One array call for the 200 samples, beyond those of the solve.
+    assert ndims.count(1) == solved + 1
     assert len(states) == 200
 
 
@@ -602,7 +611,7 @@ def _batched(p, orbits):
     out = []
     for size in (1, 2, len(orbits)):
         got = [sums for i in range(0, len(orbits), size)
-               for sums in oracle._orbit_integrals(p, orbits[i:i + size], 1e-11)]
+               for sums in oracle._orbit_integrals(p, orbits[i:i + size])]
         out.append([(type(g), str(g)) if isinstance(g, Exception) else repr(g)
                     for g in got])
     return out
@@ -1046,4 +1055,4 @@ def test_a_wall_inside_the_orbit_raises_domain_exit(r_bounds):
     orbit = solve_orbit(plummer, oc)
     walled = RadialPotential(psi=plummer.psi, dpsi=plummer.dpsi, r_bounds=r_bounds)
     with pytest.raises(DomainExit):
-        Orbit(walled, oc, orbit.r_p, orbit.r_a).integrate(10.0)
+        dataclasses.replace(orbit, pot=walled).integrate(10.0)
