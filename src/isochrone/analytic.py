@@ -96,6 +96,9 @@ CIRCULAR_ECC = 1e-12
 # too little of the phase for E or theta to mean anything.
 PHASE_TOL = 1e-6
 
+# The largest residual of the Kepler equation that solve_kepler returns.
+KEPLER_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class OrbitConstants:
@@ -281,7 +284,7 @@ def _apsides(params: ParabolaParams,
         if bb <= 0.0:
             raise NoBoundOrbit("no positive turning points for this energy")
         q = bb + math.sqrt(disc)
-        x_a = q / (2.0 * params._a2)
+        x_a = _finite(q / (2.0 * params._a2), "x_a", lam)  # inf where disc overflows
         x_p = min(2.0 * cc / q, x_a)
         if x_p < 0.0:
             raise NoBoundOrbit("inner turning point below x = 0")
@@ -290,9 +293,12 @@ def _apsides(params: ParabolaParams,
     bh = _require_bound_slope(params, xi)
     pcoef, qcoef = _ecc_coeffs(params, lam)
     ecc = math.sqrt(_clip_ecc2(1.0 + 2.0 * pcoef * bh + qcoef * bh * bh))
-    alpha2 = params.delta / (8.0 * params.b * bh * bh)
+    try:  # 8 b (a + b xi)^2 may underflow to 0
+        alpha2 = params.delta / (8.0 * params.b * bh * bh)
+    except ZeroDivisionError:
+        alpha2 = math.inf
     h = 1.0 + math.copysign(ecc, params.b)
-    x_a = params._x_v + 2.0 * alpha2 * h * h
+    x_a = _finite(params._x_v + 2.0 * alpha2 * h * h, "x_a", lam)
     x_p = min(_s_squared(params, lam) / (bh * bh * x_a), x_a) if x_a != 0.0 else 0.0
     return (ecc, x_p, x_a, alpha2)
 
@@ -302,7 +308,7 @@ def turning_points(params: ParabolaParams, oc: OrbitConstants) -> tuple[float, f
 
     The intersections of the line y = xi x - Lambda^2 with the convex
     branch, x(E) at E = 0 and pi (see the module docstring).  Circular
-    orbits return x_p == x_a.
+    orbits return x_p == x_a.  InvalidParams where x_a is not finite.
     """
     return _apsides(params, oc)[1:3]
 
@@ -582,18 +588,18 @@ def _shaped(result: np.ndarray, like):
     return result.reshape(np.shape(like))
 
 
-def solve_kepler(ecc: float, M, tol: float = 1e-13):
+def solve_kepler(ecc: float, M):
     """Invert the generalized Kepler equation Omega t = E - ecc sin E in one
     closed-form step, for ecc in [0, 1) and M a float or array (cycles are
     preserved); ToleranceNotMet where the residual on M reduced to [-pi, pi]
-    exceeds ``tol``."""
+    exceeds KEPLER_TOL."""
     if not 0.0 <= ecc < 1.0:
         raise InvalidParams(f"eccentricity must lie in [0, 1), got {ecc!r}")
     m, cycles = _reduce(_as_array(M, "mean anomaly"))
     e_anom = _kepler(ecc, m)
     resid = np.abs(e_anom - ecc * np.sin(e_anom) - m).max(initial=0.0)
-    if not resid <= tol:  # also for a nan residual
-        raise ToleranceNotMet(f"Kepler residual {resid:.3g} exceeds tol = {tol:g}")
+    if not resid <= KEPLER_TOL:  # also for a nan residual
+        raise ToleranceNotMet(f"Kepler residual {resid:.3g} exceeds tol = {KEPLER_TOL:g}")
     return _shaped(e_anom + cycles * TWO_PI, M)
 
 
@@ -647,10 +653,6 @@ class Trajectory(abc.Sequence):
 
     def __getitem__(self, i: int) -> TrajectorySample:
         return TrajectorySample(*(float(c[i]) for c in self.columns()))
-
-    def __iter__(self) -> abc.Iterator[TrajectorySample]:
-        for row in zip(*(c.tolist() for c in self.columns())):
-            yield TrajectorySample(*row)
 
 
 def trajectory(params: ParabolaParams, oc: OrbitConstants | OrbitElements,

@@ -585,9 +585,10 @@ def _verify_parabola(params: ParabolaParams, lams: Sequence[float],
     traj = analytic.trajectory(params, el, times)
     states = oracle.integrate_orbit(params, oc, el.T, reltol=1e-11, t_eval=times)
     _check(checks, "trajectory_vs_ode_radius",
-           (abs(s.r - st.r) / el.r_a for s, st in zip(traj, states)), 1e-6)
+           (abs(r - st.r) / el.r_a for r, st in zip(traj.r.tolist(), states)), 1e-6)
     _check(checks, "trajectory_vs_ode_angle",
-           (abs(s.theta - st.theta) / el.Theta for s, st in zip(traj, states)), 1e-6)
+           (abs(th - st.theta) / el.Theta for th, st in zip(traj.theta.tolist(), states)),
+           1e-6)
     if b != 0.0 and params.x_v > 0.0:
         th, im = analytic.angle_of_E_with_residual(el, np.linspace(0.0, math.pi, 41))
         _check(checks, "complex_branch_imaginary_residual",
@@ -627,6 +628,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     default_grid = "0.3:0.75:10" if generic is not None else "0.6:1.4:5"
     lams = _parse_grid(args.lambda_grid if args.lambda_grid is not None else default_grid)
     if generic is not None:
+        if args.bertrand:
+            raise InvalidParams("--bertrand applies only to parabola potentials")
         xi = args.xi if args.xi is not None else -0.4
         checks = _verify_generic(generic, xi, lams, tol)
     else:

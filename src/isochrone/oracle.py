@@ -19,11 +19,12 @@ r = r_p + (r_a - r_p) sin(u)^2, removes them, and one periodic midpoint rule
 on one node set sums all three (Trefethen & Weideman 2014), to one
 relative tolerance, 1e-11.  An orbit is one value, :class:`Orbit`, made by
 :func:`solve_orbit`: it holds the turning points and its three integrals,
-summed when it is solved.  :func:`solve_orbits` makes many orbits of one
-potential at once, the batch that ``solve_orbit`` is one of: they share one
-psi call on the turning-point scan, and one per group of midpoint-rule
-levels over the nodes of every orbit not yet settled, each orbit with the
-bits it has alone.
+summed when it is solved, each a QuadratureResult or the error that
+refuses it, raised when it is read.  :func:`solve_orbits` makes many orbits
+of one potential at once, the batch that ``solve_orbit`` is one of: they
+share one psi call on the turning-point scan, and one per group of
+midpoint-rule levels over the nodes of every orbit not yet settled, each
+orbit with the bits it has alone.
 Only the one-orbit wrappers (``turning_radii``, the three ``quad_*`` and
 ``integrate_orbit``) keep an orbit between calls: the last one asked for.
 
@@ -57,7 +58,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import _brent, potential as potmod
-from .analytic import OrbitConstants
+from .analytic import OrbitConstants, _power
 from .errors import (
     DomainExit,
     InvalidParams,
@@ -279,12 +280,13 @@ def _scan_grid(lo: float, hi: float) -> np.ndarray:
 def _solve_radii(p: RadialPotential, oc: OrbitConstants, grid: np.ndarray,
                  psi_grid: np.ndarray) -> tuple[float, float]:
     """(r_p, r_a) of one orbit, from the scan ``grid`` of ``p`` and psi on it."""
-    lam2 = oc.lam**2
+    lam2 = _power(oc.lam, 2, "Lambda")  # libm's pow: lam * lam may round apart
 
     def kin(r: float) -> float:
         return oc.xi - 0.5 * lam2 / (r * r) - p.psi(r)
 
-    vals = oc.xi - 0.5 * lam2 / (grid * grid) - psi_grid
+    with np.errstate(over="ignore"):  # an infinite centrifugal term: kin = -inf
+        vals = oc.xi - 0.5 * lam2 / (grid * grid) - psi_grid
     imax = int(np.argmax(vals))
     scan_nan = vals[imax] != vals[imax]  # argmax stops at the first NaN
     if scan_nan:
@@ -296,7 +298,7 @@ def _solve_radii(p: RadialPotential, oc: OrbitConstants, grid: np.ndarray,
     r_ref = float(_brent.fminbound(lambda r: -kin(r), bl, bh,
                                    xatol=1e-14 * grid[imax]))
     k_ref = kin(r_ref)
-    scale = max(abs(oc.xi), oc.lam**2, 1.0)
+    scale = max(abs(oc.xi), lam2, 1.0)
     if k_ref <= 0.0:
         # At most grazing contact: circular to round-off, or no orbit at all.
         if k_ref >= -1e-11 * scale:
@@ -372,35 +374,28 @@ class _Rule:
     With r = r_p + span sin(u)^2 and u = atan(c tan v), c = (r_p / r_a)^(1/4),
     each integrand is smooth, even and pi-periodic in v.  A part takes the
     first level of the midpoint rule in v that agrees with the one before to
-    _EPSREL, unless kin <= 0 at a node first.  The rule stays open until
-    every part settles, a level is refused or psi raises (``error``).
+    _EPSREL, unless kin <= 0 at a node first, which refuses each open part.
+    The rule stays open until no part is, or it is closed from outside.
     """
 
     def __init__(self, oc: OrbitConstants, r_p: float, r_a: float) -> None:
         self.oc, self.r_p, self.r_a = oc, r_p, r_a
         self.span = span = r_a - r_p
         c = (r_p / r_a) ** 0.25
-        # The orbit's scalars in _node_terms, each the Python float of one
-        # orbit alone: xi, Lambda^2 / 2, r_p, span, c and sqrt(2) pi c.
+        # The orbit's scalars in _node_terms: xi, Lambda^2 / 2, r_p, span, c
+        # and sqrt(2) pi c.
         self.consts = (oc.xi, 0.5 * (oc.lam * oc.lam), r_p, span, c,
                        _SQRT2 * math.pi * c)
-        self.out, self.prev, self.evaluations = [None] * 3, None, 0
-        self.reason = f"no two levels of the midpoint rule up to {_MAX_NODES} nodes agree"
-        self.error: Optional[Exception] = None
-        self.open = True
-
-    def near_circular(self, p: RadialPotential) -> None:
-        """The near-circular limit in place of the rule, where the span is
-        below _CIRCULAR_SPAN r_a and kin cancels to noise."""
-        self.open = False
-        self.out = list(_epicyclic(p, self.oc, 0.5 * (self.r_p + self.r_a)))
+        # Each part None while open, then a QuadratureResult or its refusal.
+        self.out, self.prev, self.evaluations, self.open = [None] * 3, None, 0, True
 
     def take(self, n: int, sums: Optional[Sequence[float]]) -> None:
         """Level n's sums of T, Theta and J, or None where kin <= 0 (or NaN)
         at one of its nodes, fed while the rule is open."""
         self.evaluations += n
         if sums is None:
-            self.reason = f"radial kinetic term <= 0 at a node of the {n}-point midpoint rule"
+            reason = f"radial kinetic term <= 0 at a node of the {n}-point midpoint rule"
+            self.out = [ToleranceNotMet(reason) if v is None else v for v in self.out]
             self.open = False
             return
         span, prev, out = self.span, self.prev, self.out
@@ -412,11 +407,6 @@ class _Rule:
                                               evaluations=self.evaluations)
         self.prev = values
         self.open = None in out
-
-    def result(self) -> Union[tuple, Exception]:
-        if self.error is not None:
-            return self.error
-        return tuple(self.reason if v is None else v for v in self.out)
 
 
 def _node_terms(p: RadialPotential, rules: Sequence[_Rule],
@@ -431,11 +421,7 @@ def _node_terms(p: RadialPotential, rules: Sequence[_Rule],
     divisions ignore the warnings it raises.
     """
     t, scaled = _group_nodes(levels)
-    # A column of each scalar, or one orbit's own floats: numpy broadcasts a
-    # float faster, to the same bits.
-    xi, half_lam2, r_p, span, c, k = (
-        rules[0].consts if len(rules) == 1
-        else np.array([rule.consts for rule in rules]).T[..., None])
+    xi, half_lam2, r_p, span, c, k = np.array([rule.consts for rule in rules]).T[..., None]
     ct = c * t
     ct2 = ct * ct
     cos2 = 1.0 / (1.0 + ct2)
@@ -474,13 +460,14 @@ def _levels(p: RadialPotential, rules: Sequence[_Rule],
         lo = hi
 
 
-def _orbit_integrals(p: RadialPotential, orbits: Sequence[tuple]) -> list:
+def _orbit_integrals(p: RadialPotential, orbits: Sequence[tuple]) -> list[tuple]:
     """(T, Theta, J) of each orbit (oc, r_p, r_a) of ``p`` in ``orbits``, in
-    order: each a QuadratureResult or the reason it is refused, or instead
-    the exception that psi or the near-circular limit raised for that orbit.
+    order: each part a QuadratureResult or the error that refuses it.  The
+    midpoint rule refuses a part with ToleranceNotMet; an error that psi or
+    the near-circular limit raises for an orbit refuses all three parts.
 
     A span below _CIRCULAR_SPAN r_a, where kin cancels to noise, takes the
-    near-circular limit, orbit by orbit.  The rest share the midpoint rule's
+    epicyclic limit, orbit by orbit.  The rest share the midpoint rule's
     groups of levels (_GROUPS): one psi call per group on the nodes of every
     orbit still open, so a psi may be called on the nodes of up to one group
     beyond the level an orbit returns.  A group whose psi call raises is
@@ -490,10 +477,11 @@ def _orbit_integrals(p: RadialPotential, orbits: Sequence[tuple]) -> list:
     rules = [_Rule(oc, r_p, r_a) for oc, r_p, r_a in orbits]
     for rule in rules:
         if rule.span <= _CIRCULAR_SPAN * rule.r_a:
+            rule.open = False
             try:
-                rule.near_circular(p)
-            except Exception as exc:  # the orbit's refusal, raised when read
-                rule.error = exc
+                rule.out = _epicyclic(p, rule.oc, 0.5 * (rule.r_p + rule.r_a))
+            except Exception as exc:  # the orbit's refusal
+                rule.out = [exc] * 3
     for group in _GROUPS:
         active = [rule for rule in rules if rule.open]
         if not active:
@@ -506,10 +494,12 @@ def _orbit_integrals(p: RadialPotential, orbits: Sequence[tuple]) -> list:
                     try:
                         _levels(p, [rule], (n,))
                     except Exception as exc:  # this orbit's refusal
-                        rule.error, rule.open = exc, False
+                        rule.out, rule.open = [exc] * 3, False
                     if not rule.open:
                         break
-    return [rule.result() for rule in rules]
+    reason = f"no two levels of the midpoint rule up to {_MAX_NODES} nodes agree"
+    return [tuple(ToleranceNotMet(reason) if v is None else v for v in rule.out)
+            for rule in rules]
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +625,9 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
     compensates).
 
     DomainExit when a step ends outside the open interval ``walls``;
-    StepSizeUnderflow when the step falls below 10 ulp of t, or after
-    _MAX_STEPS accepted steps without reaching the next output time.
+    StepSizeUnderflow when the first step estimate is 0 or a step falls
+    below 10 ulp of t, or after _MAX_STEPS accepted steps without reaching
+    the next output time.
     """
     force = p.dpsi if p.dpsi is not None else p.force_term
     lam2 = lam * lam
@@ -690,6 +681,8 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
     d0 = _rms([y / s for y, s in zip(y0, sc)])
     d1 = _rms([f / s for f, s in zip(f0, sc)])
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    if h0 == 0.0:
+        raise StepSizeUnderflow("ODE integration failed: the first step estimate is 0")
     r1, kr1 = r + h0 * kr0, v + h0 * kv0
     f1 = (kr1, lam2 / r1**3 - force(r1), lam / (r1 * r1))
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, sc)]) / h0
@@ -865,17 +858,17 @@ class Orbit:
     """One orbit of a potential, from :func:`solve_orbits` or :func:`solve_orbit`.
     Its three integrals are summed on one node set when it is solved, to a
     relative tolerance of 1e-11, together with those of the other orbits
-    solved in the same call.  Each part read raises ToleranceNotMet where the
-    midpoint rule refuses it, or the error that psi or the near-circular
-    limit raised for this orbit."""
+    solved in the same call.  Each is held as a QuadratureResult or the error
+    that refuses it, raised when it is read: ToleranceNotMet where the
+    midpoint rule refuses it, or the error psi or the near-circular limit
+    raised for this orbit."""
 
     pot: RadialPotential
     oc: OrbitConstants
     r_p: float
     r_a: float
-    # (T, Theta, J), each a QuadratureResult or the reason the midpoint rule
-    # refuses it, or the error that refuses all three.
-    integrals: Union[tuple, Exception] = field(repr=False)
+    # (T, Theta, J), each a QuadratureResult or the error that refuses it.
+    integrals: tuple[Union[QuadratureResult, Exception], ...] = field(repr=False)
 
     def radial_period(self) -> QuadratureResult:
         """T = sqrt(2) * integral dr / sqrt(xi - Lambda^2/2r^2 - psi) over [r_p, r_a]."""
@@ -890,11 +883,10 @@ class Orbit:
         return self._integral(2)
 
     def _integral(self, part: int) -> QuadratureResult:
-        if isinstance(self.integrals, Exception):
-            raise self.integrals
         result = self.integrals[part]
-        if isinstance(result, str):
-            raise ToleranceNotMet(result)
+        if isinstance(result, Exception):
+            # Without its last traceback, which each read would extend.
+            raise result.with_traceback(None)
         return result
 
     def integrate(self, t_end: float, reltol: float = 1e-10,
@@ -913,9 +905,9 @@ class Orbit:
         Raises InvalidParams unless t_end is finite and > 0, reltol is finite and
         at least 100 eps (DOP853's floor), and t_eval is non-empty, strictly
         increasing and inside [0, t_end]; DomainExit when a step ends within a
-        relative 1e-12 of a wall of ``r_bounds``; StepSizeUnderflow when the step
-        falls below 10 ulp of t, or after _MAX_STEPS accepted steps without
-        reaching the next output time.
+        relative 1e-12 of a wall of ``r_bounds``; StepSizeUnderflow when the first
+        step estimate is 0 or a step falls below 10 ulp of t, or after
+        _MAX_STEPS accepted steps without reaching the next output time.
         """
         t_end = float(t_end)
         if not 0.0 < t_end < math.inf:
@@ -962,7 +954,8 @@ def solve_orbits(pot: PotentialLike,
     call per group of levels over the nodes of every orbit still open.  A
     NaN of psi met inside the orbit, by the scan or a root finder, or at
     every scanned point is OutOfDomain; the scan's NaNs outside the orbit
-    are passed over.  A crossing that does not converge is ToleranceNotMet.
+    are passed over.  A crossing that does not converge is ToleranceNotMet,
+    and a Lambda^2 that overflows float64 InvalidParams.
     """
     p = as_potential(pot)
     grid = _scan_grid(*_search_window(p))
@@ -986,13 +979,11 @@ def solve_orbit(pot: PotentialLike, oc: OrbitConstants) -> Orbit:
     """The one orbit of :func:`solve_orbits`, or the error it is refused with.
     Each call solves afresh; the integrals and the ODE of the returned orbit
     share its turning points."""
-    (orbit,) = solve_orbits(pot, [oc])
-    if isinstance(orbit, Orbit):
-        return orbit
-    try:
-        raise orbit
-    finally:
-        del orbit  # else the refusal's traceback holds this frame, which holds it
+    orbits = solve_orbits(pot, [oc])
+    if isinstance(orbits[0], Orbit):
+        return orbits[0]
+    # Popped, so that no local of the frame its traceback holds keeps it.
+    raise orbits.pop()
 
 
 # The one-orbit wrappers' memo, keyed on the caller's (pot, oc): a parabola by

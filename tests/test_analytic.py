@@ -323,6 +323,41 @@ def test_tiny_lambda_gives_a_finite_value_or_a_typed_refusal():
     assert returned and refused
 
 
+# Calls that leaked an error or returned infinities, each found by a random
+# sweep over xi and Lambda: as (call, params, oc).
+SWEPT_LEAKS = {
+    # 8 b (a + b xi)^2 underflowed to 0: ZeroDivisionError.
+    "apoapsis-underflow": (orbit_elements, apply_gauge(from_kepler(1.0), GaugeTerm(0.0, -0.1)),
+                           OrbitConstants(-5.2380807688976344e-163, 3.089576180087571e76)),
+    # The discriminant overflowed: (0.0, inf), and x_a = inf with ecc = 1.
+    "harmonic-turning-points": (turning_points, ParabolaParams(-1, 0, -1.2, -4, -0.4),
+                                OrbitConstants(2.8398329074921703e220, 14.85674566739683)),
+    "harmonic-elements": (orbit_elements, apply_gauge(from_harmonic(2), GaugeTerm(0.1, 0.0)),
+                          OrbitConstants(6.42158622329883e284, 0.0986153202950307)),
+    # Lambda**2 raised OverflowError.
+    "oracle-lambda-squared": (
+        lambda params, oc: (lambda o: (o.r_p, o.r_a))(oracle.solve_orbit(params, oc)),
+        apply_gauge(from_kepler(1.0), GaugeTerm(-0.3, 0.2)),
+        OrbitConstants(-0.00323543417304344, 7.328986571265788e166)),
+    # The scan's centrifugal term overflowed with a RuntimeWarning, then the
+    # ODE's first step estimate was 0: ZeroDivisionError.
+    "oracle-first-step": (
+        lambda params, oc: oracle.solve_orbit(params, oc).integrate(1.0),
+        apply_gauge(from_kepler(1.0), GaugeTerm(-0.3, -0.1)),
+        OrbitConstants(-6.508445844784934e23, 1.0729424612228959e153)),
+}
+
+
+@pytest.mark.parametrize("case", SWEPT_LEAKS)
+def test_swept_edges_give_a_finite_value_or_a_typed_refusal(case):
+    call, params, oc = SWEPT_LEAKS[case]
+    try:
+        value = call(params, oc)
+    except IsochroneError:
+        return
+    assert _all_finite(value), value
+
+
 _KEPLER, _HARMONIC = from_kepler(1.0), from_harmonic(2.0)
 # Calls whose powers leaked OverflowError: Lambda^4 and Lambda^2, the cube of
 # 2 b J + R in the frequencies, and T^3 in the period route (T about 1e136).
@@ -548,9 +583,9 @@ def test_solve_kepler_rejects_bad_ecc():
         solve_kepler(-0.1, 0.5)
 
 
-def test_solve_kepler_tol_is_a_check():
+def test_solve_kepler_tol_is_a_check(monkeypatch):
     # The residual is taken on the anomaly reduced to [-pi, pi], so a large
-    # mean anomaly meets the default tolerance.
+    # mean anomaly meets the tolerance.
     e_val = solve_kepler(0.5, 1e6)
     assert abs(e_val - 0.5 * math.sin(e_val) - 1e6) <= 1e-9
     # Just below 2^33 the ulp of M is within PHASE_TOL, and |E - M| <= ecc.
@@ -558,8 +593,9 @@ def test_solve_kepler_tol_is_a_check():
     assert math.ulp(m_big) <= analytic.PHASE_TOL
     assert abs(solve_kepler(0.5, m_big) - m_big) <= 0.5 + math.ulp(m_big)
     anomalies = np.linspace(0.1, 3.0, 50)
+    monkeypatch.setattr(analytic, "KEPLER_TOL", 1e-300)
     with pytest.raises(ToleranceNotMet):
-        solve_kepler(0.6, anomalies, tol=1e-300)
+        solve_kepler(0.6, anomalies)
 
 
 @pytest.mark.parametrize("anomaly", [1e17, -1e17, 1.7e308, 2.0**33])

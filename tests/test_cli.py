@@ -501,6 +501,13 @@ def test_gauge_rejected_for_generic(capsys):
     assert code == 2
 
 
+def test_bertrand_rejected_for_generic(capsys):
+    # Its check needs a parabola; a generic potential's report would drop it.
+    code, out, err = run_cli(["verify", "--plummer", "b=1", "--bertrand"], capsys)
+    assert (code, out) == (2, "")
+    assert "InvalidParams" in err and "--bertrand" in err
+
+
 def test_elements_json_format(capsys):
     code, out, _ = run_cli(
         ["elements", "--kepler", "mu=1", "--xi", "-0.5", "--lambda", "0.8",
