@@ -447,6 +447,15 @@ def orbit_elements(params: ParabolaParams, oc: OrbitConstants) -> OrbitElements:
 _SIN_TAIL = [(-1) ** k / math.factorial(2 * k + 3) for k in range(8)]
 
 
+def _sin_tail(x2: np.ndarray) -> np.ndarray:
+    """The series of _SIN_TAIL at E^2 = x2, by the recurrence of numpy's
+    polyval, bit for bit, without importing numpy.polynomial."""
+    acc = _SIN_TAIL[-1] + x2 * 0
+    for c in _SIN_TAIL[-2::-1]:
+        acc = c + acc * x2
+    return acc
+
+
 def _reduce(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(m, k) with m = M - k 2 pi in (-pi, pi] and k whole; the difference is
     exact (Sterbenz), so m + k * TWO_PI gives M back.  InvalidParams where M
@@ -483,7 +492,7 @@ def _kepler(ecc: float, M: np.ndarray) -> np.ndarray:
     w = np.cbrt(np.abs(r) + np.sqrt(q * q * q + r * r)) ** 2
     e1 = (2.0 * r * w / (w * w + w * q + q * q) + m) / d
     f2, f3 = ecc * np.sin(e1), ecc * np.cos(e1)
-    tail = e1**3 * np.polynomial.polynomial.polyval(e1 * e1, _SIN_TAIL)
+    tail = e1**3 * _sin_tail(e1 * e1)
     f0 = np.where(np.abs(e1) < 1.0, (1.0 - ecc) * e1 + ecc * tail, e1 - f2) - m
     f1 = 1.0 - f3
     d3 = -f0 / (f1 - 0.5 * f0 * f2 / f1)

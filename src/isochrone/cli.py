@@ -557,6 +557,9 @@ def _verify_parabola(params: ParabolaParams, lams: Sequence[float],
     if len(adm) >= 2:
         _check(checks, "isochrony_spread",
                [oracle.isochrony_spread(params, xi_fix, adm)], tol)
+    else:  # the report has no isochrony_spread record
+        log.debug("isochrony_spread skipped: %d admissible Lambda at xi_fix = %s",
+                  len(adm), fmt(xi_fix))
 
     # Birkhoff route equality and the theorem residuals.
     routes = [(birkhoff.invariants_from_potential(params, lam),

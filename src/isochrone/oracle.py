@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -220,9 +221,12 @@ def as_potential(obj: PotentialLike) -> RadialPotential:
     if isinstance(obj, RadialPotential):
         return obj
     if isinstance(obj, ParabolaParams):
+        # Bound as methods of the parabola, so that a call of the force from
+        # the ODE's step loop runs one Python frame: a lambda costs a second
+        # frame, and a partial a call through C that costs about as much.
         return RadialPotential(
-            psi=lambda r: potmod.psi_value(obj, r),
-            dpsi=lambda r: potmod.psi_derivative(obj, r),
+            psi=types.MethodType(potmod.psi_value, obj),
+            dpsi=types.MethodType(potmod.psi_derivative, obj),
             r_bounds=potmod.radial_domain(obj),
             name="parabola",
         )
@@ -690,19 +694,30 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
           else (0.01 / max(d1, d2)) ** (1.0 / 8.0))
     h_abs = min(100.0 * h0, h1, t_end)
 
+    # The step controller calls no builtin: a comparison stands for each
+    # min, max and abs, and returns what the builtin returns, on a tie or a
+    # NaN too: the first operand of min (max) unless the second is smaller
+    # (larger), and |y| as y or 0.0 - y (+0.0 at y = -0.0).  |y| of the
+    # accepted state is kept for the next step's error scale.
+    n_eval = len(t_eval)
+    wall_lo, wall_hi = walls
+    ar, av, at = r if r > 0.0 else 0.0 - r, 0.0, 0.0  # |r|, |v|, |theta|
     out: list[tuple[float, float, float]] = []
     done = steps = 0
-    while done < len(t_eval):
+    while done < n_eval:
         min_step = 10.0 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
+        if min_step > h_abs:
+            h_abs = min_step
         rejected = False
         while True:
             if h_abs < min_step:
                 raise StepSizeUnderflow(
                     f"ODE integration failed: step {h_abs:g} below 10 ulp of "
                     f"t = {t:.10g}")
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
+            t_new = t + h_abs
+            if t_end < t_new:
+                t_new = t_end
+            h = t_new - t  # > 0: every t_eval lies in [0, t_end]
             # Theta feeds no stage, and the weights of stages 1 .. 4 are zero:
             # their theta derivatives go unused.
             r1 = r + (0.0 + a1_0 * kr0) * h
@@ -779,27 +794,35 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
             kr12 = v_new
             kv12 = lam2 / r_new**3 - force(r_new)
             kt12 = lam / (r_new * r_new)
-            sc_r = atol + max(abs(r), abs(r_new)) * rtol
-            sc_v = atol + max(abs(v), abs(v_new)) * rtol
-            sc_t = atol + max(abs(th), abs(th_new)) * rtol
+            anr = r_new if r_new > 0.0 else 0.0 - r_new
+            anv = v_new if v_new > 0.0 else 0.0 - v_new
+            ant = th_new if th_new > 0.0 else 0.0 - th_new
+            sc_r = atol + (anr if anr > ar else ar) * rtol
+            sc_v = atol + (anv if anv > av else av) * rtol
+            sc_t = atol + (ant if ant > at else at) * rtol
             e5n = (e5r / sc_r) ** 2 + (e5v / sc_v) ** 2 + (e5t / sc_t) ** 2
             e3n = (e3r / sc_r) ** 2 + (e3v / sc_v) ** 2 + (e3t / sc_t) ** 2
-            error = (abs(h) * e5n / math.sqrt((e5n + 0.01 * e3n) * 3.0)
+            error = (h * e5n / math.sqrt((e5n + 0.01 * e3n) * 3.0)
                      if e5n or e3n else 0.0)
             if error < 1.0:
                 factor = (_MAX_FACTOR if error == 0.0
-                          else min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT))
-                h_abs *= min(1.0, factor) if rejected else factor
+                          else _SAFETY * error ** _EXPONENT)
+                if not factor < _MAX_FACTOR:
+                    factor = _MAX_FACTOR
+                if rejected and not factor < 1.0:
+                    factor = 1.0
+                h_abs *= factor
                 break
-            # Also for a NaN error: max keeps _MIN_FACTOR.
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
+            # Also for a NaN error: the factor is then _MIN_FACTOR.
+            factor = _SAFETY * error ** _EXPONENT
+            h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             rejected = True
 
-        if not walls[0] < r_new < walls[1]:
+        if not wall_lo < r_new < wall_hi:
             raise DomainExit(f"trajectory reached the domain boundary at t = {t_new:g}")
         steps += 1
         reached = done
-        while reached < len(t_eval) and t_eval[reached] <= t_new:
+        while reached < n_eval and t_eval[reached] <= t_new:
             reached += 1
         if reached > done:
             r13 = r + (0.0 + a13_0 * kr0 + a13_6 * kr6 + a13_7 * kr7 + a13_8 * kr8
@@ -845,6 +868,7 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
                 f"{steps} steps to t = {t_new:.10g} without reaching the "
                 f"output time {t_eval[done]:.10g}")
         t, r, v, th = t_new, r_new, v_new, th_new
+        ar, av, at = anr, anv, ant
         kr0, kv0, kt0 = kr12, kv12, kt12
     return out
 

@@ -181,8 +181,9 @@ def radial_domain(params: ParabolaParams) -> tuple[float, float]:
 
 
 # y_value holds the domain check and the branch formula for floats and
-# arrays (psi_value is y_value / x); psi_derivative evaluates the branch in
-# its own frame, with W and sqrt(W) once: the oracle's innermost calls.
+# arrays (psi_value is y_value / x); psi_derivative evaluates both branches,
+# harmonic and square-root, in its own frame, with W and sqrt(W) once: the
+# oracle's innermost calls.
 
 
 def _out_of_domain(params: ParabolaParams, x: float) -> OutOfDomain:
@@ -321,11 +322,15 @@ def psi_derivative(params: ParabolaParams, r: float) -> float:
     xx = x * x
     if xx > _FLOAT_MAX:  # above r ~ 8e76
         raise OutOfDomain(f"psi_derivative: (2 r^2)^2 overflows at r = {r:g}")
-    if params.b == 0.0:
-        y = y_value(params, x)
-        yp = y_derivatives(params, x, 1)[0]
-    elif x < params._xlo or x > params._xhi:
+    if x < params._xlo or x > params._xhi:
         raise _out_of_domain(params, x)
+    if params.b == 0.0:
+        y = params._a1 * x + params._a0 + params._a2 * x * x
+        if y - y != 0.0:  # not finite, as y_value refuses it
+            raise OutOfDomain(f"Y is not finite at x = {x:g}")
+        yp = params._a1 + 2.0 * params._a2 * x
+        if yp - yp != 0.0:
+            raise _overflow(x)
     else:
         w = params._bdelta * (x - params._x_v)
         if w <= 0.0:

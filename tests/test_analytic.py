@@ -606,6 +606,28 @@ def test_solve_kepler_refuses_an_anomaly_beyond_the_phase_tolerance(anomaly):
         solve_kepler(0.5, anomaly)
 
 
+def test_sin_tail_is_numpys_polyval_bit_for_bit(monkeypatch):
+    # _kepler sums the series of E - sin E by polyval's own recurrence, so
+    # that no command imports numpy.polynomial; the bits are polyval's.
+    polyval = np.polynomial.polynomial.polyval
+    rng = np.random.default_rng(1995)
+    tiny = np.finfo(float).smallest_subnormal
+    e1 = np.concatenate([
+        [0.0, -0.0, tiny, -tiny, 1e-310, -2e-308,  # subnormal E
+         1e-160, -3e-157, 1.4e-154],  # subnormal E^2
+        np.linspace(-1.0, 1.0, 2001)[1:-1], rng.uniform(-1.0, 1.0, 100_000)])
+    for x2 in (e1 * e1, e1[:1] * e1[:1], np.float64(0.25)):
+        assert (analytic._sin_tail(x2).tobytes()
+                == polyval(x2, analytic._SIN_TAIL).tobytes())
+    # The solver on 1e5 seeded anomalies, and again with polyval in its place.
+    anomalies = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 100_000)
+    eccs = (0.3, 0.9, 0.999999, -0.99)
+    got = [analytic._kepler(ecc, anomalies).tobytes() for ecc in eccs]
+    monkeypatch.setattr(analytic, "_sin_tail",
+                        lambda x2: polyval(x2, analytic._SIN_TAIL))
+    assert got == [analytic._kepler(ecc, anomalies).tobytes() for ecc in eccs]
+
+
 def test_trajectory_refuses_times_beyond_the_phase_tolerance(kepler):
     el = orbit_elements(kepler, GOLDEN)
     for late in (1e17 * el.T, 1.7e308):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -436,6 +437,8 @@ def test_verify_byte_determinism(tmp_path):
 # loaded already.
 _NO_SCIPY_CHILD = """
 import sys
+import numpy as np
+eager = "numpy.polynomial" in sys.modules  # loaded with numpy itself
 import isochrone, isochrone.cli
 from isochrone.cli import main
 tables = isochrone._g17._tables.cache_info
@@ -452,10 +455,12 @@ for argv in (
          "--samples", "40", "--format", "json", "-o", out + "/orbit.json"]):
     assert main(argv) == 0, argv
 assert "scipy" not in sys.modules, "an analytic command loaded scipy"
+assert eager or "numpy.polynomial" not in sys.modules, "orbit loaded numpy.polynomial"
 assert tables().currsize == 1
 assert main(["verify", "--kepler", "mu=1", "-o", out + "/verify.json"]) == 0
 assert main(["verify", "--plummer", "b=1", "-o", out + "/plummer.json"]) == 1
 assert "scipy" not in sys.modules, "verify loaded scipy"
+assert eager or "numpy.polynomial" not in sys.modules, "verify loaded numpy.polynomial"
 """
 
 
@@ -544,6 +549,25 @@ def test_log_level_env_var(capsys, monkeypatch):
     code, out, _ = run_cli(["classify", "--kepler", "mu=1"], capsys)
     assert code == 0
     assert out.startswith("Henon")
+
+
+def test_verify_logs_the_isochrony_check_it_skips(tmp_path, capsys, caplog):
+    # At the bounded battery's xi_fix only Lambda = 1.0 of the default grid
+    # has a bound orbit, so the report has no isochrony_spread record: the
+    # debug log says why, and the report and streams are those of a quiet run.
+    argv = ["verify", "--bounded", "mu=1,beta=1", "--bertrand", "-o"]
+    assert main(argv + [str(tmp_path / "quiet.json")]) == 0
+    quiet = capsys.readouterr()
+    caplog.set_level(logging.DEBUG, logger="isochrone")
+    assert main(argv + [str(tmp_path / "debug.json")]) == 0
+    assert capsys.readouterr() == quiet
+    assert (tmp_path / "debug.json").read_bytes() == (tmp_path / "quiet.json").read_bytes()
+    report = json.loads((tmp_path / "debug.json").read_text())
+    assert "isochrony_spread" not in [c["name"] for c in report["checks"]]
+    skipped = [r.getMessage() for r in caplog.records if "isochrony_spread" in r.getMessage()]
+    assert skipped == ["isochrony_spread skipped: 1 admissible Lambda at xi_fix = "
+                       + cli.fmt(analytic.feasible_energy(potential.from_bounded(1.0, 1.0),
+                                                          1.0, 0.5))]
 
 
 @pytest.mark.parametrize("argv, token", [

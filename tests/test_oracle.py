@@ -1057,3 +1057,25 @@ def test_a_wall_inside_the_orbit_raises_domain_exit(r_bounds):
     walled = RadialPotential(psi=plummer.psi, dpsi=plummer.dpsi, r_bounds=r_bounds)
     with pytest.raises(DomainExit):
         dataclasses.replace(orbit, pot=walled).integrate(10.0)
+
+
+def test_a_nan_force_shrinks_the_step_to_underflow():
+    # A NaN error rejects the step and shrinks it by the smallest factor, 0.2,
+    # until it falls below 10 ulp of t.  A controller whose factor came out
+    # NaN would loop forever; the guard turns that into a failure.
+    plummer = plummer_potential()
+    calls = []
+
+    def dpsi(r):
+        calls.append(r)
+        if len(calls) > 10_000:
+            raise RuntimeError("the step controller does not give up on a NaN force")
+        return math.nan if 1.0 < r < 1.01 else plummer.dpsi(r)
+
+    poisoned = RadialPotential(psi=plummer.psi, dpsi=dpsi)
+    with pytest.raises(StepSizeUnderflow, match="below 10 ulp") as info:
+        integrate_orbit(poisoned, OrbitConstants(-0.4, 0.5), 10.0, reltol=1e-11,
+                        t_eval=[10.0])
+    assert len(calls) == 974
+    t = float(re.search(r"t = (\S+)$", str(info.value)).group(1))
+    assert t == pytest.approx(1.0528685, abs=1e-7)

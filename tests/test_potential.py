@@ -410,6 +410,24 @@ def test_psi_derivative_is_the_chain_rule_bit_for_bit(family, gauged):
             psi_derivative(params, r_v)
         with pytest.raises(OutOfDomain):
             psi_derivative(params, 2.0 * r_v if family == "bounded" else 0.5 * r_v)
+    if family == "harmonic":
+        # Y = 4 x^2 overflows before (2 r^2)^2 does, at r = 7e76 and 8.1e76;
+        # at 8.3e76 (2 r^2)^2 overflows first.  The refusals are those of
+        # y_value and of the x^2 check, message and all.
+        steep = from_harmonic(8.0)
+        if gauged:
+            steep = apply_gauge(steep, GaugeTerm(0.1, 0.2))
+        for r in (7e76, 8.1e76):
+            with pytest.raises(OutOfDomain) as composed:
+                y_value(steep, 2.0 * r * r)
+            assert str(composed.value).startswith("Y is not finite at x = ")
+            with pytest.raises(OutOfDomain) as inline:
+                psi_derivative(steep, r)
+            assert type(inline.value) is type(composed.value), r
+            assert str(inline.value) == str(composed.value), r
+        with pytest.raises(OutOfDomain,
+                           match=r"^psi_derivative: \(2 r\^2\)\^2 overflows at r = 8.3e\+76$"):
+            psi_derivative(steep, 8.3e76)
 
 
 def test_underflowing_radius_is_out_of_domain(kepler, henon):
