@@ -26,20 +26,18 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
     """The root of f on [a, b] by Brent's method, line for line scipy's C
     ``brentq`` (zeros/brentq.c): the same iterates, calls and root.
 
-    OutOfDomain when a value is NaN, checked after each call;
-    NoBoundOrbit when f(a) and f(b) have one sign; ToleranceNotMet when
-    ``maxiter`` iterations do not converge.
+    OutOfDomain when a value is NaN, checked after each call (a NaN is the
+    one float unequal to itself); NoBoundOrbit when f(a) and f(b) have one
+    sign; ToleranceNotMet when ``maxiter`` iterations do not converge.
     """
-    def call(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise OutOfDomain(f"the function value at x={x} is NaN")
-        return fx
-
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
+    fpre = float(f(xpre))
+    if fpre != fpre:
+        raise OutOfDomain(f"the function value at x={xpre} is NaN")
+    fcur = float(f(xcur))
+    if fcur != fcur:
+        raise OutOfDomain(f"the function value at x={xcur} is NaN")
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -80,7 +78,9 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise OutOfDomain(f"the function value at x={xcur} is NaN")
     raise ToleranceNotMet(
         f"Brent's method did not converge in {maxiter} iterations (at x={xcur!r})")
 

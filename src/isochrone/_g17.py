@@ -95,11 +95,10 @@ def _format_cells(v: np.ndarray, seps: np.ndarray) -> bytes:
     a = np.abs(v)
     ok = (a >= 1.0 / _LIMIT) & (a <= _LIMIT)  # False for 0, nan, inf, subnormals
     a = np.where(ok, a, 1.0)                  # so no lane can warn or overflow
-    k = np.floor(np.log10(a)).astype(np.int64)
-    # log10 may be one off next to a power of ten; 10^k <= a < 10^(k+1) exactly.
-    i = k + _Q0
-    k -= a < ceil10[i]
-    k += a >= ceil10[i + 1]
+    # floor(e log10(2)) of the binary exponent e, exact for |e| < 1100, is k
+    # or k - 1: the one compare makes 10^k <= a < 10^(k+1) exactly.
+    k = ((a.view(np.int64) >> 52) - 1023) * 78913 >> 18
+    k += a >= ceil10[k + (_Q0 + 1)]
 
     # y = a 10^(16 - k) = p + t, to within 2^-47; p is a whole number.
     i = (16 + _Q0) - k
@@ -143,10 +142,12 @@ def _format_cells(v: np.ndarray, seps: np.ndarray) -> bytes:
     row = k + _Q0
     fs = frac_start[row]
     cut = np.maximum(fs, end + np.uint8(1))
-    body = np.zeros((18, len(v)), np.uint8)
+    n = len(v)
+    body = np.zeros((18, n), np.uint8)
     np.multiply(digits, slot[:17] < fs, out=body[:17])
     body[1:] += digits * ((slot[1:] > fs) & (slot[1:] <= cut))
-    body += (point[row] * (cut > fs)) * (slot == fs)
+    # Slot fs is still 0: the point goes there by one scatter.
+    body.ravel()[fs.astype(np.intp) * n + np.arange(n)] = point[row] * (cut > fs)
 
     out = np.take(template, row, axis=0)
     out[:, 0] = v < 0.0
@@ -157,8 +158,7 @@ def _format_cells(v: np.ndarray, seps: np.ndarray) -> bytes:
         out[j, :-1] = _PAD
         out[j, :len(text)] = np.frombuffer(text, np.uint8)
     out[:, -1] = seps
-    flat = out.ravel()
-    return flat[flat != _PAD].tobytes()
+    return out.tobytes().translate(None, b"\0")
 
 
 def csv_rows(columns: Sequence[np.ndarray]) -> Iterator[bytes]:

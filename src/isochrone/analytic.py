@@ -492,8 +492,13 @@ def _kepler(ecc: float, M: np.ndarray) -> np.ndarray:
     w = np.cbrt(np.abs(r) + np.sqrt(q * q * q + r * r)) ** 2
     e1 = (2.0 * r * w / (w * w + w * q + q * q) + m) / d
     f2, f3 = ecc * np.sin(e1), ecc * np.cos(e1)
-    tail = e1**3 * _sin_tail(e1 * e1)
-    f0 = np.where(np.abs(e1) < 1.0, (1.0 - ecc) * e1 + ecc * tail, e1 - f2) - m
+    # The series only on the lanes |e1| < 1 that take it: each lane has the
+    # bits of np.where over all of them, with fewer of numpy's slow pow calls.
+    f0 = e1 - f2
+    series = np.abs(e1) < 1.0
+    e_s = e1[series]
+    f0[series] = (1.0 - ecc) * e_s + ecc * (e_s**3 * _sin_tail(e_s * e_s))
+    f0 -= m
     f1 = 1.0 - f3
     d3 = -f0 / (f1 - 0.5 * f0 * f2 / f1)
     d4 = -f0 / (f1 + 0.5 * d3 * f2 + d3 * d3 * f3 / 6.0)

@@ -26,7 +26,8 @@ share one psi call on the turning-point scan, and one per group of
 midpoint-rule levels over the nodes of every orbit not yet settled, each
 orbit with the bits it has alone.
 Only the one-orbit wrappers (``turning_radii``, the three ``quad_*`` and
-``integrate_orbit``) keep an orbit between calls: the last one asked for.
+``integrate_orbit``) keep an orbit between calls: the last one asked for,
+or the error that refuses it.
 
 Every numerical derivative, here and in the Birkhoff checks, is a call of
 the one difference routine, :func:`difference`, with a rule from its table:
@@ -54,7 +55,7 @@ import functools
 import math
 import types
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -130,8 +131,7 @@ class QuadratureResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class OdeState:
+class OdeState(NamedTuple):
     """One integrated sample with its energy drift, relative to the initial
     energy; Lambda is an exact parameter of the reduced system."""
 
@@ -284,13 +284,17 @@ def _scan_grid(lo: float, hi: float) -> np.ndarray:
 def _solve_radii(p: RadialPotential, oc: OrbitConstants, grid: np.ndarray,
                  psi_grid: np.ndarray) -> tuple[float, float]:
     """(r_p, r_a) of one orbit, from the scan ``grid`` of ``p`` and psi on it."""
+    xi, psi = oc.xi, p.psi
     lam2 = _power(oc.lam, 2, "Lambda")  # libm's pow: lam * lam may round apart
 
     def kin(r: float) -> float:
-        return oc.xi - 0.5 * lam2 / (r * r) - p.psi(r)
+        return xi - 0.5 * lam2 / (r * r) - psi(r)
+
+    def neg_kin(r: float) -> float:  # -kin(r) in one frame, for the minimiser
+        return -(xi - 0.5 * lam2 / (r * r) - psi(r))
 
     with np.errstate(over="ignore"):  # an infinite centrifugal term: kin = -inf
-        vals = oc.xi - 0.5 * lam2 / (grid * grid) - psi_grid
+        vals = xi - 0.5 * lam2 / (grid * grid) - psi_grid
     imax = int(np.argmax(vals))
     scan_nan = vals[imax] != vals[imax]  # argmax stops at the first NaN
     if scan_nan:
@@ -299,10 +303,9 @@ def _solve_radii(p: RadialPotential, oc: OrbitConstants, grid: np.ndarray,
         imax = int(np.nanargmax(vals))
     bl = grid[max(imax - 1, 0)]
     bh = grid[min(imax + 1, len(grid) - 1)]
-    r_ref = float(_brent.fminbound(lambda r: -kin(r), bl, bh,
-                                   xatol=1e-14 * grid[imax]))
+    r_ref = float(_brent.fminbound(neg_kin, bl, bh, xatol=1e-14 * grid[imax]))
     k_ref = kin(r_ref)
-    scale = max(abs(oc.xi), lam2, 1.0)
+    scale = max(abs(xi), lam2, 1.0)
     if k_ref <= 0.0:
         # At most grazing contact: circular to round-off, or no orbit at all.
         if k_ref >= -1e-11 * scale:
@@ -624,9 +627,17 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
     (HNW II.4), controller, error norm and dense output, built only on the
     steps that reach an output time, as ``solve_ivp`` does.  Each stage is
     written out, as in dop853.f, on the equations of motion: its weighted sums
-    run left to right over ascending stages from 0.0, so the bits depend
-    neither on the BLAS library nor on the Python version (3.12's ``sum``
-    compensates).
+    run left to right over ascending stages, so the bits depend neither on the
+    BLAS library nor on the Python version (3.12's ``sum`` compensates).
+
+    Each sum starts at its first product, not at scipy's 0.0.  The two
+    differ only in the sign of a zero sum, -0.0 where scipy has +0.0, and
+    under + and * a zero's sign moves only the sign of a zero result.  Each
+    sum is squared in the error norm, or scaled by h > 0 and added to r,
+    rdot or theta, directly or through the dense output's Horner rule; and
+    none of these is ever -0.0: r stays inside walls >= 0, and rdot and
+    theta start at +0.0, which a sum in round-to-nearest turns into -0.0
+    only if both terms are -0.0.  So every state keeps scipy's bits.
 
     DomainExit when a step ends outside the open interval ``walls``;
     StepSizeUnderflow when the first step estimate is 0 or a step falls
@@ -655,21 +666,20 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
     def poly(h: float, y: float, y_new: float, k0: float, k5: float, k6: float,
              k7: float, k8: float, k9: float, k10: float, k11: float, k12: float,
              k13: float, k14: float, k15: float) -> tuple:
-        """y and the coefficients of one component's dense output, a
-        polynomial in x and 1 - x by turns: Horner's rule on h D K, highest
-        row first, then 2 dy - h (f + f_old), h f_old - dy and dy."""
+        """The coefficients of one component's dense output, a polynomial in
+        x and 1 - x by turns: Horner's rule on h D K, highest row first, then
+        2 dy - h (f + f_old), h f_old - dy and dy."""
         dy = y_new - y
-        return (y,
-                h * (0.0 + d3_0 * k0 + d3_5 * k5 + d3_6 * k6 + d3_7 * k7 + d3_8 * k8
+        return (h * (d3_0 * k0 + d3_5 * k5 + d3_6 * k6 + d3_7 * k7 + d3_8 * k8
                      + d3_9 * k9 + d3_10 * k10 + d3_11 * k11 + d3_12 * k12
                      + d3_13 * k13 + d3_14 * k14 + d3_15 * k15),
-                h * (0.0 + d2_0 * k0 + d2_5 * k5 + d2_6 * k6 + d2_7 * k7 + d2_8 * k8
+                h * (d2_0 * k0 + d2_5 * k5 + d2_6 * k6 + d2_7 * k7 + d2_8 * k8
                      + d2_9 * k9 + d2_10 * k10 + d2_11 * k11 + d2_12 * k12
                      + d2_13 * k13 + d2_14 * k14 + d2_15 * k15),
-                h * (0.0 + d1_0 * k0 + d1_5 * k5 + d1_6 * k6 + d1_7 * k7 + d1_8 * k8
+                h * (d1_0 * k0 + d1_5 * k5 + d1_6 * k6 + d1_7 * k7 + d1_8 * k8
                      + d1_9 * k9 + d1_10 * k10 + d1_11 * k11 + d1_12 * k12
                      + d1_13 * k13 + d1_14 * k14 + d1_15 * k15),
-                h * (0.0 + d0_0 * k0 + d0_5 * k5 + d0_6 * k6 + d0_7 * k7 + d0_8 * k8
+                h * (d0_0 * k0 + d0_5 * k5 + d0_6 * k6 + d0_7 * k7 + d0_8 * k8
                      + d0_9 * k9 + d0_10 * k10 + d0_11 * k11 + d0_12 * k12
                      + d0_13 * k13 + d0_14 * k14 + d0_15 * k15),
                 2.0 * dy - h * (k12 + k0), h * k0 - dy, dy)
@@ -720,75 +730,75 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
             h = t_new - t  # > 0: every t_eval lies in [0, t_end]
             # Theta feeds no stage, and the weights of stages 1 .. 4 are zero:
             # their theta derivatives go unused.
-            r1 = r + (0.0 + a1_0 * kr0) * h
-            kr1 = v + (0.0 + a1_0 * kv0) * h
+            r1 = r + a1_0 * kr0 * h
+            kr1 = v + a1_0 * kv0 * h
             kv1 = lam2 / r1**3 - force(r1)
-            r2 = r + (0.0 + a2_0 * kr0 + a2_1 * kr1) * h
-            kr2 = v + (0.0 + a2_0 * kv0 + a2_1 * kv1) * h
+            r2 = r + (a2_0 * kr0 + a2_1 * kr1) * h
+            kr2 = v + (a2_0 * kv0 + a2_1 * kv1) * h
             kv2 = lam2 / r2**3 - force(r2)
-            r3 = r + (0.0 + a3_0 * kr0 + a3_2 * kr2) * h
-            kr3 = v + (0.0 + a3_0 * kv0 + a3_2 * kv2) * h
+            r3 = r + (a3_0 * kr0 + a3_2 * kr2) * h
+            kr3 = v + (a3_0 * kv0 + a3_2 * kv2) * h
             kv3 = lam2 / r3**3 - force(r3)
-            r4 = r + (0.0 + a4_0 * kr0 + a4_2 * kr2 + a4_3 * kr3) * h
-            kr4 = v + (0.0 + a4_0 * kv0 + a4_2 * kv2 + a4_3 * kv3) * h
+            r4 = r + (a4_0 * kr0 + a4_2 * kr2 + a4_3 * kr3) * h
+            kr4 = v + (a4_0 * kv0 + a4_2 * kv2 + a4_3 * kv3) * h
             kv4 = lam2 / r4**3 - force(r4)
-            r5 = r + (0.0 + a5_0 * kr0 + a5_3 * kr3 + a5_4 * kr4) * h
-            kr5 = v + (0.0 + a5_0 * kv0 + a5_3 * kv3 + a5_4 * kv4) * h
+            r5 = r + (a5_0 * kr0 + a5_3 * kr3 + a5_4 * kr4) * h
+            kr5 = v + (a5_0 * kv0 + a5_3 * kv3 + a5_4 * kv4) * h
             kv5 = lam2 / r5**3 - force(r5)
             kt5 = lam / (r5 * r5)
-            r6 = r + (0.0 + a6_0 * kr0 + a6_3 * kr3 + a6_4 * kr4 + a6_5 * kr5) * h
-            kr6 = v + (0.0 + a6_0 * kv0 + a6_3 * kv3 + a6_4 * kv4 + a6_5 * kv5) * h
+            r6 = r + (a6_0 * kr0 + a6_3 * kr3 + a6_4 * kr4 + a6_5 * kr5) * h
+            kr6 = v + (a6_0 * kv0 + a6_3 * kv3 + a6_4 * kv4 + a6_5 * kv5) * h
             kv6 = lam2 / r6**3 - force(r6)
             kt6 = lam / (r6 * r6)
-            r7 = r + (0.0 + a7_0 * kr0 + a7_3 * kr3 + a7_4 * kr4 + a7_5 * kr5
+            r7 = r + (a7_0 * kr0 + a7_3 * kr3 + a7_4 * kr4 + a7_5 * kr5
                       + a7_6 * kr6) * h
-            kr7 = v + (0.0 + a7_0 * kv0 + a7_3 * kv3 + a7_4 * kv4 + a7_5 * kv5
+            kr7 = v + (a7_0 * kv0 + a7_3 * kv3 + a7_4 * kv4 + a7_5 * kv5
                        + a7_6 * kv6) * h
             kv7 = lam2 / r7**3 - force(r7)
             kt7 = lam / (r7 * r7)
-            r8 = r + (0.0 + a8_0 * kr0 + a8_3 * kr3 + a8_4 * kr4 + a8_5 * kr5
+            r8 = r + (a8_0 * kr0 + a8_3 * kr3 + a8_4 * kr4 + a8_5 * kr5
                       + a8_6 * kr6 + a8_7 * kr7) * h
-            kr8 = v + (0.0 + a8_0 * kv0 + a8_3 * kv3 + a8_4 * kv4 + a8_5 * kv5
+            kr8 = v + (a8_0 * kv0 + a8_3 * kv3 + a8_4 * kv4 + a8_5 * kv5
                        + a8_6 * kv6 + a8_7 * kv7) * h
             kv8 = lam2 / r8**3 - force(r8)
             kt8 = lam / (r8 * r8)
-            r9 = r + (0.0 + a9_0 * kr0 + a9_3 * kr3 + a9_4 * kr4 + a9_5 * kr5
+            r9 = r + (a9_0 * kr0 + a9_3 * kr3 + a9_4 * kr4 + a9_5 * kr5
                       + a9_6 * kr6 + a9_7 * kr7 + a9_8 * kr8) * h
-            kr9 = v + (0.0 + a9_0 * kv0 + a9_3 * kv3 + a9_4 * kv4 + a9_5 * kv5
+            kr9 = v + (a9_0 * kv0 + a9_3 * kv3 + a9_4 * kv4 + a9_5 * kv5
                        + a9_6 * kv6 + a9_7 * kv7 + a9_8 * kv8) * h
             kv9 = lam2 / r9**3 - force(r9)
             kt9 = lam / (r9 * r9)
-            r10 = r + (0.0 + a10_0 * kr0 + a10_3 * kr3 + a10_4 * kr4 + a10_5 * kr5
+            r10 = r + (a10_0 * kr0 + a10_3 * kr3 + a10_4 * kr4 + a10_5 * kr5
                        + a10_6 * kr6 + a10_7 * kr7 + a10_8 * kr8 + a10_9 * kr9) * h
-            kr10 = v + (0.0 + a10_0 * kv0 + a10_3 * kv3 + a10_4 * kv4 + a10_5 * kv5
+            kr10 = v + (a10_0 * kv0 + a10_3 * kv3 + a10_4 * kv4 + a10_5 * kv5
                         + a10_6 * kv6 + a10_7 * kv7 + a10_8 * kv8 + a10_9 * kv9) * h
             kv10 = lam2 / r10**3 - force(r10)
             kt10 = lam / (r10 * r10)
-            r11 = r + (0.0 + a11_0 * kr0 + a11_3 * kr3 + a11_4 * kr4 + a11_5 * kr5
+            r11 = r + (a11_0 * kr0 + a11_3 * kr3 + a11_4 * kr4 + a11_5 * kr5
                        + a11_6 * kr6 + a11_7 * kr7 + a11_8 * kr8 + a11_9 * kr9
                        + a11_10 * kr10) * h
-            kr11 = v + (0.0 + a11_0 * kv0 + a11_3 * kv3 + a11_4 * kv4 + a11_5 * kv5
+            kr11 = v + (a11_0 * kv0 + a11_3 * kv3 + a11_4 * kv4 + a11_5 * kv5
                         + a11_6 * kv6 + a11_7 * kv7 + a11_8 * kv8 + a11_9 * kv9
                         + a11_10 * kv10) * h
             kv11 = lam2 / r11**3 - force(r11)
             kt11 = lam / (r11 * r11)
-            br = (0.0 + b0 * kr0 + b5 * kr5 + b6 * kr6 + b7 * kr7 + b8 * kr8
+            br = (b0 * kr0 + b5 * kr5 + b6 * kr6 + b7 * kr7 + b8 * kr8
                   + b9 * kr9 + b10 * kr10 + b11 * kr11)
-            bv = (0.0 + b0 * kv0 + b5 * kv5 + b6 * kv6 + b7 * kv7 + b8 * kv8
+            bv = (b0 * kv0 + b5 * kv5 + b6 * kv6 + b7 * kv7 + b8 * kv8
                   + b9 * kv9 + b10 * kv10 + b11 * kv11)
-            bt = (0.0 + b0 * kt0 + b5 * kt5 + b6 * kt6 + b7 * kt7 + b8 * kt8
+            bt = (b0 * kt0 + b5 * kt5 + b6 * kt6 + b7 * kt7 + b8 * kt8
                   + b9 * kt9 + b10 * kt10 + b11 * kt11)
-            e5r = (0.0 + e5_0 * kr0 + e5_5 * kr5 + e5_6 * kr6 + e5_7 * kr7
+            e5r = (e5_0 * kr0 + e5_5 * kr5 + e5_6 * kr6 + e5_7 * kr7
                    + e5_8 * kr8 + e5_9 * kr9 + e5_10 * kr10 + e5_11 * kr11)
-            e5v = (0.0 + e5_0 * kv0 + e5_5 * kv5 + e5_6 * kv6 + e5_7 * kv7
+            e5v = (e5_0 * kv0 + e5_5 * kv5 + e5_6 * kv6 + e5_7 * kv7
                    + e5_8 * kv8 + e5_9 * kv9 + e5_10 * kv10 + e5_11 * kv11)
-            e5t = (0.0 + e5_0 * kt0 + e5_5 * kt5 + e5_6 * kt6 + e5_7 * kt7
+            e5t = (e5_0 * kt0 + e5_5 * kt5 + e5_6 * kt6 + e5_7 * kt7
                    + e5_8 * kt8 + e5_9 * kt9 + e5_10 * kt10 + e5_11 * kt11)
-            e3r = (0.0 + e3_0 * kr0 + e3_5 * kr5 + e3_6 * kr6 + e3_7 * kr7
+            e3r = (e3_0 * kr0 + e3_5 * kr5 + e3_6 * kr6 + e3_7 * kr7
                    + e3_8 * kr8 + e3_9 * kr9 + e3_10 * kr10 + e3_11 * kr11)
-            e3v = (0.0 + e3_0 * kv0 + e3_5 * kv5 + e3_6 * kv6 + e3_7 * kv7
+            e3v = (e3_0 * kv0 + e3_5 * kv5 + e3_6 * kv6 + e3_7 * kv7
                    + e3_8 * kv8 + e3_9 * kv9 + e3_10 * kv10 + e3_11 * kv11)
-            e3t = (0.0 + e3_0 * kt0 + e3_5 * kt5 + e3_6 * kt6 + e3_7 * kt7
+            e3t = (e3_0 * kt0 + e3_5 * kt5 + e3_6 * kt6 + e3_7 * kt7
                    + e3_8 * kt8 + e3_9 * kt9 + e3_10 * kt10 + e3_11 * kt11)
             r_new, v_new, th_new = r + h * br, v + h * bv, th + h * bt
             kr12 = v_new
@@ -825,43 +835,49 @@ def _dop853(p: RadialPotential, lam: float, r_p: float, t_end: float,
         while reached < n_eval and t_eval[reached] <= t_new:
             reached += 1
         if reached > done:
-            r13 = r + (0.0 + a13_0 * kr0 + a13_6 * kr6 + a13_7 * kr7 + a13_8 * kr8
+            r13 = r + (a13_0 * kr0 + a13_6 * kr6 + a13_7 * kr7 + a13_8 * kr8
                        + a13_9 * kr9 + a13_10 * kr10 + a13_11 * kr11
                        + a13_12 * kr12) * h
-            kr13 = v + (0.0 + a13_0 * kv0 + a13_6 * kv6 + a13_7 * kv7 + a13_8 * kv8
+            kr13 = v + (a13_0 * kv0 + a13_6 * kv6 + a13_7 * kv7 + a13_8 * kv8
                         + a13_9 * kv9 + a13_10 * kv10 + a13_11 * kv11
                         + a13_12 * kv12) * h
             kv13 = lam2 / r13**3 - force(r13)
             kt13 = lam / (r13 * r13)
-            r14 = r + (0.0 + a14_0 * kr0 + a14_5 * kr5 + a14_6 * kr6 + a14_7 * kr7
+            r14 = r + (a14_0 * kr0 + a14_5 * kr5 + a14_6 * kr6 + a14_7 * kr7
                        + a14_10 * kr10 + a14_11 * kr11 + a14_12 * kr12
                        + a14_13 * kr13) * h
-            kr14 = v + (0.0 + a14_0 * kv0 + a14_5 * kv5 + a14_6 * kv6 + a14_7 * kv7
+            kr14 = v + (a14_0 * kv0 + a14_5 * kv5 + a14_6 * kv6 + a14_7 * kv7
                         + a14_10 * kv10 + a14_11 * kv11 + a14_12 * kv12
                         + a14_13 * kv13) * h
             kv14 = lam2 / r14**3 - force(r14)
             kt14 = lam / (r14 * r14)
-            r15 = r + (0.0 + a15_0 * kr0 + a15_5 * kr5 + a15_6 * kr6 + a15_7 * kr7
+            r15 = r + (a15_0 * kr0 + a15_5 * kr5 + a15_6 * kr6 + a15_7 * kr7
                        + a15_8 * kr8 + a15_12 * kr12 + a15_13 * kr13
                        + a15_14 * kr14) * h
-            kr15 = v + (0.0 + a15_0 * kv0 + a15_5 * kv5 + a15_6 * kv6 + a15_7 * kv7
+            kr15 = v + (a15_0 * kv0 + a15_5 * kv5 + a15_6 * kv6 + a15_7 * kv7
                         + a15_8 * kv8 + a15_12 * kv12 + a15_13 * kv13
                         + a15_14 * kv14) * h
             kv15 = lam2 / r15**3 - force(r15)
             kt15 = lam / (r15 * r15)
-            polys = (poly(h, r, r_new, kr0, kr5, kr6, kr7, kr8, kr9, kr10, kr11,
-                          kr12, kr13, kr14, kr15),
-                     poly(h, v, v_new, kv0, kv5, kv6, kv7, kv8, kv9, kv10, kv11,
-                          kv12, kv13, kv14, kv15),
-                     poly(h, th, th_new, kt0, kt5, kt6, kt7, kt8, kt9, kt10, kt11,
-                          kt12, kt13, kt14, kt15))
+            cr0, cr1, cr2, cr3, cr4, cr5, cr6 = poly(
+                h, r, r_new, kr0, kr5, kr6, kr7, kr8, kr9, kr10, kr11, kr12, kr13,
+                kr14, kr15)
+            cv0, cv1, cv2, cv3, cv4, cv5, cv6 = poly(
+                h, v, v_new, kv0, kv5, kv6, kv7, kv8, kv9, kv10, kv11, kv12, kv13,
+                kv14, kv15)
+            ct0, ct1, ct2, ct3, ct4, ct5, ct6 = poly(
+                h, th, th_new, kt0, kt5, kt6, kt7, kt8, kt9, kt10, kt11, kt12, kt13,
+                kt14, kt15)
             for te in t_eval[done:reached]:
                 x = (te - t) / h
                 u = 1.0 - x
-                out.append(tuple(
-                    y + ((((((c0 * x + c1) * u + c2) * x + c3) * u + c4) * x + c5) * u
-                         + c6) * x
-                    for y, c0, c1, c2, c3, c4, c5, c6 in polys))
+                out.append((
+                    r + ((((((cr0 * x + cr1) * u + cr2) * x + cr3) * u + cr4) * x
+                          + cr5) * u + cr6) * x,
+                    v + ((((((cv0 * x + cv1) * u + cv2) * x + cv3) * u + cv4) * x
+                          + cv5) * u + cv6) * x,
+                    th + ((((((ct0 * x + ct1) * u + ct2) * x + ct3) * u + ct4) * x
+                           + ct5) * u + ct6) * x))
             done, steps = reached, 0
         elif steps >= _MAX_STEPS:
             raise StepSizeUnderflow(
@@ -959,9 +975,8 @@ class Orbit:
         r, rdot, theta = np.array(states).T
         e_t = 0.5 * rdot * rdot + 0.5 * lam2 / (r * r) + _psi_array(p, r)
         drift = np.abs(e_t - oc.xi) / max(abs(oc.xi), 1.0)
-        return [OdeState(t=float(t), r=float(r_k), rdot=float(v_k), theta=float(th_k),
-                         energy_drift=float(d_k))
-                for t, r_k, v_k, th_k, d_k in zip(t_eval, r, rdot, theta, drift)]
+        return list(map(OdeState, t_eval.tolist(), r.tolist(), rdot.tolist(),
+                        theta.tolist(), drift.tolist()))
 
 
 def solve_orbits(pot: PotentialLike,
@@ -1011,36 +1026,49 @@ def solve_orbit(pot: PotentialLike, oc: OrbitConstants) -> Orbit:
 
 
 # The one-orbit wrappers' memo, keyed on the caller's (pot, oc): a parabola by
-# value, a RadialPotential by identity.  One orbit asked for in a row is solved once.
-_last_orbit = functools.lru_cache(maxsize=1)(solve_orbit)
+# value, a RadialPotential by identity.  One orbit asked for in a row is solved
+# once, and so is one refused: the memo keeps the Orbit or its refusal.
+@functools.lru_cache(maxsize=1)
+def _last_orbit(pot: PotentialLike, oc: OrbitConstants) -> Union[Orbit, Exception]:
+    return solve_orbits(pot, [oc])[0]
+
+
+def _kept_orbit(pot: PotentialLike, oc: OrbitConstants) -> Orbit:
+    """The memo's orbit of (pot, oc), or its refusal raised, as Orbit._integral
+    raises a refused integral: without its last traceback, the solve's frames
+    or an earlier read's, which each read would extend."""
+    orbit = _last_orbit(pot, oc)
+    if isinstance(orbit, Exception):
+        raise orbit.with_traceback(None)
+    return orbit
 
 
 def turning_radii(pot: PotentialLike, oc: OrbitConstants) -> tuple[float, float]:
     """(r_p, r_a) of ``solve_orbit(pot, oc)``; the last orbit is kept."""
-    orbit = _last_orbit(pot, oc)
+    orbit = _kept_orbit(pot, oc)
     return orbit.r_p, orbit.r_a
 
 
 def quad_radial_period(pot: PotentialLike, oc: OrbitConstants) -> QuadratureResult:
     """:meth:`Orbit.radial_period` of ``solve_orbit(pot, oc)``; the last orbit is kept."""
-    return _last_orbit(pot, oc).radial_period()
+    return _kept_orbit(pot, oc).radial_period()
 
 
 def quad_apsidal_angle(pot: PotentialLike, oc: OrbitConstants) -> QuadratureResult:
     """:meth:`Orbit.apsidal_angle` of ``solve_orbit(pot, oc)``; the last orbit is kept."""
-    return _last_orbit(pot, oc).apsidal_angle()
+    return _kept_orbit(pot, oc).apsidal_angle()
 
 
 def quad_radial_action(pot: PotentialLike, oc: OrbitConstants) -> QuadratureResult:
     """:meth:`Orbit.radial_action` of ``solve_orbit(pot, oc)``; the last orbit is kept."""
-    return _last_orbit(pot, oc).radial_action()
+    return _kept_orbit(pot, oc).radial_action()
 
 
 def integrate_orbit(pot: PotentialLike, oc: OrbitConstants, t_end: float,
                     reltol: float = 1e-10,
                     t_eval: Optional[Sequence[float]] = None) -> list[OdeState]:
     """:meth:`Orbit.integrate` of ``solve_orbit(pot, oc)``; the last orbit is kept."""
-    return _last_orbit(pot, oc).integrate(t_end, reltol, t_eval)
+    return _kept_orbit(pot, oc).integrate(t_end, reltol, t_eval)
 
 
 def isochrony_spread(pot: PotentialLike, xi: float,

@@ -180,10 +180,10 @@ def radial_domain(params: ParabolaParams) -> tuple[float, float]:
     return (rlo, rhi)
 
 
-# y_value holds the domain check and the branch formula for floats and
-# arrays (psi_value is y_value / x); psi_derivative evaluates both branches,
-# harmonic and square-root, in its own frame, with W and sqrt(W) once: the
-# oracle's innermost calls.
+# _branch holds the branch formula for floats and arrays, and y_value its
+# domain check (psi_value is Y / x, with y_value's float checks inline);
+# psi_derivative evaluates both branches, harmonic and square-root, in its own
+# frame, with W and sqrt(W) once: the oracle's innermost calls.
 
 
 def _out_of_domain(params: ParabolaParams, x: float) -> OutOfDomain:
@@ -303,8 +303,14 @@ def psi_value(params: ParabolaParams, r: float | np.ndarray) -> float | np.ndarr
     if r <= 0.0:
         raise OutOfDomain("psi_value requires r > 0")
     x = 2.0 * r * r
+    # y_value's float path, its checks in its order, without its frame.
+    if x < params._xlo or x > params._xhi:
+        raise _out_of_domain(params, x)
     try:
-        psi = y_value(params, x) / x
+        y = _branch(params, x, math.sqrt)
+        if y - y != 0.0:  # not finite: inf - inf and nan - nan are nan
+            raise OutOfDomain(f"Y is not finite at x = {x:g}")
+        psi = y / x
     except ZeroDivisionError:  # x underflows to 0 below r ~ 1e-162
         raise OutOfDomain("psi_value requires 2 r^2 > 0") from None
     if psi - psi == 0.0:  # finite: inf - inf and nan - nan are nan

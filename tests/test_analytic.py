@@ -628,6 +628,44 @@ def test_sin_tail_is_numpys_polyval_bit_for_bit(monkeypatch):
     assert got == [analytic._kepler(ecc, anomalies).tobytes() for ecc in eccs]
 
 
+def _kepler_where(ecc, M):
+    """analytic._kepler with the series of E - sin E summed on every lane and
+    then picked by np.where, as the solver summed it before."""
+    m, cycles = analytic._reduce(M)
+    if ecc == 0.0:
+        return m + cycles * analytic.TWO_PI
+    if ecc < 0.0:
+        half = np.where(m > 0.0, math.pi, -math.pi)
+        return (_kepler_where(-ecc, m - half) + half) + cycles * analytic.TWO_PI
+    alpha = (3.0 * math.pi**2 + 1.6 * math.pi * (math.pi - np.abs(m)) / (1.0 + ecc)) \
+        / (math.pi**2 - 6.0)
+    d = 3.0 * (1.0 - ecc) + alpha * ecc
+    q = 2.0 * alpha * d * (1.0 - ecc) - m * m
+    r = 3.0 * alpha * d * (d - 1.0 + ecc) * m + m * m * m
+    w = np.cbrt(np.abs(r) + np.sqrt(q * q * q + r * r)) ** 2
+    e1 = (2.0 * r * w / (w * w + w * q + q * q) + m) / d
+    f2, f3 = ecc * np.sin(e1), ecc * np.cos(e1)
+    tail = e1**3 * analytic._sin_tail(e1 * e1)
+    f0 = np.where(np.abs(e1) < 1.0, (1.0 - ecc) * e1 + ecc * tail, e1 - f2) - m
+    f1 = 1.0 - f3
+    d3 = -f0 / (f1 - 0.5 * f0 * f2 / f1)
+    d4 = -f0 / (f1 + 0.5 * d3 * f2 + d3 * d3 * f3 / 6.0)
+    d5 = -f0 / (f1 + 0.5 * d4 * f2 + d4 * d4 * f3 / 6.0 - d4**3 * f2 / 24.0)
+    return (e1 + d5) + cycles * analytic.TWO_PI
+
+
+@pytest.mark.parametrize("ecc", [0.0, 1e-9, 0.5, 0.999999, -0.3])
+def test_kepler_series_lanes_keep_the_where_bits(ecc):
+    # The series is summed only on the lanes |e1| < 1 that take it; every
+    # lane keeps the bits of summing it everywhere, whichever numpy kernels run.
+    rng = np.random.default_rng(1995)
+    anomalies = np.concatenate([
+        [0.0, -0.0, math.pi, -math.pi, 1e-300, -1e-300, 2.0 * math.pi],
+        rng.uniform(-6.0 * math.pi, 6.0 * math.pi, 1_000_000 - 7)])
+    assert (analytic._kepler(ecc, anomalies).tobytes()
+            == _kepler_where(ecc, anomalies).tobytes())
+
+
 def test_trajectory_refuses_times_beyond_the_phase_tolerance(kepler):
     el = orbit_elements(kepler, GOLDEN)
     for late in (1e17 * el.T, 1.7e308):

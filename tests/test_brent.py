@@ -142,3 +142,20 @@ def test_brentq_raises_no_bound_orbit_without_a_sign_change():
 def test_fminbound_hand_cases(f, lo, hi, xatol, maxfun):
     assert _port_fminbound(f, lo, hi, xatol, maxfun) == _scipy_fminbound(
         f, lo, hi, xatol, maxfun)
+
+
+@pytest.mark.parametrize("nan_call, at", [(1, 0.0), (2, 1.0), (3, None), (5, None)],
+                         ids=["at-a", "at-b", "first-iterate", "third-iterate"])
+def test_brentq_refuses_a_nan_value(nan_call, at):
+    # The value of the nan_call-th call is NaN: refused at once, at that x.
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.nan if len(seen) == nan_call else math.cos(x) - x
+
+    with pytest.raises(OutOfDomain) as info:
+        _brent.brentq(f, 0.0, 1.0, xtol=1e-300, rtol=8.9e-16, maxiter=100)
+    assert len(seen) == nan_call
+    assert at is None or seen[-1] == at
+    assert str(info.value) == f"the function value at x={seen[-1]} is NaN"

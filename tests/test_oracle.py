@@ -346,6 +346,35 @@ def test_one_orbit_solves_its_turning_points_once(henon, monkeypatch):
     assert len(solves) == 5
 
 
+def test_a_refused_orbit_is_kept_and_raised_on_each_read(henon, monkeypatch):
+    solves = []
+    solve = oracle._solve_radii
+
+    def counted(p, oc, *scan):
+        solves.append(oc)
+        return solve(p, oc, *scan)
+
+    def depth(tb):
+        n = 0
+        while tb is not None:
+            n, tb = n + 1, tb.tb_next
+        return n
+
+    monkeypatch.setattr(oracle, "_solve_radii", counted)
+    oracle._last_orbit.cache_clear()
+    oc = OrbitConstants(-0.25, 1.0)  # below the circular energy: no orbit
+    raised = []
+    for read in (turning_radii, quad_radial_period, quad_apsidal_angle,
+                 quad_radial_action):
+        with pytest.raises(NoBoundOrbit) as info:
+            read(henon, oc)
+        raised.append((type(info.value), str(info.value),
+                       depth(info.value.__traceback__)))
+    assert solves == [oc]
+    assert raised == [raised[0]] * 4
+    assert raised[0][1] == "radial kinetic term never positive: no bound orbit"
+
+
 def test_a_generic_orbit_is_solved_and_summed_once(monkeypatch):
     plummer = plummer_potential()
     sizes, solves = [], []
@@ -985,6 +1014,8 @@ ODE_BITS = {
     "plummer": (("0x1.166966f4ace74p-1", "0x1.560141f895e34p-2",
                  "0x1.13fe0884bf829p+2"),
                 "cb3bfbbc9502411a3379b6563afb31ca146892514597bfb751abcbe32a7cd1fe"),
+    "signed-zero": (("0x1.01c2868d73b3cp-1", "0x0.0p+0", "0x1.3ba531d713f17p+4"),
+                    "75623d779dc1c5352bb24ae348f875f2701eb0afb34ca3a95d3cf4a2a24885fb"),
 }
 
 
@@ -997,6 +1028,14 @@ def test_ode_states_keep_their_bits(all_classes):
     orbits.append(("henon-gauged", henon_gauged, oc,
                    orbit_elements(henon_gauged, oc).T))
     orbits.append(("plummer", plummer_potential(), OrbitConstants(-0.4, 0.5), 10.0))
+    # Plummer's turning points, and a force exactly Lambda^2 / r^3 as the
+    # stepper writes it: every acceleration is 0.0 and every product of a
+    # weight with one is +-0.0, so only the sign of a zero sum could move.
+    oc = OrbitConstants(-0.4, 0.5)
+    lam2 = oc.lam * oc.lam
+    balanced = RadialPotential(psi=plummer_potential().psi,
+                               dpsi=lambda r: lam2 / r**3, name="balanced")
+    orbits.append(("signed-zero", balanced, oc, 10.0))
     assert [name for name, *_ in orbits] == list(ODE_BITS)
 
     def bits(states):
@@ -1008,6 +1047,9 @@ def test_ode_states_keep_their_bits(all_classes):
         states = integrate_orbit(pot, oc, T, reltol=1e-11,
                                  t_eval=np.linspace(0.0, T, 101))
         assert hashlib.sha256(repr(bits(states)).encode()).hexdigest() == digest, name
+    # The balanced orbit stays at r_p, at rest: rdot is +0.0, never -0.0.
+    assert {s.rdot.hex() for s in states} == {"0x0.0p+0"}
+    assert {s.r for s in states} == {turning_radii(balanced, oc)[0]}
 
 
 @pytest.mark.parametrize("params, lam, xi", [
