@@ -5,10 +5,13 @@
 ``minimize_scalar(method="bounded")``; both are Brent's methods (Brent 1973,
 *Algorithms for Minimization without Derivatives*, ch. 4-5).  Each keeps
 scipy's arithmetic order on floats, so it takes scipy's iterates and function
-calls and returns scipy's bits.  The oracle finds its turning points and
-circular radii with them, so nothing at runtime imports scipy.  Unlike
-scipy, ``brentq`` refuses with a typed error, not ``ValueError`` or
-``RuntimeError``.
+calls and returns scipy's bits.  Both work on Python floats: each converts
+its bracket, its tolerances and every value of f with ``float()``, so that a
+numpy scalar passed in (a point of a numpy grid, say) neither reaches f nor
+slows the loop, with the same bits, since +, -, * and / round alike on both.
+The oracle finds its turning points and circular radii with them, so
+nothing at runtime imports scipy.  Unlike scipy, ``brentq`` refuses with a
+typed error, not ``ValueError`` or ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
     one float unequal to itself); NoBoundOrbit when f(a) and f(b) have one
     sign; ToleranceNotMet when ``maxiter`` iterations do not converge.
     """
-    xpre, xcur = float(a), float(b)
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
     xblk = fblk = spre = scur = 0.0
     fpre = float(f(xpre))
     if fpre != fpre:
@@ -94,17 +97,18 @@ def fminbound(f: Callable[[float], float], lo: float, hi: float, xatol: float,
               maxfun: int = 500) -> float:
     """The minimum of f on [lo, hi] by Brent's golden-section and parabolic
     search, in the arithmetic order of scipy's ``minimize_scalar(method=
-    "bounded")``: the same calls and x.  It raises nothing: after ``maxfun``
-    calls it returns the best x so far, and a NaN value takes part in the
-    comparisons as in scipy."""
+    "bounded")``: the same calls and x.  It calls f on Python floats and
+    returns one, whatever the type of ``lo``, ``hi`` and ``xatol``.  It raises
+    nothing: after ``maxfun`` calls it returns the best x so far, and a NaN
+    value takes part in the comparisons as in scipy."""
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
+    a, b, xatol = float(lo), float(hi), float(xatol)
     fulc = a + golden_mean * (b - a)
     nfc, xf = fulc, fulc
     rat = e = 0.0
     x = xf
-    fx = f(x)
+    fx = float(f(x))
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
@@ -136,7 +140,7 @@ def fminbound(f: Callable[[float], float], lo: float, hi: float, xatol: float,
 
         si = _sign(rat) + (rat == 0)
         x = xf + si * max(abs(rat), tol1)
-        fu = f(x)
+        fu = float(f(x))
         num += 1
         if fu <= fx:
             if x >= xf:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -645,6 +646,32 @@ def test_verify_battery_verdicts_match_reference(battery, tmp_path):
     checks = json.loads(out.read_text())["checks"]
     assert [c["name"] for c in checks] == list(ref["checks"])
     assert [c["pass"] for c in checks] == list(ref["checks"].values())
+
+
+# Each battery's exit code and the sha256 of its report, recorded with numpy
+# 2.4.6 on x86-64.  A change meant only to make verify faster must keep every
+# byte of every report.  perfbench/verify_reference.json's digests are older
+# than several changes to the reports, and the benchmark only reports them.
+VERIFY_REPORTS = {
+    "bounded": (0, "b13641ffcb67a16aba329350d17a037ca1e2f41a16e9c1f963628e796073274e"),
+    "harmonic": (0, "b1d13a39f2a5d4962a6a9fba73864e07fde21a533fbfb6c3b9a0d38ff335f934"),
+    "henon": (0, "0a7247300accf48166b9e935104859d45862230002f3e5e64ff91d7010ecf0e8"),
+    "henon-gauged": (0, "9398272a3a639d6c182e05bac5d6df7af09b36933670a7c7feb70eb563fca16a"),
+    "hollowed": (0, "b0ea0b06a43742785c1bd24dc3c29b10dfbc44c57a7dc36622200bd52dcc3a76"),
+    "kepler": (0, "fd482f8ec084663182b4c5b192657e4b5434d470e9b703bf08ff514299e41997"),
+    "plummer": (1, "bcd90e30f2d86400c86de94c3e5b7347d7a9f0066b835d939d74d710dedaf08f"),
+}
+
+
+@pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="the digests were recorded with numpy 2; numpy 1's kernels are "
+           "not known to give the same last digits")
+@pytest.mark.parametrize("battery", sorted(REFERENCE))
+def test_verify_battery_report_keeps_its_bytes(battery, tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["verify", *REFERENCE[battery]["argv"], "-o", str(out)])
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == VERIFY_REPORTS[battery]
 
 
 @pytest.mark.parametrize("battery", sorted(REFERENCE))

@@ -1,18 +1,21 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
-from isochrone import analytic, birkhoff, oracle, potential
+from isochrone import _brent, analytic, birkhoff, oracle, potential
 from isochrone.analytic import OrbitConstants, orbit_elements
 from isochrone.birkhoff import bertrand_check
 from isochrone.errors import (
     DomainExit,
     InvalidParams,
+    IsochroneError,
     NoBoundOrbit,
     OutOfDomain,
     StepSizeUnderflow,
@@ -247,6 +250,63 @@ def test_turning_radii_float_only_psi_agrees_with_array_psi():
     assert compared >= 100
 
 
+def _float_guard(params):
+    """The oracle handle of ``params``, with a psi and a dpsi that assert that
+    each scalar argument is a Python float: a numpy scalar there means that
+    numpy's slow scalar arithmetic has reached the oracle's pure-Python loops."""
+    base = as_potential(params)
+
+    def psi(r):
+        assert isinstance(r, np.ndarray) or type(r) is float, type(r)
+        return base.psi(r)
+
+    def dpsi(r):
+        assert type(r) is float, type(r)
+        return base.dpsi(r)
+
+    return RadialPotential(psi=psi, dpsi=dpsi, r_bounds=base.r_bounds)
+
+
+@pytest.mark.parametrize("case", ["bound", "circular", "near-circular"])
+def test_the_oracles_scalar_calls_get_python_floats(henon, case, monkeypatch):
+    # The circular orbit's scan maximum only grazes zero, so its radius is
+    # the force balance's root; the near-circular one, one ulp above the
+    # circular energy, has two turning points too close for the midpoint
+    # rule and takes the epicyclic limit.
+    lam, xi = {
+        "bound": (1.0, analytic.feasible_energy(henon, 1.0, 0.5)),
+        "circular": (1.0, analytic.circular_energy(henon, 1.0)),
+        "near-circular": (0.3, math.nextafter(analytic.circular_energy(henon, 0.3),
+                                              math.inf)),
+    }[case]
+    reached = []
+    for name in ("_force_balance_radius", "_epicyclic"):
+        def spy(*args, f=getattr(oracle, name), name=name):
+            reached.append(name)
+            return f(*args)
+        monkeypatch.setattr(oracle, name, spy)
+    orbit = solve_orbit(_float_guard(henon), OrbitConstants(xi, lam))
+    T = orbit.radial_period().value
+    orbit.apsidal_angle(), orbit.radial_action()
+    assert type(orbit.r_p) is float and type(orbit.r_a) is float
+    assert orbit.integrate(T)[-1].t == T
+    assert reached == {"bound": [], "circular": ["_force_balance_radius", "_epicyclic"],
+                       "near-circular": ["_epicyclic"]}[case]
+
+
+def test_fminbound_calls_f_on_python_floats():
+    # numpy scalars in the bracket, the tolerance and f's values.
+    seen = []
+
+    def f(x):
+        seen.append(type(x))
+        return np.float64((x - 1.25) ** 2)
+
+    x = _brent.fminbound(f, np.float64(1.0), np.float64(2.0), xatol=np.float64(1e-14))
+    assert type(x) is float and x == pytest.approx(1.25, abs=1e-7)
+    assert len(seen) > 5 and set(seen) == {float}
+
+
 def test_a_nan_of_psi_is_out_of_domain():
     # A NaN band inside the orbit once leaked scipy's ValueError from brentq.
     base = plummer_potential()
@@ -373,6 +433,30 @@ def test_a_refused_orbit_is_kept_and_raised_on_each_read(henon, monkeypatch):
     assert solves == [oc]
     assert raised == [raised[0]] * 4
     assert raised[0][1] == "radial kinetic term never positive: no bound orbit"
+
+
+def test_a_kept_refusal_pins_no_frame_of_its_reader(henon):
+    # Raised itself, a kept refusal would take each reader's traceback, and
+    # keep the reader's frames and their locals alive until the next read.
+    class Local:
+        pass
+
+    def reader(read, *args):
+        local = Local()
+        try:
+            read(*args)
+        except IsochroneError:
+            return weakref.ref(local)
+        raise AssertionError(f"{read.__name__} returned a value")
+
+    oracle._last_orbit.cache_clear()
+    near_circular = OrbitConstants(analytic.feasible_energy(henon, 1.0, 1e-9), 1.0)
+    orbit = solve_orbit(henon, near_circular)  # T refused: no two levels agree
+    for read, args in ((turning_radii, (henon, OrbitConstants(-0.25, 1.0))),
+                       (Orbit.radial_period, (orbit,))):
+        local = reader(read, *args)
+        gc.collect()
+        assert local() is None, read.__name__
 
 
 def test_a_generic_orbit_is_solved_and_summed_once(monkeypatch):
